@@ -405,7 +405,8 @@ def solve_monotone(
 
     # cap reached: still-growing increments mean divergence, otherwise stagnation
     s = np.asarray(sups)
-    window = max(10, max_iter // 10)
+    # the window shrinks to what the history holds when max_iter < 20
+    window = min(max(10, max_iter // 10), (len(s) - 1) // 2)
     recent = s[-1] - s[-1 - window]
     earlier = s[-1 - window] - s[-1 - 2 * window]
     status = "diverged" if recent > 0.5 * earlier and recent > 0 else "stagnated"

@@ -14,6 +14,7 @@ from pathlib import Path
 from ..discrete import GridError, build_grid, build_laplacian, FieldPair
 from ..elliptic import EllipticError, solve_monotone, solve_newton
 from ..parabolic import IntegratorConfig, NumericalFailureError, evolve
+from ..problem import validate
 from .config import ConfigError, build_problem, parse_config, spec_digest
 from .experiments import lambda_star_experiment, robin_experiment, threshold_experiment
 from .io import load_snapshot, save_snapshot, write_result_json, write_trajectory_csv
@@ -97,10 +98,25 @@ def _apply_config(args, argv):
 
 
 def _problem_from_args(args):
-    return build_problem(
-        p=args.p, q=args.q, geometry=args.geometry, dim=args.dim, bc=args.bc,
-        lam=args.lam, radius=args.radius, lx=args.lx, ly=args.ly, forcing=args.forcing,
-    )
+    """Build and validate the problem before any solve.
+
+    A rejected problem is a usage error naming the violated constraints;
+    warnings go to stderr only, so they never reach the result files.
+    """
+    try:
+        spec = build_problem(
+            p=args.p, q=args.q, geometry=args.geometry, dim=args.dim, bc=args.bc,
+            lam=args.lam, radius=args.radius, lx=args.lx, ly=args.ly, forcing=args.forcing,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    report = validate(spec)
+    if not report.accepted:
+        raise ConfigError("problem violates " + ", ".join(report.violations))
+    for warning in report.warnings:
+        print(f"warning: {warning}: 1/(p+1) + 1/(q+1) <= (N-2)/N, "
+              "equilibria may not exist", file=sys.stderr)
+    return spec
 
 
 def _integrator(args) -> IntegratorConfig:
@@ -143,8 +159,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "verify":
         resolutions = tuple(int(r) for r in args.resolutions.split(","))
+        spec = _problem_from_args(args)
         try:
-            spec = _problem_from_args(args)
             report = verify_suite(resolutions=resolutions, seed=args.seed, spec=spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

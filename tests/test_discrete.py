@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholdlab import (
     BoundarySpec,
@@ -15,7 +18,7 @@ from thresholdlab import (
     interval_grid,
     solve_shifted,
 )
-from thresholdlab.discrete import GridError
+from thresholdlab.discrete import DiscreteLaplacian, GridError, LinearSolveError
 
 DIRICHLET = BoundarySpec.dirichlet()
 DISK = RadialBall(2, 1.0)
@@ -24,6 +27,21 @@ DISK = RadialBall(2, 1.0)
 def disk_operator(n, boundary=DIRICHLET):
     grid = build_grid(DISK, boundary, n)
     return grid, build_laplacian(grid)
+
+
+def rect_operator(lx, ly, resolution):
+    grid = build_grid(Rectangle(lx, ly), DIRICHLET, resolution)
+    return grid, build_laplacian(grid)
+
+
+def backward_error(A, sigma, x, rhs):
+    """The normwise weighted backward error that solve_shifted guarantees."""
+    w = A.grid.weights
+    wnorm = lambda z: np.sqrt(w @ z**2)
+    res = rhs - sigma * x - A.apply(x)
+    op = sigma + 2.0 * np.max(A.K.diagonal() / w)
+    denom = wnorm(rhs) + op * wnorm(x)
+    return wnorm(res) / denom if denom > 0 else 0.0
 
 
 class TestBuildGrid:
@@ -174,6 +192,81 @@ class TestSolveShifted:
             x = solve_shifted(A, 0.0, 2 * np.pi**2 * exact)
             errs.append(np.max(np.abs(x - exact)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 1e3, 1e6])
+    def test_rectangle_matches_dense_solve(self, rng, sigma):
+        grid, A = rect_operator(2.0, 1.0, (24, 12))
+        w = grid.weights
+        rhs = rng.standard_normal(grid.size)
+        dense = np.diag(sigma * w) + A.K.toarray()
+        expected = np.linalg.solve(dense, w * rhs)
+        x = solve_shifted(A, sigma, rhs)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+        assert backward_error(A, sigma, x, rhs) <= 1e-12
+
+    def test_rectangle_multiple_rhs(self, rng):
+        grid, A = rect_operator(2.0, 1.0, (24, 12))
+        rhs = rng.standard_normal((grid.size, 3))
+        x = solve_shifted(A, 0.3, rhs)
+        for j in range(3):
+            np.testing.assert_allclose(x[:, j], solve_shifted(A, 0.3, rhs[:, j]), rtol=1e-12)
+
+    def test_rectangle_maximum_principle(self, rng):
+        grid, A = rect_operator(2.0, 1.0, (24, 12))
+        point = np.zeros(grid.size)
+        point[grid.size // 3] = 1.0
+        for sigma in (0.0, 2.0, 1e6):
+            for rhs in (rng.uniform(0.0, 1.0, grid.size), point):
+                assert solve_shifted(A, sigma, rhs).min() >= 0.0
+
+    @pytest.mark.parametrize("geometry", ["rectangle", "radial"])
+    def test_mismatched_K_raises(self, rng, geometry):
+        # the residual comes from K on every call, so a solve that does not
+        # match K cannot return: first an edit after construction, which
+        # leaves the prepared solve stale, then a hand-built operator whose K
+        # the geometry's solve cannot represent
+        if geometry == "rectangle":
+            grid, A = rect_operator(2.0, 1.0, (24, 12))
+        else:
+            grid, A = disk_operator(64)
+        rhs = rng.uniform(0.0, 1.0, grid.size)
+        solve_shifted(A, 1.0, rhs)
+        A.K = (A.K + sp.diags(0.01 * A.K.diagonal())).tocsr()
+        with pytest.raises(LinearSolveError):
+            solve_shifted(A, 1.0, rhs)
+
+        # a symmetric M-matrix coupling nodes 0 and 5, outside both stencils
+        c = 0.5 * A.K[0, 0]
+        edited = sp.lil_matrix(A.K)
+        edited[0, 5] = edited[5, 0] = -c
+        edited[0, 0] += c
+        edited[5, 5] += c
+        handmade = DiscreteLaplacian(grid=grid, K=edited.tocsr(), boundary=A.boundary)
+        with pytest.raises(LinearSolveError):
+            solve_shifted(handmade, 1.0, rhs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    lx=st.floats(0.2, 5.0),
+    ly=st.floats(0.2, 5.0),
+    nx=st.integers(4, 40),
+    ny=st.integers(4, 40),
+    sigma=st.floats(0.0, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+def test_rectangle_solve_property(lx, ly, nx, ny, sigma, seed, sparse):
+    grid, A = rect_operator(lx, ly, (nx, ny))
+    rng = np.random.default_rng(seed)
+    rhs = rng.uniform(0.0, 1.0, (grid.size, 2))
+    if sparse:
+        # point-like sources: the solution is tiny far from them
+        rhs[rng.uniform(size=rhs.shape) < 0.9] = 0.0
+    x = solve_shifted(A, sigma, rhs)
+    for j in range(2):
+        assert backward_error(A, sigma, x[:, j], rhs[:, j]) <= 1e-12
+    assert x.min() >= 0.0
 
 
 class TestQuadrature:

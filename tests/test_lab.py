@@ -154,6 +154,30 @@ class TestCli:
         assert main(["steady", "--geometry", "hexagon"]) == 1
         assert main(["steady", "--nonsense-flag", "3"]) == 1
 
+    @pytest.mark.parametrize("p", ["1", "nan", "0.5"])
+    def test_invalid_problem_is_usage_error(self, p, tmp_path, capsys):
+        code = main(["steady", "--p", p, "--resolution", "32", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "p>1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "result.json").exists()
+
+    def test_bad_domain_is_usage_error(self, capsys):
+        assert main(["steady", "--dim", "1"]) == 1
+        assert "dimension" in capsys.readouterr().err
+
+    def test_subcriticality_warning_on_stderr_only(self, tmp_path, capsys):
+        code = main([
+            "evolve", "--dim", "3", "--p", "5", "--q", "5", "--resolution", "16",
+            "--t-max", "0.01", "--out", str(tmp_path),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "SUBCRITICALITY" in captured.err
+        assert "SUBCRITICALITY" not in captured.out
+        assert "SUBCRITICALITY" not in (tmp_path / "result.json").read_text()
+
     def test_steady_writes_outputs(self, tmp_path, capsys):
         code = main([
             "steady", "--p", "3", "--q", "3", "--resolution", "64",
