@@ -30,7 +30,6 @@ from .discrete import (
     Grid,
     build_grid,
     build_laplacian,
-    dirichlet_energy,
     integrate,
     interval_grid,
     solve_shifted,

@@ -19,6 +19,11 @@ whose constant C is derived in :func:`blowup_bound_constant`.  Because the
 discrete operator is exactly symmetric in the weighted inner product, the
 identities hold on the semi-discrete level with no quadrature defect; the
 only gap in a recorded trajectory is the O(dt) time-stepping error.
+
+E and T have one definition each: :func:`energy`, :func:`power_integral`
+and the per-step rows of :meth:`TrajectoryRecord.observe` share the two
+halves of T and the formula for E.  Steady residuals come from
+:func:`thresholdlab.elliptic.relative_residual`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import DiscreteLaplacian, FieldPair, Grid, integrate, dirichlet_energy
+from .discrete import DiscreteLaplacian, FieldPair, Grid, integrate
+from .elliptic import relative_residual, signed_power
 from .problem import ExponentPair, blowup_exponent
 
 __all__ = [
@@ -45,31 +51,33 @@ __all__ = [
 ]
 
 
-def _signed_power(x: np.ndarray, s: float) -> np.ndarray:
-    """|x|^(s-1) * x: sign-preserving power, equal to x^s on x >= 0."""
-    return np.sign(x) * np.abs(x) ** s
-
-
 def product_integral(grid: Grid, pair: FieldPair) -> float:
     """phi = integral of u*v over the domain."""
     return integrate(grid, pair.u * pair.v)
 
 
+def _power_halves(grid: Grid, pair: FieldPair, exponents: ExponentPair) -> tuple[float, float]:
+    """The two halves of T: (int |u|^(q+1), int |v|^(p+1))."""
+    p, q = exponents.p, exponents.q
+    return integrate(grid, np.abs(pair.u) ** (q + 1)), integrate(grid, np.abs(pair.v) ** (p + 1))
+
+
+def _energy(cross: float, int_u_q1: float, int_v_p1: float, exponents: ExponentPair) -> float:
+    """E from its three parts: cross - int_v_p1/(p+1) - int_u_q1/(q+1)."""
+    p, q = exponents.p, exponents.q
+    return cross - int_v_p1 / (p + 1) - int_u_q1 / (q + 1)
+
+
 def energy(grid: Grid, A: DiscreteLaplacian, pair: FieldPair, exponents: ExponentPair) -> float:
     """E = <A u, v>_w - 1/(p+1) int |v|^(p+1) - 1/(q+1) int |u|^(q+1)."""
-    p, q = exponents.p, exponents.q
-    cross = dirichlet_energy(grid, A, pair.u, pair.v)
-    return (
-        cross
-        - integrate(grid, np.abs(pair.v) ** (p + 1)) / (p + 1)
-        - integrate(grid, np.abs(pair.u) ** (q + 1)) / (q + 1)
-    )
+    cross = A.quadratic_form(pair.u, pair.v)
+    return _energy(cross, *_power_halves(grid, pair, exponents), exponents)
 
 
 def power_integral(grid: Grid, pair: FieldPair, exponents: ExponentPair) -> float:
     """T = int |u|^(q+1) + int |v|^(p+1), the reaction mass of the pair."""
-    p, q = exponents.p, exponents.q
-    return integrate(grid, np.abs(pair.u) ** (q + 1) + np.abs(pair.v) ** (p + 1))
+    int_u_q1, int_v_p1 = _power_halves(grid, pair, exponents)
+    return int_u_q1 + int_v_p1
 
 
 def blowup_bound_constant(exponents: ExponentPair, volume: float) -> float:
@@ -120,8 +128,9 @@ def power_sum_bound(x: float, y: float, a: float):
 class TrajectoryRecord:
     """Per-step diagnostics of a parabolic run.
 
-    Rows are appended while stepping and the derivative columns are filled
-    by :meth:`finalize`:
+    Rows are added while stepping, by :meth:`observe` from a state or by
+    :meth:`append` from precomputed values, and the derivative columns are
+    filled by :meth:`finalize`:
 
         dphi_lhs  = centred finite difference of phi over accepted steps
         dphi_rhs  = -2 E + (p-1)/(p+1) int |v|^(p+1) + (q-1)/(q+1) int |u|^(q+1)
@@ -151,7 +160,6 @@ class TrajectoryRecord:
     dphi_rhs: np.ndarray | None = None
     bound_rhs: np.ndarray | None = None
     final_state: FieldPair | None = None
-    snapshots: list = field(default_factory=list)    # (t, FieldPair) pairs, optional
 
     def append(self, t, dt, phi, energy_val, int_u_q1, int_v_p1, sup_u, sup_v):
         self.t.append(t)
@@ -163,6 +171,22 @@ class TrajectoryRecord:
         self.bigT.append(int_u_q1 + int_v_p1)
         self.sup_u.append(sup_u)
         self.sup_v.append(sup_v)
+
+    def observe(self, A: DiscreteLaplacian, pair: FieldPair, t: float, dt: float) -> None:
+        """Append the row of ``pair``, the state at time t reached by a step dt."""
+        grid = A.grid
+        cross = A.quadratic_form(pair.u, pair.v)
+        int_u_q1, int_v_p1 = _power_halves(grid, pair, self.exponents)
+        self.append(
+            t,
+            dt,
+            product_integral(grid, pair),
+            _energy(cross, int_u_q1, int_v_p1, self.exponents),
+            int_u_q1,
+            int_v_p1,
+            pair.sup_u,
+            pair.sup_v,
+        )
 
     def __len__(self) -> int:
         return len(self.t)
@@ -235,20 +259,16 @@ class NotEquilibriumError(ValueError):
         self.residual = residual
 
 
-def _steady_residual_norm(grid, A, pair, exponents, shift) -> float:
+def _steady_residual_norm(A, pair, exponents, shift) -> float:
     """Relative steady residual of the plain or shifted system."""
     p, q = exponents.p, exponents.q
     if shift is None:
-        bu = _signed_power(pair.v, p)
-        bv = _signed_power(pair.u, q)
+        bu = signed_power(pair.v, p)
+        bv = signed_power(pair.u, q)
     else:
-        bu = _signed_power(pair.v + shift.v, p) - _signed_power(shift.v, p)
-        bv = _signed_power(pair.u + shift.u, q) - _signed_power(shift.u, q)
-    ru = A.apply(pair.u) - bu
-    rv = A.apply(pair.v) - bv
-    raw = math.sqrt(integrate(grid, ru**2) + integrate(grid, rv**2))
-    scale = 1.0 + math.sqrt(integrate(grid, bu**2) + integrate(grid, bv**2))
-    return raw / scale
+        bu = signed_power(pair.v + shift.v, p) - signed_power(shift.v, p)
+        bv = signed_power(pair.u + shift.u, q) - signed_power(shift.u, q)
+    return relative_residual(A, pair, bu, bv)
 
 
 def _shifted_quotient(x: np.ndarray, base: np.ndarray, s: float) -> np.ndarray:
@@ -261,8 +281,8 @@ def _shifted_quotient(x: np.ndarray, base: np.ndarray, s: float) -> np.ndarray:
     scale = max(np.max(np.abs(x)), 1e-300)
     small = np.abs(x) < 1e-8 * scale
     safe = np.where(small, 1.0, x)
-    quot = (_signed_power(x + base, s) - _signed_power(base, s)) / safe
-    return np.where(small, s * _signed_power(base, s - 1), quot)
+    quot = (signed_power(x + base, s) - signed_power(base, s)) / safe
+    return np.where(small, s * signed_power(base, s - 1), quot)
 
 
 def solution_pair_identity(
@@ -291,7 +311,7 @@ def solution_pair_identity(
     the measured gap scales linearly with the equilibrium residuals.
     """
     for which, pair in (("pair1", pair1), ("pair2", pair2)):
-        rn = _steady_residual_norm(grid, A, pair, exponents, shift)
+        rn = _steady_residual_norm(A, pair, exponents, shift)
         if rn > steady_tol:
             raise NotEquilibriumError(which, rn, steady_tol)
     return _pair_identity_values(grid, pair1, pair2, exponents, shift)
@@ -302,11 +322,11 @@ def _pair_identity_values(grid, pair1, pair2, exponents, shift):
     if shift is None:
         lhs = integrate(
             grid,
-            pair1.u * pair2.u * (_signed_power(pair1.u, q - 1) - _signed_power(pair2.u, q - 1)),
+            pair1.u * pair2.u * (signed_power(pair1.u, q - 1) - signed_power(pair2.u, q - 1)),
         )
         rhs = integrate(
             grid,
-            pair1.v * pair2.v * (_signed_power(pair2.v, p - 1) - _signed_power(pair1.v, p - 1)),
+            pair1.v * pair2.v * (signed_power(pair2.v, p - 1) - signed_power(pair1.v, p - 1)),
         )
     else:
         g1 = _shifted_quotient(pair1.u, shift.u, q)

@@ -47,7 +47,6 @@ __all__ = [
     "interval_grid",
     "solve_shifted",
     "integrate",
-    "dirichlet_energy",
     "GridError",
     "LinearSolveError",
 ]
@@ -164,7 +163,11 @@ class DiscreteLaplacian:
         return (self.K @ x) / self.grid.weights
 
     def quadratic_form(self, x: np.ndarray, y: np.ndarray) -> float:
-        """<A x, y>_w = x^T K y, bitwise symmetric in (x, y)."""
+        """<A x, y>_w = x^T K y, the discrete grad-grad integral.
+
+        Bitwise symmetric in (x, y); on Robin operators it includes the
+        boundary term beta * integral of x*y over the boundary.
+        """
         return float(0.5 * ((self.K @ y) @ x + (self.K @ x) @ y))
 
 
@@ -416,14 +419,3 @@ def integrate(grid: Grid, x: np.ndarray) -> float:
     if len(x) != grid.size:
         raise ValueError("length mismatch")
     return float(np.dot(grid.weights, x))
-
-
-def dirichlet_energy(grid: Grid, A: DiscreteLaplacian, x: np.ndarray, y: np.ndarray) -> float:
-    """Bilinear form <A x, y>_w, the discrete grad-grad integral.
-
-    Exactly symmetric in (x, y); for Robin operators the boundary term
-    beta * integral of x*y over the boundary is included automatically.
-    """
-    if len(x) != grid.size or len(y) != grid.size:
-        raise ValueError("length mismatch")
-    return A.quadratic_form(x, y)

@@ -38,6 +38,7 @@ __all__ = [
     "ShootingResult",
     "residual",
     "residual_norm",
+    "relative_residual",
     "solve_newton",
     "solve_monotone",
     "lambda_star",
@@ -158,11 +159,20 @@ def residual_norm(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> f
     """Relative weighted-L2 residual norm; see the module docstring."""
     p, q = spec.p, spec.q
     fu, gv = forcing_arrays(spec, A.grid)
-    bu = signed_power(pair.v, p) + fu
-    bv = signed_power(pair.u, q) + gv
+    return relative_residual(A, pair, signed_power(pair.v, p) + fu, signed_power(pair.u, q) + gv)
+
+
+def relative_residual(
+    A: DiscreteLaplacian, pair: FieldPair, bu: np.ndarray, bv: np.ndarray
+) -> float:
+    """||(A u - bu, A v - bv)|| / (1 + ||(bu, bv)||) in the weighted L2 norm.
+
+    The one relative residual of the steady systems: (bu, bv) holds the
+    reaction plus forcing terms of whichever system ``pair`` should solve.
+    """
+    grid = A.grid
     ru = A.apply(pair.u) - bu
     rv = A.apply(pair.v) - bv
-    grid = A.grid
     raw = math.sqrt(integrate(grid, ru**2) + integrate(grid, rv**2))
     scale = 1.0 + math.sqrt(integrate(grid, bu**2) + integrate(grid, bv**2))
     return raw / scale
@@ -220,7 +230,6 @@ def solve_newton(
     steady_tol: float = DEFAULT_STEADY_TOL,
     max_iter: int = 50,
     max_halvings: int = 30,
-    stop_at_residual: Optional[float] = None,
 ) -> Equilibrium:
     """Damped Newton on the coupled steady system.
 
@@ -230,11 +239,6 @@ def solve_newton(
     at most ``max_halvings`` backtracking halvings.  Without a guess the
     solver seeds itself from an amplitude pre-scan along the principal
     eigenvector of A.
-
-    ``stop_at_residual`` stops at the first iterate whose residual lands in
-    [stop_at_residual, steady_tol-free] territory by fractional stepping: it
-    is used by the identity-scaling studies to manufacture solver outputs of
-    prescribed accuracy.  Normal callers leave it None.
     """
     grid = A.grid
     known = [e.pair for e in (deflation_against or [])]
@@ -244,7 +248,6 @@ def solve_newton(
     else:
         pair = initial_guess.copy()
 
-    target = steady_tol if stop_at_residual is None else stop_at_residual
     merit = lambda pr: residual_norm(spec, A, pr) * _deflation_factor(grid, pr, known)
     rn = residual_norm(spec, A, pair)
     best = rn
@@ -254,8 +257,8 @@ def solve_newton(
     Aop = sp.diags(1.0 / w) @ A.K
 
     for _ in range(max_iter):
-        if rn <= target:
-            return _finish_newton(spec, A, pair, rn, known, steady_tol, stop_at_residual)
+        if rn <= steady_tol:
+            return _finish_newton(spec, A, pair, rn, known, steady_tol)
         r = residual(spec, A, pair)
         J = sp.bmat(
             [
@@ -271,12 +274,6 @@ def solve_newton(
         if not np.all(np.isfinite(delta)):
             raise SingularJacobianError("non-finite Newton step")
 
-        if stop_at_residual is not None:
-            hit = _land_on_residual(spec, A, pair, delta, target)
-            if hit is not None:
-                pair, rn = hit
-                return _finish_newton(spec, A, pair, rn, known, steady_tol, stop_at_residual)
-
         cur_merit = merit(pair)
         step, accepted = 1.0, False
         for _ in range(max_halvings):
@@ -291,31 +288,12 @@ def solve_newton(
         rn = residual_norm(spec, A, pair)
         best = min(best, rn)
 
-    if rn <= target:
-        return _finish_newton(spec, A, pair, rn, known, steady_tol, stop_at_residual)
+    if rn <= steady_tol:
+        return _finish_newton(spec, A, pair, rn, known, steady_tol)
     raise MaxIterationsError(best, max_iter)
 
 
-def _land_on_residual(spec, A, pair, delta, target):
-    """Fractional Newton step theta landing the residual just below target."""
-    m = A.grid.size
-    at = lambda th: FieldPair(pair.u + th * delta[:m], pair.v + th * delta[m:], A.grid)
-    if residual_norm(spec, A, at(1.0)) > target:
-        return None
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if residual_norm(spec, A, at(mid)) > target:
-            lo = mid
-        else:
-            hi = mid
-        if residual_norm(spec, A, at(hi)) > 0.2 * target:
-            break
-    trial = at(hi)
-    return trial, residual_norm(spec, A, trial)
-
-
-def _finish_newton(spec, A, pair, rn, known, steady_tol, stop_at_residual):
+def _finish_newton(spec, A, pair, rn, known, steady_tol):
     grid = A.grid
     if min(pair.u.min(), pair.v.min()) <= 0:
         raise NonPositiveSolutionError(pair, rn)
@@ -324,8 +302,7 @@ def _finish_newton(spec, A, pair, rn, known, steady_tol, stop_at_residual):
         scale2 = max(integrate(grid, k.u**2 + k.v**2), 1.0)
         if d2 <= 1e-12 * scale2:
             raise ConvergedToKnownError("deflated solve returned a known solution")
-    tol = steady_tol if stop_at_residual is None else max(steady_tol, stop_at_residual)
-    return Equilibrium(pair, rn, spec, "newton", steady_tol=tol)
+    return Equilibrium(pair, rn, spec, "newton", steady_tol=steady_tol)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from ..discrete import GridError, build_grid, build_laplacian, FieldPair
 from ..elliptic import EllipticError, solve_monotone, solve_newton
 from ..parabolic import IntegratorConfig, NumericalFailureError, evolve
 from ..problem import validate
-from .config import ConfigError, build_problem, parse_config, spec_digest
+from .config import KNOWN_KEYS, ConfigError, build_problem, parse_config, spec_digest
 from .experiments import lambda_star_experiment, robin_experiment, threshold_experiment
 from .io import load_snapshot, save_snapshot, write_result_json, write_trajectory_csv
 from .verify import verify_suite
@@ -71,20 +71,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_DESTS = {
-    "p": ("p", float), "q": ("q", float), "dim": ("dim", int),
-    "geometry": ("geometry", str), "radius": ("radius", float),
-    "lx": ("lx", float), "ly": ("ly", float), "resolution": ("resolution", int),
-    "bc": ("bc", str), "lambda": ("lam", float), "forcing": ("forcing", str),
-    "alpha": ("alpha", float), "alphas": ("alphas", str), "out": ("out", Path),
-    "format": ("format", str), "seed": ("seed", int), "dt0": ("dt0", float),
-    "t-max": ("t_max", float), "width": ("width", float),
-    "lambda-lo": ("lambda_lo", float), "lambda-hi": ("lambda_hi", float),
-    "rel-tol": ("rel_tol", float), "resolutions": ("resolutions", str),
-    "initial": ("initial", Path),
-}
-
-
 def _apply_config(args, argv):
     """Config-file values fill in flags not given on the command line."""
     if args.config is None:
@@ -92,7 +78,7 @@ def _apply_config(args, argv):
     options = parse_config(args.config.read_text(encoding="utf-8"))
     given = {a.split("=")[0].lstrip("-") for a in argv if a.startswith("--")}
     for key, raw in options.items():
-        dest, cast = _CONFIG_DESTS[key]
+        dest, cast = KNOWN_KEYS[key]
         if key not in given and hasattr(args, dest):
             setattr(args, dest, cast(raw))
 
@@ -129,12 +115,34 @@ def _outdir(args) -> Path:
     return out
 
 
-def _snapshot_header(spec, args) -> dict:
-    header = {
+def _snapshot_header(args) -> dict:
+    return {
         "geometry": args.geometry, "dim": args.dim, "resolution": args.resolution,
         "p": args.p, "q": args.q, "lambda": args.lam, "bc": args.bc,
     }
-    return header
+
+
+def _load_initial(args, grid) -> FieldPair:
+    """The --initial snapshot, refused unless it matches this run.
+
+    Its node count and every header key it shares with the run's own
+    snapshot header must agree with the run; a mismatch names the keys.
+    """
+    try:
+        header, u, v = load_snapshot(args.initial)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read snapshot {args.initial}: {exc}") from exc
+    header.setdefault("nodes", str(len(u)))
+    expected = {key: str(value) for key, value in _snapshot_header(args).items()}
+    expected["nodes"] = str(grid.size)
+    mismatched = [
+        f"{key} {header[key]} (run has {expected[key]})"
+        for key in expected if key in header and header[key] != expected[key]
+    ]
+    if mismatched:
+        raise ConfigError(f"snapshot {args.initial} does not match the run: "
+                          + ", ".join(mismatched))
+    return FieldPair(u, v, grid)
 
 
 def main(argv=None) -> int:
@@ -181,7 +189,7 @@ def _dispatch(args) -> int:
             eq = solve_monotone(spec, A).equilibrium(spec)
         else:
             eq = solve_newton(spec, A)
-        save_snapshot(out / "steady.snap", eq.pair, _snapshot_header(spec, args))
+        save_snapshot(out / "steady.snap", eq.pair, _snapshot_header(args))
         write_result_json(
             {
                 "outcome": "steady",
@@ -198,7 +206,7 @@ def _dispatch(args) -> int:
 
     if args.command == "evolve":
         if args.initial is not None:
-            initial = load_snapshot(args.initial, grid)
+            initial = _load_initial(args, grid)
         elif args.alpha is not None:
             eq = solve_newton(spec, A)
             initial = eq.pair.scaled(args.alpha)

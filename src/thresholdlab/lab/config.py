@@ -9,6 +9,7 @@ alone.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 from ..problem import (
     BoundarySpec,
@@ -20,31 +21,18 @@ from ..problem import (
     Rectangle,
 )
 
+#: Config-file key -> (argparse dest, cast).  Each key is a CLI flag name.
 KNOWN_KEYS = {
-    "p",
-    "q",
-    "dim",
-    "geometry",
-    "radius",
-    "lx",
-    "ly",
-    "resolution",
-    "bc",
-    "lambda",
-    "alpha",
-    "alphas",
-    "out",
-    "format",
-    "seed",
-    "dt0",
-    "t-max",
-    "width",
-    "lambda-lo",
-    "lambda-hi",
-    "rel-tol",
-    "resolutions",
-    "initial",
-    "forcing",
+    "p": ("p", float), "q": ("q", float), "dim": ("dim", int),
+    "geometry": ("geometry", str), "radius": ("radius", float),
+    "lx": ("lx", float), "ly": ("ly", float), "resolution": ("resolution", int),
+    "bc": ("bc", str), "lambda": ("lam", float), "forcing": ("forcing", str),
+    "alpha": ("alpha", float), "alphas": ("alphas", str), "out": ("out", Path),
+    "format": ("format", str), "seed": ("seed", int), "dt0": ("dt0", float),
+    "t-max": ("t_max", float), "width": ("width", float),
+    "lambda-lo": ("lambda_lo", float), "lambda-hi": ("lambda_hi", float),
+    "rel-tol": ("rel_tol", float), "resolutions": ("resolutions", str),
+    "initial": ("initial", Path),
 }
 
 
@@ -127,6 +115,8 @@ def canonical_lines(spec: ProblemSpec, resolution) -> list[str]:
     lines.append(f"lambda = {spec.lam!r}")
     if spec.lam > 0:
         lines.append(f"forcing = {spec.forcing.f.kind}")
+    if isinstance(resolution, tuple) and len(set(resolution)) == 1:
+        resolution = resolution[0]      # as the CLI's --resolution gives it
     if isinstance(resolution, tuple):
         lines.append("resolution = " + "x".join(str(r) for r in resolution))
     else:

@@ -64,7 +64,7 @@ class ExperimentResult:
         }
 
 
-def _provenance(spec: ProblemSpec, resolution, config: IntegratorConfig, seed: int | None) -> dict:
+def _provenance(resolution, config: IntegratorConfig, seed: int | None) -> dict:
     return {
         "resolution": list(resolution) if isinstance(resolution, tuple) else resolution,
         "dt0": config.dt0,
@@ -115,7 +115,7 @@ def threshold_experiment(
     result = ExperimentResult(
         kind="threshold",
         digest=spec_digest(spec, resolution),
-        provenance=_provenance(spec, resolution, config, seed),
+        provenance=_provenance(resolution, config, seed),
     )
 
     outcomes: dict[float, str] = {}
@@ -176,7 +176,7 @@ def lambda_star_experiment(
     result = ExperimentResult(
         kind="lambda-star",
         digest=spec_digest(spec_template.with_lam(0.0), resolution),
-        provenance=_provenance(spec_template, resolution, config, seed),
+        provenance=_provenance(resolution, config, seed),
         derived={
             "lambda_bracket": [lo, hi],
             "lambda_hat": ls.lambda_hat,
@@ -237,7 +237,7 @@ def robin_experiment(
     result = ExperimentResult(
         kind="robin",
         digest=spec_digest(spec, resolution),
-        provenance=_provenance(spec, resolution, config, seed),
+        provenance=_provenance(resolution, config, seed),
     )
     try:
         oracle = shooting_oracle(

@@ -10,6 +10,13 @@ M-matrix and the explicit reaction is monotone, so nonnegativity, nodewise
 ordering of co-evolved states, and monotonicity in time from strict
 super-/sub-solution data all hold step by step for any step-size sequence.
 Accuracy is bought with small dt, not scheme order.
+
+One stepping loop serves every driver: it advances k states under a shared
+dt sequence (the smallest reaction-limited step among them), and one
+classifier decides per state between blow-up, decay, steady convergence
+and undecided.  :func:`evolve` runs it with k = 1 and records the
+diagnostics; :func:`evolve_ordered` runs it with k = 2 and watches the
+ordering of the pair.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import TrajectoryRecord
-from .discrete import DiscreteLaplacian, FieldPair, integrate, solve_shifted
+from .discrete import DiscreteLaplacian, FieldPair, solve_shifted
 from .elliptic import forcing_arrays, signed_power
 from .problem import ExponentPair, ProblemSpec
 
@@ -133,11 +140,10 @@ def step(
     spec: ProblemSpec,
     A: DiscreteLaplacian,
     state: FieldPair,
-    t: float,
     dt: float,
     _forcing: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> FieldPair:
-    """One semi-implicit step of length dt from time t."""
+    """One semi-implicit step of length dt."""
     p, q = spec.p, spec.q
     fu, gv = forcing_arrays(spec, A.grid) if _forcing is None else _forcing
     rhs = np.column_stack(
@@ -151,13 +157,53 @@ def step(
     return FieldPair(new[:, 0], new[:, 1], A.grid)
 
 
+def _march(spec, A, states, config):
+    """Step every state under one shared dt sequence; yield (t, dt, new_states).
+
+    The step is the smallest reaction-limited step over the states, capped
+    at dt0.  Non-finite data, whether rejected by the solver or produced by
+    the step, raises NumericalFailureError.  The caller decides when to stop.
+    """
+    forcing = forcing_arrays(spec, A.grid)
+    t = 0.0
+    while True:
+        dt = min(*(adapt_dt(s, spec.exponents, config) for s in states), config.dt0)
+        try:
+            new = [step(spec, A, s, dt, _forcing=forcing) for s in states]
+        except ValueError as exc:          # non-finite data rejected by the solver
+            raise NumericalFailureError(t + dt) from exc
+        if not all(np.all(np.isfinite(s.u)) and np.all(np.isfinite(s.v)) for s in new):
+            raise NumericalFailureError(t + dt)
+        t += dt
+        yield t, dt, new
+        states = new
+
+
+def _classify(spec, config, s0, prev_sup, state, change, t, dt) -> Optional[Outcome]:
+    """Apply the rules of :func:`evolve` in order; None while no rule fires."""
+    sup = state.sup
+    if sup >= config.m_blow and dt <= config.dt_min * (1 + 1e-9):
+        return Outcome.blow_up(t, sup)
+    if spec.lam == 0.0 and sup <= config.eps_decay * s0:
+        return Outcome.decay(t)
+    scale = max(sup, prev_sup)
+    if scale > 0 and change / (dt * scale) <= config.eps_steady:
+        return Outcome.steady(t, state)
+    if t >= config.t_max:
+        return Outcome.undecided(t)
+    return None
+
+
+def _max_abs(du, dv) -> float:
+    return max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
+
+
 def evolve(
     spec: ProblemSpec,
     A: DiscreteLaplacian,
     initial: FieldPair,
     config: IntegratorConfig = IntegratorConfig(),
     squeeze_upper: Optional[FieldPair] = None,
-    snapshot_every: int = 0,
 ) -> tuple[Outcome, TrajectoryRecord]:
     """Evolve nonnegative initial data and classify the run.
 
@@ -167,85 +213,36 @@ def evolve(
     change per unit time at most eps_steady; this also catches unforced runs
     parked at a metastable discrete equilibrium), undecided at the horizon.
     ``squeeze_upper`` tracks the largest exceedance over a prescribed upper
-    state without storing trajectories; ``snapshot_every`` > 0 stores a copy
-    of the state every that many accepted steps in ``record.snapshots``.
+    state without storing trajectories.
     """
     if np.min(initial.u) < 0 or np.min(initial.v) < 0:
         raise ValueError("initial data must be nonnegative")
-    grid = A.grid
-    exponents = spec.exponents
-    forcing = forcing_arrays(spec, grid)
-    record = TrajectoryRecord(exponents=exponents, volume=grid.volume)
+    record = TrajectoryRecord(exponents=spec.exponents, volume=A.grid.volume)
     state = initial.copy()
     s0 = state.sup
-    t = 0.0
-    steps = 0
-    _record_row(record, A, state, t, 0.0, exponents)
+    record.observe(A, state, 0.0, 0.0)
+    outcome = Outcome.decay(0.0) if spec.lam == 0.0 and s0 == 0.0 else None
 
-    if spec.lam == 0.0 and s0 == 0.0:
-        record.final_state = state
-        return Outcome.decay(0.0), record.finalize()
-
-    while True:
-        dt = min(adapt_dt(state, exponents, config), config.dt0)
-        try:
-            new = step(spec, A, state, t, dt, _forcing=forcing)
-        except ValueError as exc:          # non-finite data rejected by the solver
-            raise NumericalFailureError(t + dt) from exc
-        if not (np.all(np.isfinite(new.u)) and np.all(np.isfinite(new.v))):
-            raise NumericalFailureError(t + dt)
-        du = new.u - state.u
-        dv = new.v - state.v
-        record.max_step_increase = max(record.max_step_increase, du.max(), dv.max())
-        record.max_step_decrease = min(record.max_step_decrease, du.min(), dv.min())
-        record.squeeze_low = min(record.squeeze_low, float(new.u.min()), float(new.v.min()))
-        if squeeze_upper is not None:
-            record.squeeze_high = max(
-                record.squeeze_high,
-                float(np.max(new.u - squeeze_upper.u)),
-                float(np.max(new.v - squeeze_upper.v)),
-            )
-        t += dt
-        steps += 1
-        prev_sup = state.sup
-        state = new
-        _record_row(record, A, state, t, dt, exponents)
-        if snapshot_every > 0 and steps % snapshot_every == 0:
-            record.snapshots.append((t, state.copy()))
-
-        sup = state.sup
-        if sup >= config.m_blow and dt <= config.dt_min * (1 + 1e-9):
-            record.final_state = state
-            return Outcome.blow_up(t, sup), record.finalize()
-        if spec.lam == 0.0 and sup <= config.eps_decay * s0:
-            record.final_state = state
-            return Outcome.decay(t), record.finalize()
-        change = max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
-        scale = max(sup, prev_sup)
-        if scale > 0 and change / (dt * scale) <= config.eps_steady:
-            record.final_state = state
-            return Outcome.steady(t, state), record.finalize()
-        if t >= config.t_max:
-            record.final_state = state
-            return Outcome.undecided(t), record.finalize()
-
-
-def _record_row(record, A, state, t, dt, exponents):
-    grid = A.grid
-    p, q = exponents.p, exponents.q
-    cross = A.quadratic_form(state.u, state.v)
-    iu = integrate(grid, np.abs(state.u) ** (q + 1))
-    iv = integrate(grid, np.abs(state.v) ** (p + 1))
-    record.append(
-        t,
-        dt,
-        integrate(grid, state.u * state.v),
-        cross - iv / (p + 1) - iu / (q + 1),
-        iu,
-        iv,
-        state.sup_u,
-        state.sup_v,
-    )
+    if outcome is None:
+        for t, dt, (new,) in _march(spec, A, [state], config):
+            du = new.u - state.u
+            dv = new.v - state.v
+            record.max_step_increase = max(record.max_step_increase, du.max(), dv.max())
+            record.max_step_decrease = min(record.max_step_decrease, du.min(), dv.min())
+            record.squeeze_low = min(record.squeeze_low, float(new.u.min()), float(new.v.min()))
+            if squeeze_upper is not None:
+                record.squeeze_high = max(
+                    record.squeeze_high,
+                    float(np.max(new.u - squeeze_upper.u)),
+                    float(np.max(new.v - squeeze_upper.v)),
+                )
+            record.observe(A, new, t, dt)
+            outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt)
+            state = new
+            if outcome is not None:
+                break
+    record.final_state = state
+    return outcome, record.finalize()
 
 
 @dataclass
@@ -273,37 +270,34 @@ def evolve_ordered(
 
     The scheme is order preserving (M-matrix solve plus monotone reaction),
     so any violation beyond tol_order * scale indicates a scheme bug; the
-    first one is reported with its time and node.  Runs stop when both
-    states classify or the horizon is reached.
+    first one is reported with its time and node.  Each state is classified
+    by the same rules as :func:`evolve` and keeps its first outcome; the run
+    stops when both states are classified or either blows up.
     """
     if np.min(high.u - low.u) < -tol_order or np.min(high.v - low.v) < -tol_order:
         raise ValueError("initial states are not ordered low <= high")
-    exponents = spec.exponents
-    forcing = forcing_arrays(spec, A.grid)
-    a, b = low.copy(), high.copy()
-    sa0, sb0 = a.sup, b.sup
+    states = [low.copy(), high.copy()]
+    s0 = [s.sup for s in states]
+    outcomes: list[Optional[Outcome]] = [None, None]
     t, steps = 0.0, 0
     max_gap = -math.inf
     first = None
-    out_a = out_b = None
 
-    while t < config.t_max and (out_a is None or out_b is None):
-        dt = min(adapt_dt(a, exponents, config), adapt_dt(b, exponents, config), config.dt0)
-        a = step(spec, A, a, t, dt, _forcing=forcing)
-        b = step(spec, A, b, t, dt, _forcing=forcing)
-        t += dt
+    for t, dt, new in _march(spec, A, states, config):
         steps += 1
+        a, b = new
         scale = max(1.0, b.sup)
         gap = max(float(np.max(a.u - b.u)), float(np.max(a.v - b.v)))
         max_gap = max(max_gap, gap)
         if gap > tol_order * scale and first is None:
             node = int(np.argmax(np.maximum(a.u - b.u, a.v - b.v)))
             first = (t, node, gap)
-        if out_a is None:
-            out_a = _classify_simple(spec, a, sa0, dt, config, t)
-        if out_b is None:
-            out_b = _classify_simple(spec, b, sb0, dt, config, t)
-        if (out_a or out_b) and "blowup" in {o.kind for o in (out_a, out_b) if o}:
+        for i, (old, cur) in enumerate(zip(states, new)):
+            if outcomes[i] is None:
+                change = _max_abs(cur.u - old.u, cur.v - old.v)
+                outcomes[i] = _classify(spec, config, s0[i], old.sup, cur, change, t, dt)
+        states = new
+        if all(outcomes) or any(o.kind == "blowup" for o in outcomes if o):
             break    # a blown-up state cannot be stepped further
 
     return OrderingReport(
@@ -312,15 +306,6 @@ def evolve_ordered(
         t_end=t,
         max_gap=max_gap,
         first_violation=first,
-        outcome_low=out_a,
-        outcome_high=out_b,
+        outcome_low=outcomes[0],
+        outcome_high=outcomes[1],
     )
-
-
-def _classify_simple(spec, state, s0, dt, config, t) -> Optional[Outcome]:
-    sup = state.sup
-    if sup >= config.m_blow and dt <= config.dt_min * (1 + 1e-9):
-        return Outcome.blow_up(t, sup)
-    if spec.lam == 0.0 and sup <= config.eps_decay * max(s0, 1e-300):
-        return Outcome.decay(t)
-    return None

@@ -29,6 +29,7 @@ from thresholdlab import (
 )
 from thresholdlab.lab.cli import main
 from thresholdlab.lab.experiments import threshold_experiment
+from thresholdlab.lab.verify import relaxed_pair
 
 from conftest import disk_operator
 
@@ -242,17 +243,13 @@ def test_criterion_7_pair_identity(forced2_family):
     tight = fam["second"]
     xs, ys = [], []
     for target in (1e-4, 1e-6, 1e-8):
-        # a scaled seed forces Newton to travel, so the fractional landing
-        # step can place the iterate at the prescribed residual level
-        relaxed = solve_newton(
-            spec_low, A, initial_guess=tight.pair.scaled(1.3), stop_at_residual=target
-        )
-        d_relaxed = FieldPair(relaxed.pair.u - shift.u, relaxed.pair.v - shift.v, grid)
+        relaxed, rn = relaxed_pair(spec_low, A, tight.pair, target)
+        d_relaxed = FieldPair(relaxed.u - shift.u, relaxed.v - shift.v, grid)
         _, _, g = solution_pair_identity(
             grid, A, d_relaxed, d_second, exponents, shift=shift,
-            steady_tol=10 * max(relaxed.residual_norm, 1e-16),
+            steady_tol=10 * max(rn, 1e-16),
         )
-        xs.append(relaxed.residual_norm)
+        xs.append(rn)
         ys.append(max(g, 1e-18))
     slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
     assert math.log10(xs[0] / xs[-1]) >= 3.0

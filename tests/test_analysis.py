@@ -17,7 +17,7 @@ from thresholdlab import (
     solution_pair_identity,
 )
 from thresholdlab.analysis import NotEquilibriumError
-from thresholdlab.discrete import dirichlet_energy, integrate
+from thresholdlab.discrete import integrate
 from thresholdlab.parabolic import IntegratorConfig
 
 from conftest import disk_operator
@@ -55,7 +55,7 @@ class TestEnergy:
         A, eq = eq3_128
         grid = A.grid
         p, q = spec3.p, spec3.q
-        cross = dirichlet_energy(grid, A, eq.pair.u, eq.pair.v)
+        cross = A.quadratic_form(eq.pair.u, eq.pair.v)
         int_vp1 = integrate(grid, eq.pair.v ** (p + 1))
         int_uq1 = integrate(grid, eq.pair.u ** (q + 1))
         scale = abs(cross)

@@ -13,7 +13,6 @@ from thresholdlab import (
     Rectangle,
     build_grid,
     build_laplacian,
-    dirichlet_energy,
     integrate,
     interval_grid,
     solve_shifted,
@@ -295,14 +294,14 @@ class TestQuadrature:
 class TestDirichletEnergy:
     def test_zero(self):
         grid, A = disk_operator(64)
-        assert dirichlet_energy(grid, A, np.zeros(grid.size), np.zeros(grid.size)) == 0.0
+        assert A.quadratic_form(np.zeros(grid.size), np.zeros(grid.size)) == 0.0
 
     def test_exact_symmetry(self, rng):
         grid, A = disk_operator(128)
         for _ in range(20):
             x = rng.standard_normal(grid.size)
             y = rng.standard_normal(grid.size)
-            assert dirichlet_energy(grid, A, x, y) == dirichlet_energy(grid, A, y, x)
+            assert A.quadratic_form(x, y) == A.quadratic_form(y, x)
 
     def test_parabola_gradient_integral(self):
         # integral of |grad(1 - r^2)|^2 = 2*pi*int_0^1 (2r)^2 r dr = 2*pi
@@ -310,7 +309,7 @@ class TestDirichletEnergy:
         for n in (128, 256):
             grid, A = disk_operator(n)
             parab = 1 - grid.coords**2
-            errs.append(abs(dirichlet_energy(grid, A, parab, parab) - 2 * math.pi))
+            errs.append(abs(A.quadratic_form(parab, parab) - 2 * math.pi))
         assert errs[0] <= 0.02
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
 

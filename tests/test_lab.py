@@ -14,6 +14,7 @@ from thresholdlab.lab import (
     spec_digest,
 )
 from thresholdlab.lab.cli import main
+from thresholdlab.lab.config import canonical_lines
 from thresholdlab.lab.experiments import threshold_experiment
 from thresholdlab.lab.io import (
     load_snapshot,
@@ -63,6 +64,16 @@ class TestConfig:
         assert spec.p == 3 and spec.q == 2
         assert spec.dimension == 3
         assert spec.lam == 0.5
+
+    def test_every_key_is_a_flag_with_its_dest(self):
+        from thresholdlab.lab.cli import _build_parser
+        from thresholdlab.lab.config import KNOWN_KEYS
+
+        subparsers = _build_parser()._subparsers._group_actions[0].choices.values()
+        flags = {(opt, action.dest) for sub in subparsers for action in sub._actions
+                 for opt in action.option_strings}
+        for key, (dest, _) in KNOWN_KEYS.items():
+            assert (f"--{key}", dest) in flags, key
 
     def test_digest_stable_and_sensitive(self):
         spec = disk_spec(3.0, 3.0)
@@ -231,6 +242,34 @@ class TestCli:
         config = tmp_path / "run.cfg"
         config.write_text("zebra = 1\n")
         assert main(["evolve", "--config", str(config)]) == 1
+
+    def test_rect_digest_same_for_evolve_and_threshold(self, tmp_path, capsys):
+        shared = ["--geometry", "rect", "--resolution", "16"]
+        assert main(["evolve", *shared, "--alpha", "0.5", "--t-max", "0.01",
+                     "--out", str(tmp_path / "evolve")]) == 3
+        assert main(["threshold", *shared, "--width", "1.5",
+                     "--out", str(tmp_path / "threshold")]) == 0
+        digests = {json.loads((tmp_path / name / "result.json").read_text())["digest"]
+                   for name in ("evolve", "threshold")}
+        assert len(digests) == 1
+        spec = build_problem(p=3.0, q=3.0, geometry="rect", dim=2, bc="dirichlet", lam=0.0)
+        assert parse_config("\n".join(canonical_lines(spec, (16, 16))))["resolution"] == "16"
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--resolution", "32"], "nodes"),
+        (["--resolution", "64", "--p", "2"], "p"),
+    ])
+    def test_mismatched_snapshot_is_usage_error(self, flags, key, tmp_path, capsys):
+        pair = FieldPair.zeros(disk_operator(64).grid)
+        header = {"geometry": "radial", "dim": 2, "resolution": 64, "p": 3.0, "q": 3.0,
+                  "lambda": 0.0, "bc": "dirichlet"}
+        save_snapshot(tmp_path / "state.snap", pair, header)
+        code = main(["evolve", *flags, "--initial", str(tmp_path / "state.snap"),
+                     "--t-max", "0.01", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{key} " in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "result.json").exists()
 
     def test_snapshot_feeds_evolve(self, tmp_path, capsys):
         assert main(["steady", "--resolution", "64", "--out", str(tmp_path)]) == 0

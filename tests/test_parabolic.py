@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
-from thresholdlab import FieldPair, IntegratorConfig, adapt_dt, evolve, evolve_ordered, step
+from thresholdlab import (
+    ExponentPair,
+    FieldPair,
+    IntegratorConfig,
+    ProblemSpec,
+    RadialBall,
+    Rectangle,
+    adapt_dt,
+    build_grid,
+    build_laplacian,
+    evolve,
+    evolve_ordered,
+    step,
+)
 from thresholdlab.parabolic import NumericalFailureError
 
-from conftest import disk_operator
+from conftest import disk_operator, disk_spec
 
 
 class TestStep:
@@ -12,13 +25,13 @@ class TestStep:
         A = disk_operator(64)
         state = FieldPair.zeros(A.grid)
         for _ in range(5):
-            state = step(spec3, A, state, 0.0, 1e-3)
+            state = step(spec3, A, state, 1e-3)
         assert state.sup == 0.0
 
     def test_equilibrium_near_fixed_point(self, eq3_128, spec3):
         A, eq = eq3_128
         dt = 1e-3
-        new = step(spec3, A, eq.pair, 0.0, dt)
+        new = step(spec3, A, eq.pair, dt)
         change = max(np.max(np.abs(new.u - eq.pair.u)), np.max(np.abs(new.v - eq.pair.v)))
         # drift bounded by dt * residual scale
         assert change <= 100 * dt * eq.residual_norm * eq.pair.sup + 1e-14
@@ -29,8 +42,8 @@ class TestStep:
         state = eq.pair.scaled(0.7)
         diffs = []
         for dt in (2e-3, 1e-3):
-            big = step(spec3, A, state, 0.0, dt)
-            half = step(spec3, A, step(spec3, A, state, 0.0, dt / 2), dt / 2, dt / 2)
+            big = step(spec3, A, state, dt)
+            half = step(spec3, A, step(spec3, A, state, dt / 2), dt / 2)
             diffs.append(np.max(np.abs(big.u - half.u)))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.3)
 
@@ -129,18 +142,6 @@ class TestEvolve:
         assert low.kind == "decay"
         assert high.kind == "blowup"
 
-    def test_state_snapshots(self, eq3_128, spec3):
-        A, eq = eq3_128
-        _, rec = evolve(
-            spec3, A, eq.pair.scaled(0.5), IntegratorConfig(t_max=0.05),
-            snapshot_every=10,
-        )
-        assert len(rec.snapshots) >= 4
-        t0, state0 = rec.snapshots[0]
-        assert t0 > 0 and state0.sup <= 0.5 * eq.pair.sup
-        times = [t for t, _ in rec.snapshots]
-        assert times == sorted(times)
-
     def test_positivity_preserved_from_random_data(self, spec3, rng):
         A = disk_operator(64)
         initial = FieldPair(
@@ -212,6 +213,30 @@ class TestEvolveOrdered:
         A, eq = eq3_128
         with pytest.raises(ValueError):
             evolve_ordered(spec3, A, eq.pair, eq.pair.scaled(0.5))
+
+    @pytest.mark.parametrize(
+        "domain, resolution", [(Rectangle(1.0, 1.0), 16), (RadialBall(2, 1.0), 64)]
+    )
+    def test_overflow_reported_as_numerical_failure(self, domain, resolution):
+        spec = ProblemSpec(ExponentPair(3.0, 3.0), domain)
+        A = build_laplacian(build_grid(domain, spec.boundary, resolution))
+        low, high = (FieldPair(np.full(A.grid.size, c), np.full(A.grid.size, c), A.grid)
+                     for c in (5e199, 1e200))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailureError):
+                evolve_ordered(spec, A, low, high)
+
+    def test_forced_run_classified_steady_like_evolve(self):
+        spec = disk_spec(2.0, 2.0, lam=1.0)
+        A = disk_operator(32)
+        config = IntegratorConfig(t_max=20.0)
+        zeros = FieldPair.zeros(A.grid)
+        high = FieldPair(np.full(A.grid.size, 0.1), np.full(A.grid.size, 0.1), A.grid)
+        report = evolve_ordered(spec, A, zeros, high, config)
+        outcome, _ = evolve(spec, A, zeros, config)
+        assert outcome.kind == "steady"
+        assert (report.outcome_low.kind, report.outcome_high.kind) == ("steady", "steady")
+        assert report.ok and report.t_end < config.t_max
 
 
 class TestConfigValidation:
