@@ -248,8 +248,8 @@ def solve_newton(
     else:
         pair = initial_guess.copy()
 
-    merit = lambda pr: residual_norm(spec, A, pr) * _deflation_factor(grid, pr, known)
     rn = residual_norm(spec, A, pair)
+    cur_merit = rn * _deflation_factor(grid, pair, known)
     best = rn
     p, q = spec.p, spec.q
     m = grid.size
@@ -274,18 +274,18 @@ def solve_newton(
         if not np.all(np.isfinite(delta)):
             raise SingularJacobianError("non-finite Newton step")
 
-        cur_merit = merit(pair)
         step, accepted = 1.0, False
         for _ in range(max_halvings):
             trial = FieldPair(pair.u + step * delta[:m], pair.v + step * delta[m:], grid)
-            if merit(trial) < cur_merit:
-                pair = trial
+            trial_rn = residual_norm(spec, A, trial)   # each iterate's norm once
+            trial_merit = trial_rn * _deflation_factor(grid, trial, known)
+            if trial_merit < cur_merit:
+                pair, rn, cur_merit = trial, trial_rn, trial_merit
                 accepted = True
                 break
             step /= 2
         if not accepted:
             break
-        rn = residual_norm(spec, A, pair)
         best = min(best, rn)
 
     if rn <= steady_tol:
@@ -414,7 +414,7 @@ def lambda_star(
     """
     lo, hi = bracket
     if not 0 <= lo < hi:
-        raise InvalidBracketError(f"bad bracket {bracket}")
+        raise InvalidBracketError(f"bad bracket {bracket}: need 0 <= lo < hi")
     probes: list = []
 
     def solvable(lam: float) -> bool:

@@ -1,14 +1,15 @@
 """Flat key = value configuration mapping one-to-one onto CLI flags.
 
 The file format is UTF-8 text, one ``key = value`` per line, ``#`` starts a
-comment; keys are exactly the CLI flag names (without the leading dashes)
-and unknown keys are errors, so a run is reproducible from the config file
-alone.
+comment; keys are exactly the CLI flag names (without the leading dashes),
+all defined once in ``FLAGS``, and unknown keys are errors, so a run is
+reproducible from the config file alone.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 
 from ..problem import (
@@ -21,18 +22,62 @@ from ..problem import (
     Rectangle,
 )
 
-#: Config-file key -> (argparse dest, cast).  Each key is a CLI flag name.
-KNOWN_KEYS = {
-    "p": ("p", float), "q": ("q", float), "dim": ("dim", int),
-    "geometry": ("geometry", str), "radius": ("radius", float),
-    "lx": ("lx", float), "ly": ("ly", float), "resolution": ("resolution", int),
-    "bc": ("bc", str), "lambda": ("lam", float), "forcing": ("forcing", str),
-    "alpha": ("alpha", float), "alphas": ("alphas", str), "out": ("out", Path),
-    "format": ("format", str), "seed": ("seed", int), "dt0": ("dt0", float),
-    "t-max": ("t_max", float), "width": ("width", float),
-    "lambda-lo": ("lambda_lo", float), "lambda-hi": ("lambda_hi", float),
-    "rel-tol": ("rel_tol", float), "resolutions": ("resolutions", str),
-    "initial": ("initial", Path),
+#: The subcommands, and those that step the parabolic flow.
+COMMANDS = ("steady", "evolve", "threshold", "lambda-star", "robin", "verify")
+STEPPING = ("evolve", "threshold", "lambda-star", "robin")
+
+
+def finite(text: str) -> float:
+    """argparse type: a finite float."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+def positive(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    if not (value := finite(text)) > 0:
+        raise ValueError(text)
+    return value
+
+
+def _list_of(item):
+    """argparse type: comma-separated ``item`` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(","))
+    parse.__name__ = f"{item.__name__} list"   # argparse names it in its errors
+    return parse
+
+
+#: The one definition of every CLI flag.  Each flag name is also its
+#: config-file key: name -> (subcommands that read it, argparse keywords).
+FLAGS = {
+    "p": (COMMANDS, dict(type=float, default=3.0)),
+    "q": (COMMANDS, dict(type=float, default=3.0)),
+    "dim": (COMMANDS, dict(type=int, default=2)),
+    "geometry": (COMMANDS, dict(choices=("radial", "rect"), default="radial")),
+    "radius": (COMMANDS, dict(type=finite, default=1.0)),
+    "lx": (COMMANDS, dict(type=finite, default=1.0)),
+    "ly": (COMMANDS, dict(type=finite, default=1.0)),
+    "bc": (COMMANDS, dict(default="dirichlet", help="dirichlet | robin:<beta>")),
+    "lambda": (COMMANDS, dict(dest="lam", type=finite, default=0.0)),
+    "forcing": (COMMANDS, dict(choices=("constant", "bump"), default="constant")),
+    "config": (COMMANDS, dict(type=Path, default=None, help="key = value file")),
+    "out": (COMMANDS, dict(type=Path, default=None)),
+    "resolution": (COMMANDS[:-1], dict(type=int, default=256)),
+    "seed": (STEPPING + ("verify",), dict(type=int, default=0)),
+    "dt0": (STEPPING, dict(type=finite, default=1e-3)),
+    "t-max": (STEPPING, dict(type=positive, default=50.0)),
+    "method": (("steady",), dict(choices=("newton", "monotone"), default="newton")),
+    "initial": (("evolve",), dict(type=Path, default=None, help="snapshot file")),
+    "alpha": (("evolve",), dict(type=positive, default=None)),
+    "format": (("evolve",), dict(choices=("csv", "json"), default="json")),
+    "alphas": (("threshold", "robin"), dict(type=_list_of(finite), default=(0.5, 1.5))),
+    "width": (("threshold",), dict(type=positive, default=0.02)),
+    "lambda-lo": (("lambda-star",), dict(type=finite, default=0.001)),
+    "lambda-hi": (("lambda-star",), dict(type=finite, default=1000.0)),
+    "rel-tol": (("lambda-star",), dict(type=positive, default=0.05)),
+    "resolutions": (("verify",), dict(type=_list_of(int), default=(128, 256, 512))),
 }
 
 
@@ -41,7 +86,7 @@ class ConfigError(ValueError):
 
 
 def parse_config(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines; unknown keys raise ConfigError."""
+    """Parse ``key = value`` lines; keys that are not flags raise ConfigError."""
     options: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -50,8 +95,10 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in FLAGS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key == "config":
+            raise ConfigError(f"line {lineno}: a config file cannot name another")
         options[key] = value
     return options
 
@@ -62,7 +109,7 @@ def parse_boundary(text: str) -> BoundarySpec:
         return BoundarySpec.dirichlet()
     if text.startswith("robin:"):
         try:
-            beta = float(text.split(":", 1)[1])
+            beta = finite(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad robin beta in {text!r}") from exc
         return BoundarySpec.robin(beta)
@@ -88,15 +135,14 @@ def build_problem(
     else:
         raise ConfigError(f"bad geometry {geometry!r} (radial | rect)")
     boundary = parse_boundary(bc)
-    if lam > 0:
-        if forcing == "constant":
-            fs = ForcingSpec.constant(lam)
-        elif forcing == "bump":
-            fs = ForcingSpec(lam, Profile("bump", 1.0), Profile("bump", 1.0))
-        else:
-            raise ConfigError(f"bad forcing {forcing!r} (constant | bump)")
-    else:
+    if lam == 0:
         fs = ForcingSpec.none()
+    elif forcing == "constant":
+        fs = ForcingSpec.constant(lam)
+    elif forcing == "bump":
+        fs = ForcingSpec(lam, Profile("bump", 1.0), Profile("bump", 1.0))
+    else:
+        raise ConfigError(f"bad forcing {forcing!r} (constant | bump)")
     return ProblemSpec(ExponentPair(p, q), domain, boundary, fs)
 
 

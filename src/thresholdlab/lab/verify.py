@@ -121,17 +121,18 @@ def verify_suite(
         ExponentPair(2.0, 2.0), ball, dirichlet, ForcingSpec.constant(1.0)
     )
 
+    grids = [build_grid(ball, dirichlet, n) for n in resolutions]  # reject bad n first
     oracle3 = shooting_oracle(spec3.exponents, ball.dimension, dirichlet, ball.radius)
-    poisson_errors, equilibrium_errors = [], []
+    poisson_errors, equilibrium_errors, solved = [], [], []
 
-    for n in resolutions:
+    for n, grid in zip(resolutions, grids):
         tag = f"n={n}"
-        grid = build_grid(ball, dirichlet, n)
         A = build_laplacian(grid)
         _structural_checks(report, grid, A, rng, tag)
         poisson_errors.append(_poisson_error(grid, A))
 
         eq = solve_newton(spec3, A)
+        solved.append((A, eq))
         report.add(f"equilibrium-residual [{tag}]", eq.residual_norm <= 1e-10, eq.residual_norm)
         report.add(f"equilibrium-positive [{tag}]", bool(eq.pair.u.min() > 0), float(eq.pair.u.min()))
         ref = oracle3.to_pair(grid)
@@ -148,14 +149,11 @@ def verify_suite(
 
     _ladder_checks(report, resolutions, poisson_errors, equilibrium_errors)
 
-    grid = build_grid(ball, dirichlet, resolutions[0])
-    A = build_laplacian(grid)
-    spec3_coarse = spec3
-    eq = solve_newton(spec3_coarse, A)
-    _ordering_checks(report, spec3_coarse, A, eq, rng)
-    _identity_scaling_check(report, spec3, resolutions[-1], ball, dirichlet)
+    A, eq = solved[0]
+    _ordering_checks(report, spec3, A, eq, rng)
+    _identity_scaling_check(report, spec3, *solved[-1])
     _power_sum_checks(report, seed)
-    _negative_controls(report, grid, A, spec3_coarse, eq, rng)
+    _negative_controls(report, A.grid, A, spec3, eq, rng)
     return report
 
 
@@ -366,15 +364,12 @@ def relaxed_pair(spec, A, tight: FieldPair, target: float) -> tuple[FieldPair, f
     raise EllipticError(f"no pair between tight and 1.3*tight has residual near {target:.1e}")
 
 
-def _identity_scaling_check(report, spec, n, ball, boundary):
-    grid = build_grid(ball, boundary, n)
-    A = build_laplacian(grid)
-    tight = solve_newton(spec, A)
+def _identity_scaling_check(report, spec, A, tight):
     xs, ys = [], []
     for target in (1e-5, 1e-7, 1e-9):
         relaxed, rn = relaxed_pair(spec, A, tight.pair, target)
         _, _, gap = solution_pair_identity(
-            grid, A, relaxed, tight.pair, spec.exponents, steady_tol=10 * max(rn, 1e-16),
+            A.grid, A, relaxed, tight.pair, spec.exponents, steady_tol=10 * max(rn, 1e-16),
         )
         xs.append(rn)
         ys.append(max(gap, 1e-18))

@@ -157,7 +157,7 @@ class ForcingSpec:
 
     def __post_init__(self):
         if self.lam < 0:
-            raise ValueError("forcing scale lam must be >= 0")
+            raise ValueError("forcing scale lambda must be >= 0")
 
     @classmethod
     def none(cls) -> "ForcingSpec":
@@ -224,6 +224,8 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         report.violations.append("p>1")
     if not q > 1:
         report.violations.append("q>1")
+    if math.isinf(p) or math.isinf(q):
+        report.violations.append("finite-exponents")
     forcing = spec.forcing
     if forcing.lam > 0 and forcing.f.is_zero and forcing.g.is_zero:
         report.violations.append("forcing-not-identically-zero")

@@ -66,6 +66,18 @@ class TestNewton:
         assert eq.pair.u.min() > 0 and eq.pair.v.min() > 0
         assert eq.method == "newton"
 
+    def test_each_iterate_residual_evaluated_once(self, monkeypatch):
+        # p = 3, q = 2 on the 512-node disk: 4 full steps, no halvings, so
+        # one norm for the seed and one per accepted trial
+        import thresholdlab.elliptic as el
+
+        calls = []
+        norm = el.residual_norm
+        monkeypatch.setattr(el, "residual_norm", lambda *a: calls.append(1) or norm(*a))
+        eq = el.solve_newton(disk_spec(3.0, 2.0), disk_operator(512))
+        assert eq.residual_norm <= 1e-10
+        assert len(calls) == 5
+
     def test_symmetric_exponents_give_symmetric_pair(self, eq3_128):
         _, eq = eq3_128
         np.testing.assert_allclose(eq.pair.u, eq.pair.v, rtol=1e-8)

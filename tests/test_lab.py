@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from thresholdlab import FieldPair, IntegratorConfig, evolve
 from thresholdlab.analysis import TrajectoryRecord
@@ -13,8 +17,8 @@ from thresholdlab.lab import (
     parse_config,
     spec_digest,
 )
-from thresholdlab.lab.cli import main
-from thresholdlab.lab.config import canonical_lines
+from thresholdlab.lab.cli import _build_parser, _parse, main
+from thresholdlab.lab.config import COMMANDS, FLAGS, canonical_lines, finite, positive
 from thresholdlab.lab.experiments import threshold_experiment
 from thresholdlab.lab.io import (
     load_snapshot,
@@ -25,6 +29,16 @@ from thresholdlab.lab.io import (
 from thresholdlab.problem import ExponentPair
 
 from conftest import disk_operator, disk_spec
+
+#: A value for each config key, none of them its flag's default.
+FLAG_SAMPLES = {
+    "p": "2.5", "q": "2", "dim": "3", "geometry": "rect", "radius": "2", "lx": "2",
+    "ly": "0.5", "bc": "robin:1", "lambda": "0.5", "forcing": "bump", "out": "runs/x",
+    "resolution": "32", "seed": "4", "dt0": "0.002", "t-max": "3", "method": "monotone",
+    "initial": "state.snap", "alpha": "0.7", "format": "csv", "alphas": "0.4,1.6",
+    "width": "0.1", "lambda-lo": "0.5", "lambda-hi": "9", "rel-tol": "0.1",
+    "resolutions": "48,96",
+}
 
 
 class TestConfig:
@@ -46,6 +60,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("frobnicate = 1\n")
 
+    def test_config_file_cannot_name_another(self):
+        with pytest.raises(ConfigError, match="another"):
+            parse_config("config = other.cfg\n")
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("p 3.0\n")
@@ -65,15 +83,23 @@ class TestConfig:
         assert spec.dimension == 3
         assert spec.lam == 0.5
 
-    def test_every_key_is_a_flag_with_its_dest(self):
-        from thresholdlab.lab.cli import _build_parser
-        from thresholdlab.lab.config import KNOWN_KEYS
-
-        subparsers = _build_parser()._subparsers._group_actions[0].choices.values()
-        flags = {(opt, action.dest) for sub in subparsers for action in sub._actions
-                 for opt in action.option_strings}
-        for key, (dest, _) in KNOWN_KEYS.items():
-            assert (f"--{key}", dest) in flags, key
+    def test_config_line_parses_like_its_flag(self, tmp_path):
+        # every (subcommand, flag) pair of the table: `key = value` in a config
+        # file and `--key value` on the command line give one namespace
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("")
+        assert set(FLAG_SAMPLES) == set(FLAGS) - {"config"}
+        for key, value in FLAG_SAMPLES.items():
+            for command in FLAGS[key][0]:
+                config = tmp_path / "one.cfg"
+                config.write_text(f"{key} = {value}\n")
+                from_file = vars(_parse([command, "--config", str(config)]))
+                from_flag = vars(_parse([command, "--config", str(empty), f"--{key}", value]))
+                default = vars(_parse([command, "--config", str(empty)]))
+                for ns in (from_file, from_flag, default):
+                    del ns["config"]
+                assert from_file == from_flag, (command, key)
+                assert from_flag != default, (command, key)
 
     def test_digest_stable_and_sensitive(self):
         spec = disk_spec(3.0, 3.0)
@@ -271,6 +297,34 @@ class TestCli:
         assert f"{key} " in err and "Traceback" not in err
         assert not (tmp_path / "run" / "result.json").exists()
 
+    def test_snapshot_of_another_radius_is_refused(self, tmp_path, capsys):
+        assert main(["steady", "--radius", "2", "--resolution", "16",
+                     "--out", str(tmp_path)]) == 0
+        code = main(["evolve", "--resolution", "16", "--initial", str(tmp_path / "steady.snap"),
+                     "--t-max", "0.01", "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "radius 2.0 (run has 1.0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("written, read", [
+        (["--bc", "robin:1"], ["--bc", "robin:1.0"]),
+        (["--geometry", "rect", "--dim", "3"], ["--geometry", "rect"]),
+    ])
+    def test_snapshot_of_the_same_problem_is_accepted(self, written, read, tmp_path, capsys):
+        assert main(["steady", *written, "--resolution", "16", "--out", str(tmp_path)]) == 0
+        code = main(["evolve", *read, "--resolution", "16", "--initial",
+                     str(tmp_path / "steady.snap"), "--t-max", "0.01",
+                     "--out", str(tmp_path / "run")])
+        assert code in (0, 3), capsys.readouterr().err
+        assert (tmp_path / "run" / "result.json").exists()
+
+    def test_snapshot_header_is_the_canonical_problem(self, tmp_path, capsys):
+        assert main(["steady", "--radius", "2", "--resolution", "16",
+                     "--out", str(tmp_path)]) == 0
+        header, _, _ = load_snapshot(tmp_path / "steady.snap")
+        spec = build_problem(p=3.0, q=3.0, geometry="radial", dim=2, bc="dirichlet",
+                             lam=0.0, radius=2.0)
+        assert header == {**parse_config("\n".join(canonical_lines(spec, 16))), "nodes": "16"}
+
     def test_snapshot_feeds_evolve(self, tmp_path, capsys):
         assert main(["steady", "--resolution", "64", "--out", str(tmp_path)]) == 0
         code = main([
@@ -280,6 +334,172 @@ class TestCli:
         assert code in (0, 3)
         payload = json.loads((tmp_path / "run" / "result.json").read_text())
         assert payload["outcome"] in ("steady", "undecided")  # metastable start
+
+
+class TestFlagTable:
+    def test_command_line_beats_config_file(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("resolution = 32\nlambda = 2\nbc = robin:3\n")
+        for argv in (["--resolution", "64", "--bc", "dirichlet"],
+                     ["--resolution=64", "--bc=dirichlet"]):
+            args = _parse(["evolve", "--config", str(config), *argv])
+            assert (args.resolution, args.bc, args.lam) == (64, "dirichlet", 2.0)
+        args = _parse(["evolve", "--resolution", "64", "--config", str(config)])
+        assert args.resolution == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--res", "64"],
+        ["threshold", "--alpha", "0.5"],
+        ["robin", "--bc", "robin:1", "--width", "0.1"],
+        ["steady", "--dt0", "0.002"],
+        ["steady", "--seed", "1"],
+        ["verify", "--resolution", "48"],
+    ])
+    def test_abbreviated_or_dropped_flag_is_usage_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {argv[-2]}" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_abbreviated_flag_with_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("resolution = 32\n")
+        assert main(["evolve", "--config", str(config), "--res", "64",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "--res" in capsys.readouterr().err
+
+    def test_config_key_the_subcommand_does_not_read(self, tmp_path, capsys):
+        config = tmp_path / "study.cfg"
+        config.write_text("alphas = 0.5,1.5\nalpha = 0.5\n")
+        assert main(["threshold", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --alpha=0.5" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_flag_slots(self):
+        # each flag sits only on the subcommands that read it
+        parser = _build_parser()
+        subs = parser._subparsers._group_actions[0].choices
+        slots = {(command, opt) for command, sub in subs.items() for action in sub._actions
+                 for opt in action.option_strings if action.dest != "help"}
+        assert slots == {(command, f"--{key}") for key, (commands, _) in FLAGS.items()
+                         for command in commands}
+        assert len(slots) == 101
+
+
+class TestCliErrorPaths:
+    @pytest.mark.parametrize("argv, named", [
+        (["evolve", "--dt0", "0.1"], "dt0"),
+        (["evolve", "--t-max", "0"], "--t-max"),
+        (["evolve", "--config", "missing.cfg"], "missing.cfg"),
+        (["threshold", "--lambda", "1"], "unforced"),
+        (["robin"], "robin:<beta>"),
+        (["lambda-star", "--lambda", "1", "--lambda-lo", "5", "--lambda-hi", "1"], "bracket"),
+        (["lambda-star"], "--lambda > 0"),
+        (["threshold", "--alphas", "0.5,x"], "--alphas"),
+        (["verify", "--resolutions", "48,abc"], "--resolutions"),
+        (["verify", "--resolutions", "48,2"], "resolution 2"),
+        (["steady", "--p", "inf"], "finite-exponents"),
+        (["steady", "--lambda", "-1"], "lambda"),
+        (["steady", "--bc", "robin:nan"], "robin:nan"),
+        (["steady", "--p=--"], "argument p"),
+        (["threshold", "--width", "0"], "--width"),
+    ])
+    def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
+        import thresholdlab.lab.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the input was checked")
+
+        for name in ("solve_newton", "solve_monotone", "evolve", "verify_suite"):
+            if not (name == "verify_suite" and argv[0] == "verify"):
+                monkeypatch.setattr(cli, name, no_solve)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not any((tmp_path / "run").rglob("*"))
+
+    def test_bracket_failing_after_probes_is_usage_error(self, tmp_path, capsys):
+        code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",
+                     "--lambda-hi", "1000", "--out", str(tmp_path)])
+        assert code == 1
+        assert "does not converge at lam=100" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
+
+#: Text with no digit and no letter of a flag value: never a number, a
+#: choice, a boundary spec or an existing file.
+_WORD = st.text("abxz,.:-", max_size=5) | st.just("--")
+_NONPOSITIVE = st.floats(max_value=0.0).map(repr)
+#: Values outside each flag's domain, with the flags that make them count.
+_OUT_OF_RANGE = {
+    "p": (st.floats(max_value=1.0).map(repr) | st.just("inf"), []),
+    "q": (st.floats(max_value=1.0).map(repr) | st.just("inf"), []),
+    "dim": (st.integers(max_value=1).map(str), []),
+    "radius": (_NONPOSITIVE, []),
+    "lx": (_NONPOSITIVE, ["--geometry", "rect"]),
+    "ly": (_NONPOSITIVE, ["--geometry", "rect"]),
+    "bc": (st.floats(max_value=0.0).map(lambda b: f"robin:{b!r}"), []),
+    "lambda": (st.floats(max_value=0.0, exclude_max=True).map(repr), []),
+    "resolution": (st.integers(max_value=3).map(str), []),
+    "resolutions": (st.integers(max_value=3).map(lambda n: f"48,{n}"), []),
+    "dt0": ((st.floats(max_value=1e-10, exclude_max=True)
+             | st.floats(min_value=1e-2, exclude_min=True)).map(repr), []),
+    "t-max": (_NONPOSITIVE, []),
+    "alpha": (_NONPOSITIVE, []),
+    "width": (_NONPOSITIVE, []),
+    "rel-tol": (_NONPOSITIVE, []),
+    "alphas": (st.sampled_from(["0.5,", ",1.5", "0.5,nan"]), []),
+    "lambda-lo": (st.floats(max_value=0.0, exclude_max=True).map(repr), ["--lambda", "1"]),
+    "lambda-hi": (st.floats(max_value=1e-3).map(repr), ["--lambda", "1"]),
+}
+#: Problems a subcommand cannot run.
+_WRONG_PROBLEM = {
+    "steady": [["--geometry", "rect", "--bc", "robin:1"]],
+    "evolve": [["--geometry", "rect", "--bc", "robin:1"]],
+    "threshold": [["--lambda", "0.5"], ["--lambda", "2", "--forcing", "bump"]],
+    "lambda-star": [[], ["--lambda", "0"]],
+    "robin": [[], ["--geometry", "rect", "--bc", "robin:1"]],
+    "verify": [["--lambda", "1"], ["--bc", "robin:1"], ["--geometry", "rect"]],
+}
+
+
+# no shrinking: each example makes some 400 calls, and the assertion names the input
+@settings(max_examples=5, deadline=None, derandomize=True, phases=[Phase.generate])
+@given(data=st.data())
+def test_bad_input_is_usage_error(data, tmp_path_factory):
+    """Every bad flag value or combination exits 1 naming it, before any solve."""
+    out = tmp_path_factory.mktemp("bad") / "run"
+    for command in COMMANDS:
+        for flags in _bad_flags(data, command):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, *flags, "--out", str(out)])
+            assert code == 1, (command, flags)
+            assert err.getvalue().startswith("usage error: "), (command, flags)
+            assert not any(out.rglob("*")), (command, flags)
+
+
+def _bad_flags(data, command):
+    """One bad input of each kind for each flag ``command`` takes, and more."""
+    takes = [key for key, (commands, _) in FLAGS.items() if command in commands]
+    for key in takes:
+        if key != "out":
+            yield [f"--{key}={data.draw(_WORD)}"]
+        if FLAGS[key][1].get("type") in (float, finite, positive):
+            yield [f"--{key}=" + data.draw(st.sampled_from(["nan", "inf", "-inf"]))]
+        if key in _OUT_OF_RANGE:
+            values, companions = _OUT_OF_RANGE[key]
+            yield [*companions, f"--{key}={data.draw(values)}"]
+        prefix = key[:data.draw(st.integers(0, len(key) - 1))]
+        if prefix not in FLAGS:
+            yield [f"--{prefix}={FLAG_SAMPLES.get(key, '1')}"]
+    for key in FLAGS:
+        if key not in takes:
+            yield [f"--{key}={FLAG_SAMPLES[key]}"]
+    yield ["--zebra=1"]
+    yield from _WRONG_PROBLEM[command]
 
 
 class TestRobinExperiment:
@@ -302,15 +522,23 @@ class TestRobinExperiment:
 
 
 class TestVerifySuite:
-    def test_custom_problem(self):
+    def test_custom_problem(self, monkeypatch):
         # asymmetric exponents in three dimensions exercise the 2D shooting
         # route and the generalized stencil/poisson checks
         from thresholdlab import ExponentPair, ProblemSpec, RadialBall
         from thresholdlab.lab import verify_suite
 
+        import thresholdlab.lab.verify as verify
+
+        solves = []
+        newton = verify.solve_newton
+        monkeypatch.setattr(verify, "solve_newton",
+                            lambda *a, **k: solves.append(1) or newton(*a, **k))
         spec = ProblemSpec(ExponentPair(4.0, 2.0), RadialBall(3, 1.0))
         report = verify_suite(resolutions=(48, 96), seed=1, spec=spec)
         assert report.passed
+        # per resolution: the equilibrium and the three forced solves
+        assert len(solves) == 8
 
     def test_rejects_unsuitable_problem(self):
         from thresholdlab.lab import verify_suite
