@@ -204,7 +204,6 @@ def _check_resolution(resolution) -> int:
 def _radial_grid(domain: RadialBall, boundary: BoundarySpec, n: int) -> Grid:
     N, R = domain.dimension, domain.radius
     h = R / n
-    sigma = domain.sphere_area
     robin = boundary.kind == "robin"
     m = n + 1 if robin else n
     r = np.arange(m) * h
@@ -212,12 +211,22 @@ def _radial_grid(domain: RadialBall, boundary: BoundarySpec, n: int) -> Grid:
     # to the ball volume exactly; the interior value is sigma * r^(N-1) * h
     # up to O(h^2) (exactly that for N = 2).  The outermost cell extends to
     # the boundary and owns the boundary half-shell.
-    shell = lambda a, b: sigma * (b**N - a**N) / N
     w = np.empty(m)
-    w[0] = shell(0.0, h / 2)
-    for i in range(1, m - 1):
-        w[i] = shell(r[i] - h / 2, r[i] + h / 2)
-    w[-1] = shell(r[-1] - h / 2, R)
+    try:
+        sigma = domain.sphere_area
+        shell = lambda a, b: sigma * (b**N - a**N) / N
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[0] = shell(0.0, h / 2)
+            for i in range(1, m - 1):
+                w[i] = shell(r[i] - h / 2, r[i] + h / 2)
+            w[-1] = shell(r[-1] - h / 2, R)
+    except OverflowError:
+        w[:] = np.inf       # refused below, like an underflow
+    # in high dimension the shell volumes leave the float range: the inner
+    # ones underflow to 0 and, beyond N = 343, the sphere area overflows
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise GridError(f"dimension {N} is out of range at radius {R:g} and resolution {n}: "
+                        "shell volumes are not positive finite floats")
     return Grid(
         geometry="radial",
         dimension=N,

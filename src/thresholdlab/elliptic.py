@@ -56,8 +56,11 @@ __all__ = [
 ]
 
 DEFAULT_STEADY_TOL = 1e-10
+NEWTON_CAP = 50
+NEWTON_HALVINGS = 30
 M_BIG = 1e8
 MONOTONE_CAP = 10_000
+BC_TOL = 1e-10
 
 
 class EllipticError(RuntimeError):
@@ -228,17 +231,15 @@ def solve_newton(
     initial_guess: Optional[FieldPair] = None,
     deflation_against: Optional[Sequence[Equilibrium]] = None,
     steady_tol: float = DEFAULT_STEADY_TOL,
-    max_iter: int = 50,
-    max_halvings: int = 30,
 ) -> Equilibrium:
     """Damped Newton on the coupled steady system.
 
     The Jacobian blocks are (A, -diag(p|v|^(p-1)); -diag(q|u|^(q-1)), A).
     A step is accepted only if the merit (the relative residual norm, times
     the deflation factor when known solutions are supplied) decreases, with
-    at most ``max_halvings`` backtracking halvings.  Without a guess the
-    solver seeds itself from an amplitude pre-scan along the principal
-    eigenvector of A.
+    at most NEWTON_HALVINGS backtracking halvings, for at most NEWTON_CAP
+    iterations.  Without a guess the solver seeds itself from an amplitude
+    pre-scan along the principal eigenvector of A.
     """
     grid = A.grid
     known = [e.pair for e in (deflation_against or [])]
@@ -256,7 +257,7 @@ def solve_newton(
     w = grid.weights
     Aop = sp.diags(1.0 / w) @ A.K
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_CAP):
         if rn <= steady_tol:
             return _finish_newton(spec, A, pair, rn, known, steady_tol)
         r = residual(spec, A, pair)
@@ -275,7 +276,7 @@ def solve_newton(
             raise SingularJacobianError("non-finite Newton step")
 
         step, accepted = 1.0, False
-        for _ in range(max_halvings):
+        for _ in range(NEWTON_HALVINGS):
             trial = FieldPair(pair.u + step * delta[:m], pair.v + step * delta[m:], grid)
             trial_rn = residual_norm(spec, A, trial)   # each iterate's norm once
             trial_merit = trial_rn * _deflation_factor(grid, trial, known)
@@ -290,7 +291,7 @@ def solve_newton(
 
     if rn <= steady_tol:
         return _finish_newton(spec, A, pair, rn, known, steady_tol)
-    raise MaxIterationsError(best, max_iter)
+    raise MaxIterationsError(best, NEWTON_CAP)
 
 
 def _finish_newton(spec, A, pair, rn, known, steady_tol):
@@ -310,7 +311,7 @@ class MonotoneResult:
     """Outcome of the monotone iteration.
 
     status: "converged" | "diverged" | "stagnated".  Divergence (iterates
-    escaping beyond m_big, or still growing at the iteration cap) signals
+    escaping beyond M_BIG, or still growing at MONOTONE_CAP) signals
     that the forcing scale lies above the solvable range.
     """
 
@@ -324,39 +325,32 @@ class MonotoneResult:
     def converged(self) -> bool:
         return self.status == "converged"
 
-    def equilibrium(self, spec: ProblemSpec, steady_tol: float = DEFAULT_STEADY_TOL) -> Equilibrium:
+    def equilibrium(self, spec: ProblemSpec) -> Equilibrium:
         if not self.converged:
             raise EllipticError(f"monotone iteration did not converge ({self.status})")
-        return Equilibrium(self.pair, self.residual_norm, spec, "monotone", steady_tol=steady_tol)
+        return Equilibrium(self.pair, self.residual_norm, spec, "monotone")
 
 
-def solve_monotone(
-    spec: ProblemSpec,
-    A: DiscreteLaplacian,
-    from_below: Optional[FieldPair] = None,
-    steady_tol: float = DEFAULT_STEADY_TOL,
-    m_big: float = M_BIG,
-    max_iter: int = MONOTONE_CAP,
-) -> MonotoneResult:
-    """Monotone fixed-point iteration climbing from a sub-solution.
+def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
+    """Monotone fixed-point iteration climbing from (0,0).
 
     Update: (sigma I + A) u_new = sigma u + |v|^(p-1)v + lam f (and
     symmetrically), with sigma at least the local slope of the nonlinearity
     over the current range, so the map is order preserving and the iterates
-    are nondecreasing.  From the default start (0,0) with lam > 0 the limit
-    is the minimal solution.  Every step asserts monotonicity; a decrease
-    beyond rounding raises MonotonicityError.
+    are nondecreasing.  With lam > 0 the limit is the minimal solution.
+    Every step asserts monotonicity; a decrease beyond rounding raises
+    MonotonicityError.
     """
     grid = A.grid
     p, q = spec.p, spec.q
     fu, gv = forcing_arrays(spec, grid)
-    pair = FieldPair.zeros(grid) if from_below is None else from_below.copy()
+    pair = FieldPair.zeros(grid)
     sups = [pair.sup]
     rn = residual_norm(spec, A, pair)
-    if rn <= steady_tol:
+    if rn <= DEFAULT_STEADY_TOL:
         return MonotoneResult("converged", pair, rn, 0, np.asarray(sups))
 
-    for k in range(1, max_iter + 1):
+    for k in range(1, MONOTONE_CAP + 1):
         sigma = max(
             p * np.max(np.abs(pair.v)) ** (p - 1),
             q * np.max(np.abs(pair.u)) ** (q - 1),
@@ -374,20 +368,19 @@ def solve_monotone(
             raise MonotonicityError(f"iterate decreased at step {k}")
         pair = FieldPair(u_new, v_new, grid)
         sups.append(pair.sup)
-        if pair.sup > m_big:
+        if pair.sup > M_BIG:
             return MonotoneResult("diverged", pair, math.inf, k, np.asarray(sups))
         rn = residual_norm(spec, A, pair)
-        if rn <= steady_tol:
+        if rn <= DEFAULT_STEADY_TOL:
             return MonotoneResult("converged", pair, rn, k, np.asarray(sups))
 
     # cap reached: still-growing increments mean divergence, otherwise stagnation
     s = np.asarray(sups)
-    # the window shrinks to what the history holds when max_iter < 20
-    window = min(max(10, max_iter // 10), (len(s) - 1) // 2)
+    window = MONOTONE_CAP // 10
     recent = s[-1] - s[-1 - window]
     earlier = s[-1 - window] - s[-1 - 2 * window]
     status = "diverged" if recent > 0.5 * earlier and recent > 0 else "stagnated"
-    return MonotoneResult(status, pair, rn, max_iter, s)
+    return MonotoneResult(status, pair, rn, MONOTONE_CAP, s)
 
 
 @dataclass
@@ -402,8 +395,6 @@ def lambda_star(
     A: DiscreteLaplacian,
     bracket: tuple[float, float],
     rel_tol: float,
-    steady_tol: float = DEFAULT_STEADY_TOL,
-    spot_check: bool = True,
 ) -> LambdaStarResult:
     """Bisect the extremal forcing scale using monotone-iteration solvability.
 
@@ -418,7 +409,7 @@ def lambda_star(
     probes: list = []
 
     def solvable(lam: float) -> bool:
-        res = _solvable_probe(spec_template, A, lam, steady_tol)
+        res = _solvable_probe(spec_template, A, lam)
         probes.append((lam, res))
         return res
 
@@ -434,24 +425,23 @@ def lambda_star(
         else:
             hi = mid
 
-    if spot_check:
-        for lam, expect in ((0.25 * lo, True), (0.6 * lo, True), (1.75 * hi, False)):
-            if lam > 0 and solvable(lam) != expect:
-                raise EllipticError(
-                    f"solvability at lam={lam} contradicts the bisection bracket"
-                )
+    for lam, expect in ((0.25 * lo, True), (0.6 * lo, True), (1.75 * hi, False)):
+        if lam > 0 and solvable(lam) != expect:
+            raise EllipticError(
+                f"solvability at lam={lam} contradicts the bisection bracket"
+            )
     return LambdaStarResult(0.5 * (lo + hi), (lo, hi), probes)
 
 
-def _solvable_probe(spec_template, A, lam, steady_tol) -> bool:
+def _solvable_probe(spec_template, A, lam) -> bool:
     spec = spec_template.with_lam(lam)
-    res = solve_monotone(spec, A, steady_tol=steady_tol)
+    res = solve_monotone(spec, A)
     if res.converged:
         return bool(min(res.pair.u.min(), res.pair.v.min()) >= 0)
     if res.status == "stagnated":
         # slow monotone convergence near the fold: let Newton settle it
         try:
-            eq = solve_newton(spec, A, initial_guess=res.pair, steady_tol=steady_tol)
+            eq = solve_newton(spec, A, initial_guess=res.pair)
         except EllipticError:
             return False
         return bool(min(eq.pair.u.min(), eq.pair.v.min()) > 0)
@@ -557,15 +547,14 @@ def shooting_oracle(
     n_dim: int,
     boundary: BoundarySpec,
     radius: float = 1.0,
-    center_guess: Optional[tuple[float, float]] = None,
-    bc_tol: float = 1e-10,
 ) -> ShootingResult:
     """Independent radial equilibrium via shooting from the centre.
 
     Adjusts the centre values (a, b) so the boundary condition holds at
     r = radius: a scalar bracketed root for symmetric exponents (p = q
-    forces U = V), a 2D quasi-Newton root find otherwise.  Integration runs
-    at tolerance 1e-12.
+    forces U = V), a 2D quasi-Newton root find seeded by a coarse grid
+    Newton solve otherwise.  Integration runs at tolerance 1e-12 and the
+    boundary defect must end at most BC_TOL.
     """
     p, q = exponents.p, exponents.q
 
@@ -574,20 +563,19 @@ def shooting_oracle(
         a_star = _bracketed_root(bc)
         center = (a_star, a_star)
     else:
-        if center_guess is None:
-            center_guess = _coarse_center_guess(exponents, n_dim, boundary, radius)
+        seed = _coarse_center(exponents, n_dim, boundary, radius)
         func = lambda ab: np.array(
             _bc_values(_integrate_radial(ab[0], ab[1], n_dim, p, q, radius), boundary, radius)
         )
-        out = root(func, np.asarray(center_guess), method="hybr", tol=1e-13)
+        out = root(func, np.asarray(seed), method="hybr", tol=1e-13)
         resid = float(np.max(np.abs(func(out.x))))
-        if resid > bc_tol or min(out.x) <= 0:
+        if resid > BC_TOL or min(out.x) <= 0:
             raise RootFindFailure(resid)
         center = (float(out.x[0]), float(out.x[1]))
 
     sol = _integrate_radial(center[0], center[1], n_dim, p, q, radius)
     bc_res = float(np.max(np.abs(_bc_values(sol, boundary, radius))))
-    if bc_res > bc_tol:
+    if bc_res > BC_TOL:
         raise RootFindFailure(bc_res)
     return ShootingResult(
         center=center,
@@ -600,7 +588,7 @@ def shooting_oracle(
     )
 
 
-def _coarse_center_guess(exponents, n_dim, boundary, radius) -> tuple[float, float]:
+def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:
     """Centre values of a coarse grid Newton solve, seeding the 2D root find.
 
     A symmetric-exponent seed can land in the escape region of the coupled

@@ -2,7 +2,6 @@
 
 from .config import ConfigError, build_problem, parse_boundary, parse_config, spec_digest
 from .experiments import (
-    EquilibriumNotFound,
     ExperimentResult,
     lambda_star_experiment,
     robin_experiment,
@@ -17,7 +16,6 @@ __all__ = [
     "parse_boundary",
     "parse_config",
     "spec_digest",
-    "EquilibriumNotFound",
     "ExperimentResult",
     "threshold_experiment",
     "lambda_star_experiment",

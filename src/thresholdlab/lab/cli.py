@@ -11,6 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ..discrete import GridError, build_grid, build_laplacian, FieldPair
 from ..elliptic import EllipticError, InvalidBracketError, solve_monotone, solve_newton
 from ..parabolic import IntegratorConfig, NumericalFailureError, evolve
@@ -103,6 +105,7 @@ def _load_initial(args, spec, grid) -> FieldPair:
 
     Its node count and every header key it shares with the run's own
     snapshot header must agree with the run; a mismatch names the keys.
+    Its values must be finite and nonnegative, as evolve requires.
     """
     try:
         header, u, v = load_snapshot(args.initial)
@@ -117,6 +120,9 @@ def _load_initial(args, spec, grid) -> FieldPair:
     if mismatched:
         raise ConfigError(f"snapshot {args.initial} does not match the run: "
                           + ", ".join(mismatched))
+    values = np.concatenate([u, v])
+    if not (np.all(np.isfinite(values)) and values.min() >= 0):
+        raise ConfigError(f"snapshot {args.initial} holds negative or non-finite values")
     return FieldPair(u, v, grid)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .. import __version__
 from ..discrete import DiscreteLaplacian, FieldPair
 from ..elliptic import (
-    DEFAULT_STEADY_TOL,
     EllipticError,
     Equilibrium,
     LambdaStarResult,
@@ -36,12 +35,7 @@ __all__ = [
     "threshold_experiment",
     "lambda_star_experiment",
     "robin_experiment",
-    "EquilibriumNotFound",
 ]
-
-
-class EquilibriumNotFound(EllipticError):
-    pass
 
 
 @dataclass
@@ -161,7 +155,6 @@ def lambda_star_experiment(
     bracket: tuple[float, float],
     rel_tol: float = 0.05,
     config: IntegratorConfig = IntegratorConfig(),
-    steady_tol: float = DEFAULT_STEADY_TOL,
     seed: int | None = None,
 ) -> ExperimentResult:
     """Locate the extremal forcing scale and verify the dynamics on both sides.
@@ -171,7 +164,7 @@ def lambda_star_experiment(
     it must blow up.
     """
     resolution = A.grid.resolution
-    ls: LambdaStarResult = lambda_star(spec_template, A, bracket, rel_tol, steady_tol)
+    ls: LambdaStarResult = lambda_star(spec_template, A, bracket, rel_tol)
     lo, hi = ls.bracket
     result = ExperimentResult(
         kind="lambda-star",
@@ -188,7 +181,7 @@ def lambda_star_experiment(
 
     lam_low = 0.5 * lo
     spec_low = spec_template.with_lam(lam_low)
-    minimal = solve_monotone(spec_low, A, steady_tol=steady_tol).equilibrium(spec_low)
+    minimal = solve_monotone(spec_low, A).equilibrium(spec_low)
     outcome, _ = evolve(spec_low, A, FieldPair.zeros(A.grid), config)
     result.runs.append(_run_entry("lambda", lam_low, outcome))
     if outcome.kind == "steady":
@@ -218,18 +211,13 @@ def robin_experiment(
     A: DiscreteLaplacian,
     config: IntegratorConfig = IntegratorConfig(),
     alphas: Sequence[float] = (0.5, 1.5),
-    steady_tol: float = DEFAULT_STEADY_TOL,
-    beta_sweep: Sequence[float] = (),
     seed: int | None = None,
 ) -> ExperimentResult:
     """Threshold runs against the Robin equilibrium.
 
     The equilibrium is computed by Newton seeded from the shooting solve;
     if neither route produces one, the experiment is reported as skipped
-    with the solver diagnostics instead of failing.  ``beta_sweep`` logs the
-    shooting equilibrium sup-norm over extra boundary coefficients as
-    reference data (large beta approaches the Dirichlet value); it carries
-    no assertion.
+    with the solver diagnostics instead of failing.
     """
     if spec.boundary.kind != "robin":
         raise ValueError("robin_experiment requires a Robin boundary")
@@ -243,27 +231,13 @@ def robin_experiment(
         oracle = shooting_oracle(
             spec.exponents, spec.dimension, spec.boundary, spec.domain.radius
         )
-        equilibrium = solve_newton(
-            spec, A, initial_guess=oracle.to_pair(A.grid), steady_tol=steady_tol
-        )
+        equilibrium = solve_newton(spec, A, initial_guess=oracle.to_pair(A.grid))
     except EllipticError as exc:
         result.skipped = f"equilibrium not found: {exc}"
         return result
     result.derived["bc_residual"] = oracle.bc_residual
     result.derived["equilibrium_residual"] = equilibrium.residual_norm
     result.derived["sup_u"] = equilibrium.pair.sup_u
-
-    if beta_sweep:
-        from ..problem import BoundarySpec
-
-        sweep = []
-        for beta in sorted(beta_sweep):
-            probe = shooting_oracle(
-                spec.exponents, spec.dimension, BoundarySpec.robin(beta),
-                spec.domain.radius,
-            )
-            sweep.append([beta, probe.sup_u])
-        result.derived["beta_sweep"] = sweep
 
     for alpha in alphas:
         outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..analysis import TrajectoryRecord
-from ..discrete import FieldPair, Grid
+from ..discrete import FieldPair
 
 CSV_COLUMNS = ("t", "dt", "phi", "energy", "bigT", "sup_u", "sup_v", "dphi_lhs", "dphi_rhs", "bound_rhs")
 
@@ -69,8 +69,8 @@ def save_snapshot(path, pair: FieldPair, header: dict) -> None:
     Path(path).write_text(snapshot_text(pair, header), encoding="utf-8")
 
 
-def load_snapshot(path, grid: Grid | None = None):
-    """Read a snapshot; returns (header dict, u, v) or a FieldPair when a grid is given."""
+def load_snapshot(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
+    """Read a snapshot; returns (header dict, u, v)."""
     header: dict[str, str] = {}
     us, vs = [], []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -85,7 +85,4 @@ def load_snapshot(path, grid: Grid | None = None):
         a, b = line.split()
         us.append(float(a))
         vs.append(float(b))
-    u, v = np.asarray(us), np.asarray(vs)
-    if grid is None:
-        return header, u, v
-    return FieldPair(u, v, grid)
+    return header, np.asarray(us), np.asarray(vs)

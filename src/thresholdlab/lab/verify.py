@@ -287,7 +287,7 @@ def _trajectory_checks(report, spec, A, eq, tag):
     # The refinement knob must actually cap the step: pick the reference dt0
     # below the initial reaction-limited step, and a checkpoint that both
     # precedes blow-up and spans a couple dozen steps.
-    dt0_ref = min(config.dt0, 0.5 * adapt_dt(eq.pair.scaled(1.5), spec.exponents, config))
+    dt0_ref = min(config.dt0, 0.5 * adapt_dt(eq.pair.scaled(1.5), spec.exponents))
     t_check = min(0.005, 0.4 * outcome_b.t_end)
     reference = _phi_at_checkpoint(spec, A, eq, dt0_ref, t_check)
     halved = _phi_at_checkpoint(spec, A, eq, dt0_ref / 2, t_check)

@@ -33,6 +33,12 @@ from .elliptic import forcing_arrays, signed_power
 from .problem import ExponentPair, ProblemSpec
 
 __all__ = [
+    "DT_MIN",
+    "DT_MAX",
+    "ETA",
+    "M_BLOW",
+    "EPS_DECAY",
+    "EPS_STEADY",
     "IntegratorConfig",
     "Outcome",
     "OrderingReport",
@@ -52,36 +58,36 @@ class NumericalFailureError(RuntimeError):
         self.t = t
 
 
+#: Step floor and ceiling (scaled time units); dt0 must lie between them.
+DT_MIN = 1e-10
+DT_MAX = 1e-2
+#: Reaction safety factor: keeps the explicit reaction stable and the blow-up resolved.
+ETA = 0.1
+#: Sup-norm that, with the step at its floor, declares blow-up.
+M_BLOW = 1e6
+#: Relative sup-norm that declares decay (unforced runs).
+EPS_DECAY = 1e-8
+#: Relative change per unit time that declares convergence to a steady state.
+EPS_STEADY = 1e-8
+#: Nodewise ordering slack of :func:`evolve_ordered`, relative to max(1, sup).
+TOL_ORDER = 1e-10
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepping and classification parameters (scaled time units).
+    """Step cap and horizon (scaled time units).
 
-    dt0 caps every step and is the knob refinement studies halve; eta is the
-    reaction safety factor keeping the explicit reaction stable and the
-    blow-up resolved.  Classification thresholds: sup-norm >= m_blow with
-    the step at its floor declares blow-up, relative sup-norm <= eps_decay
-    declares decay (unforced runs), relative change per unit time <=
-    eps_steady declares convergence to a steady state.
+    dt0 caps every step and is the knob refinement studies halve; it must
+    lie in [DT_MIN, DT_MAX].  t_max is the horizon at which a run that no
+    other rule classified is undecided.
     """
 
     dt0: float = 1e-3
-    dt_min: float = 1e-10
-    dt_max: float = 1e-2
-    eta: float = 0.1
-    m_blow: float = 1e6
-    eps_decay: float = 1e-8
-    eps_steady: float = 1e-8
     t_max: float = 50.0
 
     def __post_init__(self):
-        if not 0 < self.dt_min <= self.dt0 <= self.dt_max:
-            raise ValueError("need 0 < dt_min <= dt0 <= dt_max")
-        if self.m_blow <= 1:
-            raise ValueError("m_blow must exceed 1")
-        if not 0 < self.eps_decay < 1:
-            raise ValueError("eps_decay must lie in (0, 1)")
-        if not 0 < self.eta < 1:
-            raise ValueError("eta must lie in (0, 1)")
+        if not DT_MIN <= self.dt0 <= DT_MAX:
+            raise ValueError(f"need {DT_MIN:g} <= dt0 <= {DT_MAX:g}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +96,7 @@ class Outcome:
 
     kind: "decay" | "blowup" | "steady" | "undecided".  Blow-up carries the
     stopping time t_est (an upper-bound estimate: the time at which the
-    sup-norm passed m_blow with the step at its floor; no extrapolation is
+    sup-norm passed M_BLOW with the step at its floor; no extrapolation is
     attempted) and the sup-norm at stop.  Steady convergence carries the
     limit state.
     """
@@ -118,22 +124,22 @@ class Outcome:
         return cls("undecided", t)
 
 
-def adapt_dt(state: FieldPair, exponents: ExponentPair, config: IntegratorConfig) -> float:
-    """Reaction-limited step: clamp(eta / rate, dt_min, dt_max).
+def adapt_dt(state: FieldPair, exponents: ExponentPair) -> float:
+    """Reaction-limited step: clamp(ETA / rate, DT_MIN, DT_MAX).
 
-    rate = max(p ||v||_inf^(p-1), q ||u||_inf^(q-1), eta/dt_max); the guard
-    term makes the reaction-free limit exactly dt_max.
+    rate = max(p ||v||_inf^(p-1), q ||u||_inf^(q-1), ETA/DT_MAX); the guard
+    term makes the reaction-free limit exactly DT_MAX.
     """
     p, q = exponents.p, exponents.q
     try:
         rate = max(
             p * state.sup_v ** (p - 1),
             q * state.sup_u ** (q - 1),
-            config.eta / config.dt_max,
+            ETA / DT_MAX,
         )
     except OverflowError:
         rate = math.inf
-    return min(max(config.eta / rate, config.dt_min), config.dt_max)
+    return min(max(ETA / rate, DT_MIN), DT_MAX)
 
 
 def step(
@@ -167,7 +173,7 @@ def _march(spec, A, states, config):
     forcing = forcing_arrays(spec, A.grid)
     t = 0.0
     while True:
-        dt = min(*(adapt_dt(s, spec.exponents, config) for s in states), config.dt0)
+        dt = min(*(adapt_dt(s, spec.exponents) for s in states), config.dt0)
         try:
             new = [step(spec, A, s, dt, _forcing=forcing) for s in states]
         except ValueError as exc:          # non-finite data rejected by the solver
@@ -182,12 +188,12 @@ def _march(spec, A, states, config):
 def _classify(spec, config, s0, prev_sup, state, change, t, dt) -> Optional[Outcome]:
     """Apply the rules of :func:`evolve` in order; None while no rule fires."""
     sup = state.sup
-    if sup >= config.m_blow and dt <= config.dt_min * (1 + 1e-9):
+    if sup >= M_BLOW and dt <= DT_MIN * (1 + 1e-9):
         return Outcome.blow_up(t, sup)
-    if spec.lam == 0.0 and sup <= config.eps_decay * s0:
+    if spec.lam == 0.0 and sup <= EPS_DECAY * s0:
         return Outcome.decay(t)
     scale = max(sup, prev_sup)
-    if scale > 0 and change / (dt * scale) <= config.eps_steady:
+    if scale > 0 and change / (dt * scale) <= EPS_STEADY:
         return Outcome.steady(t, state)
     if t >= config.t_max:
         return Outcome.undecided(t)
@@ -208,9 +214,9 @@ def evolve(
     """Evolve nonnegative initial data and classify the run.
 
     Diagnostics are recorded every accepted step.  Classification order per
-    step: blow-up (sup >= m_blow with dt at the floor), decay (unforced runs
-    whose relative sup-norm fell to eps_decay), steady convergence (relative
-    change per unit time at most eps_steady; this also catches unforced runs
+    step: blow-up (sup >= M_BLOW with dt at the floor), decay (unforced runs
+    whose relative sup-norm fell to EPS_DECAY), steady convergence (relative
+    change per unit time at most EPS_STEADY; this also catches unforced runs
     parked at a metastable discrete equilibrium), undecided at the horizon.
     ``squeeze_upper`` tracks the largest exceedance over a prescribed upper
     state without storing trajectories.
@@ -264,17 +270,16 @@ def evolve_ordered(
     low: FieldPair,
     high: FieldPair,
     config: IntegratorConfig = IntegratorConfig(),
-    tol_order: float = 1e-10,
 ) -> OrderingReport:
     """Co-evolve low <= high under one dt sequence and watch the ordering.
 
     The scheme is order preserving (M-matrix solve plus monotone reaction),
-    so any violation beyond tol_order * scale indicates a scheme bug; the
+    so any violation beyond TOL_ORDER * scale indicates a scheme bug; the
     first one is reported with its time and node.  Each state is classified
     by the same rules as :func:`evolve` and keeps its first outcome; the run
     stops when both states are classified or either blows up.
     """
-    if np.min(high.u - low.u) < -tol_order or np.min(high.v - low.v) < -tol_order:
+    if np.min(high.u - low.u) < -TOL_ORDER or np.min(high.v - low.v) < -TOL_ORDER:
         raise ValueError("initial states are not ordered low <= high")
     states = [low.copy(), high.copy()]
     s0 = [s.sup for s in states]
@@ -289,7 +294,7 @@ def evolve_ordered(
         scale = max(1.0, b.sup)
         gap = max(float(np.max(a.u - b.u)), float(np.max(a.v - b.v)))
         max_gap = max(max_gap, gap)
-        if gap > tol_order * scale and first is None:
+        if gap > TOL_ORDER * scale and first is None:
             node = int(np.argmax(np.maximum(a.u - b.u, a.v - b.v)))
             first = (t, node, gap)
         for i, (old, cur) in enumerate(zip(states, new)):

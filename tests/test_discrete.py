@@ -88,6 +88,12 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(Rectangle(1.0, 1.0), BoundarySpec.robin(1.0), 8)
 
+    @pytest.mark.parametrize("dim", [200, 340, 341, 400])
+    def test_dimension_out_of_float_range(self, dim):
+        # the inner shell volumes underflow to 0; at 400 the sphere area overflows
+        with pytest.raises(GridError, match=f"dimension {dim}"):
+            build_grid(RadialBall(dim, 1.0), DIRICHLET, 16)
+
 
 class TestOperator:
     def test_interval_debug_stencil(self):
@@ -266,6 +272,54 @@ def test_rectangle_solve_property(lx, ly, nx, ny, sigma, seed, sparse):
     for j in range(2):
         assert backward_error(A, sigma, x[:, j], rhs[:, j]) <= 1e-12
     assert x.min() >= 0.0
+
+
+@st.composite
+def any_grid(draw):
+    """(domain, boundary, resolution) over radial balls and rectangles."""
+    if draw(st.booleans()):
+        domain = RadialBall(draw(st.integers(2, 400)), draw(st.floats(0.1, 10.0)))
+        robin = draw(st.booleans())
+        boundary = BoundarySpec.robin(draw(st.floats(1e-3, 1e3))) if robin else DIRICHLET
+        return domain, boundary, draw(st.integers(4, 128))
+    domain = Rectangle(draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+    return domain, DIRICHLET, (draw(st.integers(4, 64)), draw(st.integers(4, 64)))
+
+
+def covered_volume(grid):
+    """The volume the weights must sum to.
+
+    A ball's shell volumes cover the whole ball; its volume is taken through
+    log-gamma, which stays finite where math.gamma overflows.  The Dirichlet
+    rectangle's interior cells leave out a half-cell rim along the boundary.
+    """
+    domain = grid.domain
+    if isinstance(domain, Rectangle):
+        hx, hy = grid.h
+        return (domain.lx - hx) * (domain.ly - hy)
+    n, r = domain.dimension, domain.radius
+    return math.exp(n / 2 * math.log(math.pi) + n * math.log(r) - math.lgamma(n / 2 + 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=any_grid())
+def test_operator_structure_property(case):
+    """Every grid that builds carries a symmetric M-matrix and exact volume weights."""
+    domain, boundary, resolution = case
+    try:
+        grid = build_grid(domain, boundary, resolution)
+    except GridError:
+        assert isinstance(domain, RadialBall)
+        return
+    K = build_laplacian(grid).K
+    asym = (K - K.T).tocsr()
+    asym.eliminate_zeros()
+    assert asym.nnz == 0
+    assert np.all(K.diagonal() > 0)
+    off = (K - sp.diags(K.diagonal())).tocoo()
+    assert np.all(off.data <= 0)
+    assert np.all(grid.weights > 0)
+    assert grid.volume == pytest.approx(covered_volume(grid), rel=1e-12)
 
 
 class TestQuadrature:

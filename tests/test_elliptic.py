@@ -135,15 +135,6 @@ class TestMonotone:
         assert res.converged
         assert np.all(np.diff(res.sup_history) >= -1e-12)
 
-    @pytest.mark.parametrize("max_iter", [1, 5, 19])
-    def test_short_iteration_cap_returns_status(self, max_iter):
-        # the stagnation window must fit a history shorter than 21 entries
-        spec = disk_spec(2.0, 2.0, lam=5.0)
-        res = solve_monotone(spec, disk_operator(64), max_iter=max_iter)
-        assert res.status in ("converged", "diverged", "stagnated")
-        assert res.iterations <= max_iter
-        assert len(res.sup_history) == res.iterations + 1
-
     def test_minimal_dominated_by_newton_solution(self, forced2_family):
         fam = forced2_family
         if fam["second"] is None:
@@ -200,8 +191,7 @@ class TestLambdaStar:
 
     def test_nested_brackets(self, forced2_family):
         fam = forced2_family
-        wide = lambda_star(fam["template"], fam["A"], (0.001, 1000.0), rel_tol=0.5,
-                           spot_check=False)
+        wide = lambda_star(fam["template"], fam["A"], (0.001, 1000.0), rel_tol=0.5)
         lo, hi = fam["lambda_star"].bracket
         assert wide.bracket[0] <= lo and hi <= wide.bracket[1]
 

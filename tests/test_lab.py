@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from thresholdlab import FieldPair, IntegratorConfig, evolve
+from thresholdlab import FieldPair, IntegratorConfig, evolve, interval_grid
 from thresholdlab.analysis import TrajectoryRecord
 from thresholdlab.lab import (
     ConfigError,
@@ -137,12 +137,35 @@ class TestSerialisation:
         pair = FieldPair(rng.uniform(0, 1, A.grid.size), rng.uniform(0, 1, A.grid.size), A.grid)
         path = tmp_path / "state.snap"
         save_snapshot(path, pair, {"geometry": "radial", "resolution": 64, "p": 3.0})
-        loaded = load_snapshot(path, A.grid)
+        header, u, v = load_snapshot(path)
+        loaded = FieldPair(u, v, A.grid)
         np.testing.assert_array_equal(loaded.u, pair.u)
         np.testing.assert_array_equal(loaded.v, pair.v)
-        header, u, v = load_snapshot(path)
         assert header["geometry"] == "radial"
-        assert len(u) == A.grid.size
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0])
+_HEADER_KEY = st.from_regex(r"[a-z][a-z0-9_-]{0,8}", fullmatch=True).filter(lambda k: k != "nodes")
+_HEADER_VALUE = st.from_regex(r"[!-~]([ !-~]{0,10}[!-~])?", fullmatch=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), resolution=st.integers(4, 64),
+       header=st.dictionaries(_HEADER_KEY, _HEADER_VALUE, max_size=6))
+def test_snapshot_roundtrip_property(data, resolution, header, tmp_path_factory):
+    """save_snapshot then load_snapshot gives back every bit of u, v and the header."""
+    grid = interval_grid(1.0, resolution)
+    values = st.lists(_FINITE, min_size=grid.size, max_size=grid.size)
+    pair = FieldPair(np.array(data.draw(values)), np.array(data.draw(values)), grid)
+    path = tmp_path_factory.mktemp("snap") / "state.snap"
+    save_snapshot(path, pair, header)
+    loaded = load_snapshot(path)
+    assert isinstance(loaded, tuple) and len(loaded) == 3
+    got_header, u, v = loaded
+    assert got_header == {**header, "nodes": str(grid.size)}
+    np.testing.assert_array_equal(u.view(np.int64), pair.u.view(np.int64))
+    np.testing.assert_array_equal(v.view(np.int64), pair.v.view(np.int64))
 
 
 class TestThresholdExperiment:
@@ -297,6 +320,22 @@ class TestCli:
         assert f"{key} " in err and "Traceback" not in err
         assert not (tmp_path / "run" / "result.json").exists()
 
+    @pytest.mark.parametrize("value", ["-1.0", "nan", "inf"])
+    def test_snapshot_with_bad_values_is_refused(self, value, tmp_path, capsys):
+        assert main(["steady", "--resolution", "16", "--out", str(tmp_path)]) == 0
+        snap = tmp_path / "steady.snap"
+        lines = snap.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[row] = f"{value} {lines[row].split()[1]}"
+        snap.write_text("\n".join(lines) + "\n")
+        code = main(["evolve", "--resolution", "16", "--initial", str(snap),
+                     "--t-max", "0.01", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"snapshot {snap} holds negative or non-finite values" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "result.json").exists()
+
     def test_snapshot_of_another_radius_is_refused(self, tmp_path, capsys):
         assert main(["steady", "--radius", "2", "--resolution", "16",
                      "--out", str(tmp_path)]) == 0
@@ -404,6 +443,10 @@ class TestCliErrorPaths:
         (["steady", "--bc", "robin:nan"], "robin:nan"),
         (["steady", "--p=--"], "argument p"),
         (["threshold", "--width", "0"], "--width"),
+        (["steady", "--dim", "200", "--resolution", "16"], "dimension 200"),
+        (["evolve", "--dim", "340", "--resolution", "16"], "dimension 340"),
+        (["verify", "--dim", "341", "--resolutions", "16,32"], "dimension 341"),
+        (["steady", "--dim", "400", "--resolution", "16"], "dimension 400"),
     ])
     def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
         import thresholdlab.lab.cli as cli
@@ -419,6 +462,10 @@ class TestCliErrorPaths:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not any((tmp_path / "run").rglob("*"))
+
+    def test_high_dimension_in_float_range_solves(self, tmp_path, capsys):
+        assert main(["steady", "--dim", "100", "--resolution", "16",
+                     "--out", str(tmp_path)]) == 0
 
     def test_bracket_failing_after_probes_is_usage_error(self, tmp_path, capsys):
         code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",
@@ -500,25 +547,6 @@ def _bad_flags(data, command):
             yield [f"--{key}={FLAG_SAMPLES[key]}"]
     yield ["--zebra=1"]
     yield from _WRONG_PROBLEM[command]
-
-
-class TestRobinExperiment:
-    def test_beta_sweep_logged(self, robin3):
-        from thresholdlab.lab import robin_experiment
-        from thresholdlab import shooting_oracle, BoundarySpec
-
-        result = robin_experiment(
-            robin3["spec"], robin3["A"], IntegratorConfig(t_max=0.01),
-            alphas=(0.5,), beta_sweep=(0.5, 2.0, 8.0),
-        )
-        sweep = result.derived["beta_sweep"]
-        assert [b for b, _ in sweep] == [0.5, 2.0, 8.0]
-        sups = [s for _, s in sweep]
-        # reference data: larger beta sits closer to the Dirichlet sup-norm
-        dirichlet_sup = shooting_oracle(
-            robin3["spec"].exponents, 2, BoundarySpec.dirichlet()
-        ).sup_u
-        assert abs(sups[-1] - dirichlet_sup) < abs(sups[0] - dirichlet_sup)
 
 
 class TestVerifySuite:

@@ -15,7 +15,7 @@ from thresholdlab import (
     evolve_ordered,
     step,
 )
-from thresholdlab.parabolic import NumericalFailureError
+from thresholdlab.parabolic import DT_MAX, DT_MIN, ETA, NumericalFailureError
 
 from conftest import disk_operator, disk_spec
 
@@ -51,24 +51,21 @@ class TestStep:
 class TestAdaptDt:
     def test_zero_state_gives_dt_max(self, spec3):
         A = disk_operator(64)
-        config = IntegratorConfig()
-        assert adapt_dt(FieldPair.zeros(A.grid), spec3.exponents, config) == config.dt_max
+        assert adapt_dt(FieldPair.zeros(A.grid), spec3.exponents) == DT_MAX
 
     def test_saturation_at_dt_min(self, spec3):
         A = disk_operator(64)
-        config = IntegratorConfig()
         p = spec3.p
-        level = (config.eta / config.dt_min) ** (1 / (p - 1)) / p ** (1 / (p - 1))
+        level = (ETA / DT_MIN) ** (1 / (p - 1)) / p ** (1 / (p - 1))
         state = FieldPair(np.zeros(A.grid.size), np.full(A.grid.size, level), A.grid)
-        assert adapt_dt(state, spec3.exponents, config) == pytest.approx(config.dt_min)
+        assert adapt_dt(state, spec3.exponents) == pytest.approx(DT_MIN)
 
     def test_power_scaling(self, spec3):
         A = disk_operator(64)
-        config = IntegratorConfig()
         one = FieldPair(np.full(A.grid.size, 40.0), np.full(A.grid.size, 40.0), A.grid)
         two = one.scaled(2.0)
-        dt1 = adapt_dt(one, spec3.exponents, config)
-        dt2 = adapt_dt(two, spec3.exponents, config)
+        dt1 = adapt_dt(one, spec3.exponents)
+        dt2 = adapt_dt(two, spec3.exponents)
         assert dt1 / dt2 == pytest.approx(4.0, rel=1e-12)  # p = 3 doubling shrinks dt 4x
 
 
@@ -242,14 +239,8 @@ class TestEvolveOrdered:
 class TestConfigValidation:
     def test_dt_ordering(self):
         with pytest.raises(ValueError):
-            IntegratorConfig(dt0=1.0, dt_max=0.1)
+            IntegratorConfig(dt0=DT_MIN / 2)
         with pytest.raises(ValueError):
-            IntegratorConfig(dt_min=0.0)
-
-    def test_thresholds(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(m_blow=0.5)
-        with pytest.raises(ValueError):
-            IntegratorConfig(eps_decay=1.5)
-        with pytest.raises(ValueError):
-            IntegratorConfig(eta=1.0)
+            IntegratorConfig(dt0=2 * DT_MAX)
+        assert IntegratorConfig(dt0=DT_MIN).dt0 == DT_MIN
+        assert IntegratorConfig(dt0=DT_MAX).dt0 == DT_MAX
