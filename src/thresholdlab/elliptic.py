@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, root
+from scipy.optimize import OptimizeResult, brentq, root
 
 from .discrete import DiscreteLaplacian, FieldPair, Grid, integrate, solve_shifted
 from .problem import BoundarySpec, ExponentPair, ProblemSpec
@@ -506,35 +506,41 @@ def _integrate_radial(a: float, b: float, n_dim: int, p: float, q: float, radius
     """Integrate outward from the centre values (a, b) with u'(0) = v'(0) = 0.
 
     Starts at r0 << R from the even-symmetry series u = a - phi_p(b) r^2/(2N)
-    to clear the coordinate singularity.
+    to clear the coordinate singularity.  Overflow is not warned about: a
+    trajectory that leaves the float range stops short of the radius or
+    ends non-finite, and _bc_values counts it as escaping.
     """
     r0 = 1e-8 * radius
-    fa = float(signed_power(np.asarray(b), p))
-    fb = float(signed_power(np.asarray(a), q))
-    y0 = [a - fa * r0**2 / (2 * n_dim), -fa * r0 / n_dim,
-          b - fb * r0**2 / (2 * n_dim), -fb * r0 / n_dim]
 
     def too_large(r, y, *args):
         return max(abs(y[0]), abs(y[2])) - 1e6
 
     too_large.terminal = True
-    return solve_ivp(
-        _radial_rhs,
-        (r0, radius),
-        y0,
-        args=(n_dim, p, q),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-        dense_output=True,
-        events=too_large,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        fa = float(signed_power(np.asarray(b), p))
+        fb = float(signed_power(np.asarray(a), q))
+        y0 = [a - fa * r0**2 / (2 * n_dim), -fa * r0 / n_dim,
+              b - fb * r0**2 / (2 * n_dim), -fb * r0 / n_dim]
+        if not np.all(np.isfinite(y0)):     # out of the float range at r0 already
+            return OptimizeResult(t=np.array([r0]), y=np.array(y0)[:, None], status=-1)
+        return solve_ivp(
+            _radial_rhs,
+            (r0, radius),
+            y0,
+            args=(n_dim, p, q),
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-12,
+            dense_output=True,
+            events=too_large,
+        )
 
 
 def _bc_values(sol, boundary: BoundarySpec, radius: float) -> tuple[float, float]:
     u, du, v, dv = sol.y[:, -1]
-    if sol.t[-1] < radius:
-        # stopped early on the size event: keep the escaping sign, huge magnitude
+    if sol.t[-1] < radius or not np.all(np.isfinite(sol.y[:, -1])):
+        # stopped early (size event or float range) or overflowed: escaping,
+        # so keep the escaping sign with a huge magnitude
         return math.copysign(1e12, u), math.copysign(1e12, v)
     if boundary.kind == "dirichlet":
         return u, v

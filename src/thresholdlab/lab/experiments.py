@@ -4,6 +4,10 @@ Each driver returns an ExperimentResult carrying every run it performed,
 the derived brackets, and enough provenance (problem digest, resolution,
 stepping parameters, seed, tool version) to reproduce the result from its
 JSON serialisation alone.
+
+The threshold bisection certifies a decaying probe as soon as it enters the
+decay cone of :func:`thresholdlab.parabolic.decay_cone`; the lambda* and
+Robin experiments run their decays down to EPS_DECAY.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from ..elliptic import (
     solve_monotone,
     solve_newton,
 )
-from ..parabolic import IntegratorConfig, Outcome, evolve
+from ..parabolic import CONE_THETA, IntegratorConfig, Outcome, decay_cone, evolve
 from ..problem import ProblemSpec
 from .config import spec_digest
 
@@ -100,6 +104,11 @@ def threshold_experiment(
     (alpha = 1), which cannot classify.  A run that still fails to classify
     stops the shrinking and is reported, widening the bracket rather than
     failing.
+
+    Every run gets the decay cone, built once: a probe that enters it is
+    certified to decay there, and its entry records ``decay_rule`` "cone",
+    or "sup" when the sup-norm rule fired first.  ``derived`` records the
+    cone's eigenvalue bound ``cone_mu`` and scale ``cone_theta``.
     """
     if spec.lam != 0.0:
         raise ValueError("threshold experiment requires the unforced problem")
@@ -112,12 +121,17 @@ def threshold_experiment(
         provenance=_provenance(resolution, config, seed),
     )
 
+    cone, mu = decay_cone(spec, A)
+    result.derived.update(cone_mu=mu, cone_theta=CONE_THETA)
     outcomes: dict[float, str] = {}
 
     def run(alpha: float) -> str:
-        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config)
+        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config, cone=cone)
         outcomes[alpha] = outcome.kind
-        result.runs.append(_run_entry("alpha", alpha, outcome))
+        entry = _run_entry("alpha", alpha, outcome)
+        if outcome.kind == "decay":
+            entry["decay_rule"] = outcome.rule
+        result.runs.append(entry)
         return outcome.kind
 
     for alpha in alphas:

@@ -17,6 +17,13 @@ classifier decides per state between blow-up, decay, steady convergence
 and undecided.  :func:`evolve` runs it with k = 1 and records the
 diagnostics; :func:`evolve_ordered` runs it with k = 2 and watches the
 ordering of the pair.
+
+Decay is declared when the sup-norm falls to EPS_DECAY of its start.  An
+unforced run may instead be certified as soon as it enters the eigenfunction
+cone of :func:`decay_cone`, a strict supersolution below which every state
+decays: the comparison that proves the threshold theorem, applied step by
+step.  The threshold experiment passes the cone; without one, evolve runs
+every decay down to EPS_DECAY.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from .analysis import TrajectoryRecord
 from .discrete import DiscreteLaplacian, FieldPair, solve_shifted
-from .elliptic import forcing_arrays, signed_power
+from .elliptic import _principal_eigenvector, forcing_arrays, signed_power
 from .problem import ExponentPair, ProblemSpec
 
 __all__ = [
@@ -39,11 +46,13 @@ __all__ = [
     "M_BLOW",
     "EPS_DECAY",
     "EPS_STEADY",
+    "CONE_THETA",
     "IntegratorConfig",
     "Outcome",
     "OrderingReport",
     "step",
     "adapt_dt",
+    "decay_cone",
     "evolve",
     "evolve_ordered",
     "NumericalFailureError",
@@ -71,6 +80,8 @@ EPS_DECAY = 1e-8
 EPS_STEADY = 1e-8
 #: Nodewise ordering slack of :func:`evolve_ordered`, relative to max(1, sup).
 TOL_ORDER = 1e-10
+#: Scale theta < 1 of the decay cone; 1 - theta is its margin as a strict supersolution.
+CONE_THETA = 0.99
 
 
 @dataclass(frozen=True)
@@ -94,8 +105,10 @@ class IntegratorConfig:
 class Outcome:
     """Classification of a run.
 
-    kind: "decay" | "blowup" | "steady" | "undecided".  Blow-up carries the
-    stopping time t_est (an upper-bound estimate: the time at which the
+    kind: "decay" | "blowup" | "steady" | "undecided".  Decay carries the
+    rule that declared it: "sup" (the sup-norm fell to EPS_DECAY of its
+    start) or "cone" (the state entered the decay cone).  Blow-up carries
+    the stopping time t_est (an upper-bound estimate: the time at which the
     sup-norm passed M_BLOW with the step at its floor; no extrapolation is
     attempted) and the sup-norm at stop.  Steady convergence carries the
     limit state.
@@ -106,10 +119,11 @@ class Outcome:
     t_est: Optional[float] = None
     sup_at_stop: Optional[float] = None
     limit: Optional[FieldPair] = None
+    rule: Optional[str] = None
 
     @classmethod
-    def decay(cls, t: float) -> "Outcome":
-        return cls("decay", t)
+    def decay(cls, t: float, rule: str = "sup") -> "Outcome":
+        return cls("decay", t, rule=rule)
 
     @classmethod
     def blow_up(cls, t: float, sup: float) -> "Outcome":
@@ -140,6 +154,27 @@ def adapt_dt(state: FieldPair, exponents: ExponentPair) -> float:
     except OverflowError:
         rate = math.inf
     return min(max(ETA / rate, DT_MIN), DT_MAX)
+
+
+def decay_cone(spec: ProblemSpec, A: DiscreteLaplacian) -> tuple[FieldPair, float]:
+    """The decay cone C = CONE_THETA * (a phi, b phi) and its eigenvalue bound mu.
+
+    phi > 0 is the sup-normalised principal vector of A and mu = min_i
+    (A phi)_i / phi_i, so A phi >= mu phi holds nodewise (a Collatz-Wielandt
+    bound; phi need not be an exact eigenvector).  With a = mu^((p+1)/(pq-1))
+    and b = mu^((q+1)/(pq-1)), b^p = mu a and a^q = mu b; since phi^p <= phi
+    and theta^p < theta, A C_u >= C_v^p and A C_v >= C_u^q with a margin.
+    One semi-implicit step of the unforced flow therefore maps every
+    nonnegative state below C below C again, shrunk by the factor
+    (1 + dt mu theta^(p-1)) / (1 + dt mu) (and likewise with q), whatever
+    dt is: such a state decays to 0.
+    """
+    phi = _principal_eigenvector(A)
+    mu = float(np.min(A.apply(phi) / phi))
+    p, q = spec.p, spec.q
+    a = mu ** ((p + 1) / (p * q - 1))
+    b = mu ** ((q + 1) / (p * q - 1))
+    return FieldPair(CONE_THETA * a * phi, CONE_THETA * b * phi, A.grid), mu
 
 
 def step(
@@ -185,13 +220,16 @@ def _march(spec, A, states, config):
         states = new
 
 
-def _classify(spec, config, s0, prev_sup, state, change, t, dt) -> Optional[Outcome]:
+def _classify(spec, config, s0, prev_sup, state, change, t, dt, cone=None) -> Optional[Outcome]:
     """Apply the rules of :func:`evolve` in order; None while no rule fires."""
     sup = state.sup
     if sup >= M_BLOW and dt <= DT_MIN * (1 + 1e-9):
         return Outcome.blow_up(t, sup)
     if spec.lam == 0.0 and sup <= EPS_DECAY * s0:
         return Outcome.decay(t)
+    if (spec.lam == 0.0 and cone is not None
+            and np.all(state.u <= cone.u) and np.all(state.v <= cone.v)):
+        return Outcome.decay(t, "cone")
     scale = max(sup, prev_sup)
     if scale > 0 and change / (dt * scale) <= EPS_STEADY:
         return Outcome.steady(t, state)
@@ -210,16 +248,19 @@ def evolve(
     initial: FieldPair,
     config: IntegratorConfig = IntegratorConfig(),
     squeeze_upper: Optional[FieldPair] = None,
+    cone: Optional[FieldPair] = None,
 ) -> tuple[Outcome, TrajectoryRecord]:
     """Evolve nonnegative initial data and classify the run.
 
     Diagnostics are recorded every accepted step.  Classification order per
     step: blow-up (sup >= M_BLOW with dt at the floor), decay (unforced runs
-    whose relative sup-norm fell to EPS_DECAY), steady convergence (relative
-    change per unit time at most EPS_STEADY; this also catches unforced runs
-    parked at a metastable discrete equilibrium), undecided at the horizon.
-    ``squeeze_upper`` tracks the largest exceedance over a prescribed upper
-    state without storing trajectories.
+    whose relative sup-norm fell to EPS_DECAY; then, when a ``cone`` from
+    :func:`decay_cone` is given, unforced runs whose state lies below it
+    nodewise), steady convergence (relative change per unit time at most
+    EPS_STEADY; this also catches unforced runs parked at a metastable
+    discrete equilibrium), undecided at the horizon.  ``squeeze_upper``
+    tracks the largest exceedance over a prescribed upper state without
+    storing trajectories.
     """
     if np.min(initial.u) < 0 or np.min(initial.v) < 0:
         raise ValueError("initial data must be nonnegative")
@@ -243,7 +284,7 @@ def evolve(
                     float(np.max(new.v - squeeze_upper.v)),
                 )
             record.observe(A, new, t, dt)
-            outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt)
+            outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt, cone)
             state = new
             if outcome is not None:
                 break

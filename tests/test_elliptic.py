@@ -18,6 +18,10 @@ from thresholdlab import (
 from thresholdlab.elliptic import (
     InvalidBracketError,
     NonPositiveSolutionError,
+    RootFindFailure,
+    _bc_values,
+    _bracketed_root,
+    _integrate_radial,
     lambda_star,
     signed_power,
 )
@@ -242,6 +246,18 @@ class TestShooting:
         assert oracle.bc_residual <= 1e-10
         assert oracle.center[0] > 0 and oracle.center[1] > 0
         assert not math.isclose(oracle.center[0], oracle.center[1])
+
+    def test_overflowing_trajectory_counts_as_escaping(self):
+        # a 342-dimensional ball of radius 6 builds a grid, but its shooting
+        # trajectories leave the float range: under the suite's
+        # error::RuntimeWarning filter this call used to raise
+        sol = _integrate_radial(1e50, 1e50, 342, 3.0, 3.0, 6.0)
+        assert _bc_values(sol, BoundarySpec.dirichlet(), 6.0) == (-1e12, -1e12)
+        sol = _integrate_radial(1e200, 1e200, 2, 3.0, 3.0, 1.0)    # non-finite start
+        assert _bc_values(sol, BoundarySpec.dirichlet(), 1.0) == (-1e12, -1e12)
+        # a defect that only ever escapes brackets no root: the root find fails
+        with pytest.raises(RootFindFailure):
+            _bracketed_root(lambda a: -1e12)
 
 
 class TestResidualNorm:

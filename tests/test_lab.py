@@ -195,6 +195,35 @@ class TestThresholdExperiment:
         with pytest.raises(ValueError):
             threshold_experiment(disk_spec(3.0, 3.0, lam=1.0), A, eq, IntegratorConfig())
 
+    @pytest.mark.parametrize("problem", ["disk-3-3", "disk-3-2", "rect-3-3"])
+    def test_cone_certificate_keeps_every_outcome_and_the_bracket(self, problem, monkeypatch):
+        """Replaying every probe with plain evolve gives the same kinds and bracket."""
+        import thresholdlab.lab.experiments as experiments
+        from thresholdlab import ProblemSpec, Rectangle, build_grid, build_laplacian, solve_newton
+        from thresholdlab.parabolic import CONE_THETA
+
+        if problem == "rect-3-3":
+            spec = ProblemSpec(ExponentPair(3.0, 3.0), Rectangle(1.0, 1.0))
+            A = build_laplacian(build_grid(spec.domain, spec.boundary, 24))
+        else:
+            spec = disk_spec(3.0, 3.0 if problem == "disk-3-3" else 2.0)
+            A = disk_operator(128)
+        eq = solve_newton(spec, A)
+        certified = threshold_experiment(spec, A, eq, IntegratorConfig())
+        monkeypatch.setattr(experiments, "decay_cone", lambda spec, A: (None, 0.0))
+        plain = threshold_experiment(spec, A, eq, IntegratorConfig())
+
+        kinds = lambda result: [(run["value"], run["outcome"]) for run in result.runs]
+        assert kinds(certified) == kinds(plain)
+        assert certified.derived["alpha_bracket"] == plain.derived["alpha_bracket"]
+        assert {run["decay_rule"] for run in plain.runs if run["outcome"] == "decay"} == {"sup"}
+        for cone_run, plain_run in zip(certified.runs, plain.runs):
+            if cone_run["outcome"] == "decay":
+                assert cone_run["decay_rule"] == "cone"
+                assert cone_run["t_end"] < plain_run["t_end"]
+        assert certified.derived["cone_theta"] == CONE_THETA
+        assert certified.derived["cone_mu"] > 0
+
     def test_critical_alpha_recorded_without_breaking_bisection(self, eq3_128, spec3):
         # alpha = 1 parks at the metastable discrete equilibrium, classifying
         # neither way; the experiment keeps it in the run log and bisects on

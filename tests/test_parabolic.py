@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thresholdlab import (
+    BoundarySpec,
     ExponentPair,
     FieldPair,
     IntegratorConfig,
@@ -13,9 +16,16 @@ from thresholdlab import (
     build_laplacian,
     evolve,
     evolve_ordered,
+    solve_newton,
     step,
 )
-from thresholdlab.parabolic import DT_MAX, DT_MIN, ETA, NumericalFailureError
+from thresholdlab.parabolic import (
+    DT_MAX,
+    DT_MIN,
+    ETA,
+    NumericalFailureError,
+    decay_cone,
+)
 
 from conftest import disk_operator, disk_spec
 
@@ -244,3 +254,87 @@ class TestConfigValidation:
             IntegratorConfig(dt0=2 * DT_MAX)
         assert IntegratorConfig(dt0=DT_MIN).dt0 == DT_MIN
         assert IntegratorConfig(dt0=DT_MAX).dt0 == DT_MAX
+
+
+# the decay cone on each kind of grid: disk, 3-ball, Dirichlet rectangle, Robin disk
+_CONE_GRIDS = {
+    "disk": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 64),
+    "ball": (RadialBall(3, 1.0), BoundarySpec.dirichlet(), 64),
+    "rect": (Rectangle(1.0, 1.0), BoundarySpec.dirichlet(), 16),
+    "robin": (RadialBall(2, 1.0), BoundarySpec.robin(1.0), 64),
+}
+_EXPONENT = st.floats(1.5, 3.5)
+_cone_settings = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+def _cone_problem(p, q, name):
+    domain, boundary, resolution = _CONE_GRIDS[name]
+    spec = ProblemSpec(ExponentPair(p, q), domain, boundary)
+    A = build_laplacian(build_grid(domain, boundary, resolution))
+    cone, _ = decay_cone(spec, A)
+    return spec, A, cone
+
+
+@_cone_settings
+@given(p=_EXPONENT, q=_EXPONENT, name=st.sampled_from(sorted(_CONE_GRIDS)))
+def test_decay_cone_is_a_supersolution(p, q, name):
+    """A C_u >= C_v^p and A C_v >= C_u^q nodewise, theta included."""
+    _, A, cone = _cone_problem(p, q, name)
+    assert np.all(cone.u > 0) and np.all(cone.v > 0)
+    assert np.all(A.apply(cone.u) >= cone.v**p)
+    assert np.all(A.apply(cone.v) >= cone.u**q)
+
+
+@_cone_settings
+@given(p=_EXPONENT, q=_EXPONENT, name=st.sampled_from(sorted(_CONE_GRIDS)),
+       seed=st.integers(0, 2**32 - 1), fill=st.floats(0.0, 1.0))
+@example(p=1.5, q=3.5, name="disk", seed=0, fill=1.0)
+@example(p=3.0, q=3.0, name="rect", seed=0, fill=1.0)
+def test_data_inside_decay_cone_decays(p, q, name, seed, fill):
+    """Data below the cone stays below it every step and decays by the sup-norm rule.
+
+    A share ``fill`` of the nodes sits on the cone itself (fill = 1 is the cone),
+    the rest at a random fraction of it.  The run is given no cone.
+    """
+    spec, A, cone = _cone_problem(p, q, name)
+    rng = np.random.default_rng(seed)
+    m = A.grid.size
+    frac = lambda: np.where(rng.uniform(size=m) < fill, 1.0, rng.uniform(size=m))
+    initial = FieldPair(frac() * cone.u, frac() * cone.v, A.grid)
+    outcome, record = evolve(spec, A, initial, IntegratorConfig(dt0=DT_MAX),
+                             squeeze_upper=cone)
+    assert (outcome.kind, outcome.rule) == ("decay", "sup")
+    assert record.squeeze_high <= 0.0
+
+
+# solve_newton's own seed misses the 3-ball equilibrium when both exponents
+# are near 3.5 (p, q = 3.3, 3.5 and 3.5, 3.5 fail), so the runs that need an
+# equilibrium draw their exponents below 3.3
+@_cone_settings
+@given(p=st.floats(1.5, 3.2), q=st.floats(1.5, 3.2), name=st.sampled_from(sorted(_CONE_GRIDS)))
+def test_runs_above_equilibrium_never_enter_decay_cone(p, q, name):
+    """Runs from alpha (U, V), alpha > 1, are not classified by the cone.
+
+    alpha (U, V) is a strict subsolution, so the run rises (as
+    test_superequilibrium_blows_up checks) and a run outside the cone up to
+    the horizon stays outside it for good.  The horizon is short because
+    asymmetric exponents take some 30k steps to blow up.
+    """
+    spec, A, cone = _cone_problem(p, q, name)
+    eq = solve_newton(spec, A)
+    for alpha in (1.01, 1.1):
+        outcome, _ = evolve(spec, A, eq.pair.scaled(alpha),
+                            IntegratorConfig(dt0=DT_MAX, t_max=0.25), cone=cone)
+        assert outcome.kind in ("blowup", "undecided")
+
+
+def test_decay_cone_rule_fires_only_with_a_cone(eq3_128, spec3):
+    A, eq = eq3_128
+    cone, _ = decay_cone(spec3, A)
+    plain, plain_record = evolve(spec3, A, eq.pair.scaled(0.5))
+    certified, record = evolve(spec3, A, eq.pair.scaled(0.5), cone=cone)
+    assert (plain.kind, plain.rule) == ("decay", "sup")
+    assert (certified.kind, certified.rule) == ("decay", "cone")
+    assert len(record) < len(plain_record)
+    final = record.final_state
+    assert np.all(final.u <= cone.u) and np.all(final.v <= cone.v)
