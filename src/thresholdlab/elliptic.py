@@ -18,17 +18,26 @@ would make an absolute 1e-10 unreachable on fine grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.optimize import OptimizeResult, brentq, root
+from scipy.optimize import OptimizeResult
 
-from .discrete import DiscreteLaplacian, FieldPair, Grid, integrate, solve_shifted
-from .problem import BoundarySpec, ExponentPair, ProblemSpec
+from .discrete import (
+    DiscreteLaplacian,
+    FieldPair,
+    Grid,
+    GridError,
+    build_grid,
+    build_laplacian,
+    integrate,
+    solve_shifted,
+)
+from .problem import BoundarySpec, ExponentPair, ProblemSpec, RadialBall
 
 __all__ = [
     "DEFAULT_STEADY_TOL",
@@ -58,9 +67,11 @@ __all__ = [
 DEFAULT_STEADY_TOL = 1e-10
 NEWTON_CAP = 50
 NEWTON_HALVINGS = 30
+ANCHOR_EXPONENTS = ExponentPair(3.0, 3.0)
 M_BIG = 1e8
 MONOTONE_CAP = 10_000
 BC_TOL = 1e-10
+SHOOTING_TOL = 1e-13
 
 
 class EllipticError(RuntimeError):
@@ -190,20 +201,23 @@ def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
     return x
 
 
-def _amplitude_prescan(spec, A, shape: np.ndarray) -> FieldPair:
+def _amplitudes(spec: ProblemSpec, lam1: float) -> tuple[float, float]:
+    """(c_u, c_v) = (lam1^((p+1)/(pq-1)), lam1^((q+1)/(pq-1)))."""
+    p, q = spec.p, spec.q
+    return lam1 ** ((p + 1) / (p * q - 1)), lam1 ** ((q + 1) / (p * q - 1))
+
+
+def _amplitude_prescan(spec, A, shape: np.ndarray, lam1: float) -> FieldPair:
     """Seed t*(c_u shape, c_v shape) with t minimising the scale-relative residual.
 
     The component amplitudes come from balancing diffusion against reaction
-    at the principal eigenvalue lam1: c_u = lam1^((p+1)/(pq-1)) and
+    at the Rayleigh quotient lam1 of the shape: c_u = lam1^((p+1)/(pq-1)) and
     c_v = lam1^((q+1)/(pq-1)), which for p = q reduces to the familiar
     lam1^(1/(p-1)) scale.  The plain residual vanishes as t -> 0 (the zero
     state solves the unforced system), so the scan minimises ||R|| / t.
     """
     grid = A.grid
-    p, q = spec.p, spec.q
-    lam1 = A.quadratic_form(shape, shape) / integrate(grid, shape**2)
-    c_u = lam1 ** ((p + 1) / (p * q - 1))
-    c_v = lam1 ** ((q + 1) / (p * q - 1))
+    c_u, c_v = _amplitudes(spec, lam1)
     best_t, best_val = None, math.inf
     for t in np.geomspace(1e-2, 1e2, 120):
         pair = FieldPair(t * c_u * shape, t * c_v * shape, grid)
@@ -239,16 +253,35 @@ def solve_newton(
     the deflation factor when known solutions are supplied) decreases, with
     at most NEWTON_HALVINGS backtracking halvings, for at most NEWTON_CAP
     iterations.  Without a guess the solver seeds itself from an amplitude
-    pre-scan along the principal eigenvector of A.
+    pre-scan along the principal eigenvector of A.  Where Newton stalls from
+    that seed (it does for p, q near 3.5 on the 3-ball), it starts again from
+    the solution at ANCHOR_EXPONENTS, seeded the same way and rescaled by the
+    ratio of the pre-scan amplitudes c_u, c_v.
     """
-    grid = A.grid
     known = [e.pair for e in (deflation_against or [])]
-    if initial_guess is None:
-        shape = _principal_eigenvector(A)
-        pair = _amplitude_prescan(spec, A, shape)
-    else:
-        pair = initial_guess.copy()
+    if initial_guess is not None:
+        return _newton(spec, A, initial_guess.copy(), known, steady_tol)
+    shape = _principal_eigenvector(A)
+    lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
+    try:
+        return _newton(spec, A, _amplitude_prescan(spec, A, shape, lam1), known, steady_tol)
+    except MaxIterationsError as stalled:
+        if spec.exponents == ANCHOR_EXPONENTS:
+            raise
+        anchor_spec = replace(spec, exponents=ANCHOR_EXPONENTS)
+        try:
+            anchor = _newton(anchor_spec, A, _amplitude_prescan(anchor_spec, A, shape, lam1),
+                             [], steady_tol).pair
+            (cu, cv), (au, av) = _amplitudes(spec, lam1), _amplitudes(anchor_spec, lam1)
+            seed = FieldPair(anchor.u * (cu / au), anchor.v * (cv / av), A.grid)
+            return _newton(spec, A, seed, known, steady_tol)
+        except MaxIterationsError:
+            raise stalled from None
 
+
+def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
+    """solve_newton's iteration from the seed ``pair``."""
+    grid = A.grid
     rn = residual_norm(spec, A, pair)
     cur_merit = rn * _deflation_factor(grid, pair, known)
     best = rn
@@ -492,60 +525,96 @@ class ShootingResult:
         return self.center[1]
 
 
-def _radial_rhs(r, y, n_dim, p, q):
-    u, du, v, dv = y
-    return (
-        du,
-        -signed_power(np.asarray(v), p) - (n_dim - 1) / r * du,
-        dv,
-        -signed_power(np.asarray(u), q) - (n_dim - 1) / r * dv,
-    )
+def _radial_rhs(n_dim: int, p: float, q: float) -> Callable:
+    """Right-hand side of the radial system, on Python floats.
+
+    The state is (u, u', v, v'), optionally followed by its derivatives with
+    respect to the centre values a and b (four components each, same
+    layout), which obey the variational equations along the trajectory.
+    """
+    k = n_dim - 1
+
+    def rhs(r, y):
+        u, du, v, dv, *tangents = y.tolist()
+        out = [du, -math.copysign(abs(v) ** p, v) - k / r * du,
+               dv, -math.copysign(abs(u) ** q, u) - k / r * dv]
+        if tangents:
+            sv, su = p * abs(v) ** (p - 1), q * abs(u) ** (q - 1)
+            for j in (0, 4):
+                tu, tdu, tv, tdv = tangents[j:j + 4]
+                out += [tdu, -sv * tv - k / r * tdu, tdv, -su * tu - k / r * tdv]
+        return out
+
+    return rhs
 
 
-def _integrate_radial(a: float, b: float, n_dim: int, p: float, q: float, radius: float):
+def _integrate_radial(
+    a: float, b: float, n_dim: int, p: float, q: float, radius: float,
+    variational: bool = False,
+):
     """Integrate outward from the centre values (a, b) with u'(0) = v'(0) = 0.
 
     Starts at r0 << R from the even-symmetry series u = a - phi_p(b) r^2/(2N)
-    to clear the coordinate singularity.  Overflow is not warned about: a
-    trajectory that leaves the float range stops short of the radius or
-    ends non-finite, and _bc_values counts it as escaping.
+    to clear the coordinate singularity.  With ``variational`` the solution
+    also carries d(u, u', v, v')/da and d/db, started from the derivative of
+    that series, so the boundary Jacobian is exact; without it the solution
+    has a dense output for ``ShootingResult.profile``.  Overflow is not
+    warned about: a trajectory that leaves the float range stops short of
+    the radius or ends non-finite, and _bc_values counts it as escaping.
     """
     r0 = 1e-8 * radius
 
-    def too_large(r, y, *args):
+    def too_large(r, y):
         return max(abs(y[0]), abs(y[2])) - 1e6
 
     too_large.terminal = True
     with np.errstate(over="ignore", invalid="ignore"):
-        fa = float(signed_power(np.asarray(b), p))
-        fb = float(signed_power(np.asarray(a), q))
+        a, b = np.float64(a), np.float64(b)
+        fa, fb = signed_power(b, p), signed_power(a, q)
         y0 = [a - fa * r0**2 / (2 * n_dim), -fa * r0 / n_dim,
               b - fb * r0**2 / (2 * n_dim), -fb * r0 / n_dim]
-        if not np.all(np.isfinite(y0)):     # out of the float range at r0 already
-            return OptimizeResult(t=np.array([r0]), y=np.array(y0)[:, None], status=-1)
+        if variational:
+            sa, sb = q * abs(a) ** (q - 1), p * abs(b) ** (p - 1)
+            y0 += [1.0, 0.0, -sa * r0**2 / (2 * n_dim), -sa * r0 / n_dim,
+                   -sb * r0**2 / (2 * n_dim), -sb * r0 / n_dim, 1.0, 0.0]
+    escaped = OptimizeResult(t=np.array([r0]), y=np.array(y0)[:, None], status=-1)
+    if not np.all(np.isfinite(y0)):     # out of the float range at r0 already
+        return escaped
+    try:
         return solve_ivp(
-            _radial_rhs,
+            _radial_rhs(n_dim, p, q),
             (r0, radius),
             y0,
-            args=(n_dim, p, q),
             method="DOP853",
             rtol=1e-12,
             atol=1e-12,
-            dense_output=True,
+            dense_output=not variational,
             events=too_large,
         )
+    except OverflowError:               # a float power left the range mid-step
+        return escaped
 
 
-def _bc_values(sol, boundary: BoundarySpec, radius: float) -> tuple[float, float]:
-    u, du, v, dv = sol.y[:, -1]
-    if sol.t[-1] < radius or not np.all(np.isfinite(sol.y[:, -1])):
-        # stopped early (size event or float range) or overflowed: escaping,
-        # so keep the escaping sign with a huge magnitude
-        return math.copysign(1e12, u), math.copysign(1e12, v)
+def _escaped(sol, radius: float) -> bool:
+    """Stopped early (size event or float range) or ended non-finite."""
+    return sol.t[-1] < radius or not np.all(np.isfinite(sol.y[:, -1]))
+
+
+def _bc_rows(state, boundary: BoundarySpec) -> tuple[float, float]:
+    """The boundary functional applied to one (u, u', v, v') block."""
+    u, du, v, dv = state
     if boundary.kind == "dirichlet":
         return u, v
     beta = boundary.beta
     return du + beta * u, dv + beta * v
+
+
+def _bc_values(sol, boundary: BoundarySpec, radius: float) -> tuple[float, float]:
+    end = sol.y[:, -1]
+    if _escaped(sol, radius):
+        # escaping: keep the escaping sign with a huge magnitude
+        return math.copysign(1e12, end[0]), math.copysign(1e12, end[2])
+    return _bc_rows(end[:4], boundary)
 
 
 def shooting_oracle(
@@ -557,27 +626,52 @@ def shooting_oracle(
     """Independent radial equilibrium via shooting from the centre.
 
     Adjusts the centre values (a, b) so the boundary condition holds at
-    r = radius: a scalar bracketed root for symmetric exponents (p = q
-    forces U = V), a 2D quasi-Newton root find seeded by a coarse grid
-    Newton solve otherwise.  Integration runs at tolerance 1e-12 and the
-    boundary defect must end at most BC_TOL.
+    r = radius, by Newton's method seeded from a coarse grid Newton solve.
+    Each iteration integrates the radial system with its variational
+    equations, so the 2x2 boundary Jacobian is exact.  An iterate whose
+    trajectory escapes halves its step, at most NEWTON_HALVINGS times.
+    Newton stops when the boundary defect or the relative step is at most
+    SHOOTING_TOL; a final integration at tolerance 1e-12 must then leave a
+    defect of at most BC_TOL at positive centre values.  Every failure,
+    the seed's included, raises RootFindFailure.
     """
     p, q = exponents.p, exponents.q
-
-    if p == q:
-        bc = lambda a: _bc_values(_integrate_radial(a, a, n_dim, p, q, radius), boundary, radius)[0]
-        a_star = _bracketed_root(bc)
-        center = (a_star, a_star)
-    else:
-        seed = _coarse_center(exponents, n_dim, boundary, radius)
-        func = lambda ab: np.array(
-            _bc_values(_integrate_radial(ab[0], ab[1], n_dim, p, q, radius), boundary, radius)
-        )
-        out = root(func, np.asarray(seed), method="hybr", tol=1e-13)
-        resid = float(np.max(np.abs(func(out.x))))
-        if resid > BC_TOL or min(out.x) <= 0:
+    shoot = lambda x: _integrate_radial(x[0], x[1], n_dim, p, q, radius, variational=True)
+    x = np.array(_coarse_center(exponents, n_dim, boundary, radius))
+    sol = shoot(x)
+    if _escaped(sol, radius):
+        raise RootFindFailure(abs(_bc_values(sol, boundary, radius)[0]))
+    for _ in range(NEWTON_CAP):
+        end = sol.y[:, -1]
+        defect = np.array(_bc_rows(end[:4], boundary))
+        resid = float(np.max(np.abs(defect)))
+        if resid <= SHOOTING_TOL:
+            break
+        jac = np.column_stack([_bc_rows(end[4:8], boundary), _bc_rows(end[8:], boundary)])
+        try:
+            delta = np.linalg.solve(jac, -defect)
+        except np.linalg.LinAlgError:
+            raise RootFindFailure(resid) from None
+        if not np.all(np.isfinite(delta)):
             raise RootFindFailure(resid)
-        center = (float(out.x[0]), float(out.x[1]))
+        if np.max(np.abs(delta)) <= SHOOTING_TOL * np.max(np.abs(x)):
+            x = x + delta
+            break
+        step = 1.0
+        for _ in range(NEWTON_HALVINGS):
+            trial = x + step * delta
+            trial_sol = shoot(trial)
+            if not _escaped(trial_sol, radius):
+                break
+            step /= 2
+        else:
+            raise RootFindFailure(resid)
+        x, sol = trial, trial_sol
+    else:
+        raise RootFindFailure(resid)
+    if min(x) <= 0:
+        raise RootFindFailure(resid)
+    center = (float(x[0]), float(x[1]))
 
     sol = _integrate_radial(center[0], center[1], n_dim, p, q, radius)
     bc_res = float(np.max(np.abs(_bc_values(sol, boundary, radius))))
@@ -595,33 +689,16 @@ def shooting_oracle(
 
 
 def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:
-    """Centre values of a coarse grid Newton solve, seeding the 2D root find.
+    """Centre values of a coarse grid Newton solve, seeding the shooting Newton.
 
-    A symmetric-exponent seed can land in the escape region of the coupled
-    system for skewed (p, q); the coarse discrete solution is already in the
-    right basin.
+    The coarse discrete solution is already in the basin of the positive
+    solution, for skewed (p, q) too.  A seed whose grid cannot be built or
+    whose solve fails is a shooting failure.
     """
-    from .discrete import build_grid, build_laplacian
-    from .problem import ProblemSpec, RadialBall
-
     spec = ProblemSpec(exponents, RadialBall(n_dim, radius), boundary)
-    A = build_laplacian(build_grid(spec.domain, boundary, 96))
-    eq = solve_newton(spec, A, steady_tol=1e-8)
+    try:
+        A = build_laplacian(build_grid(spec.domain, boundary, 96))
+        eq = solve_newton(spec, A, steady_tol=1e-8)
+    except (GridError, EllipticError) as exc:
+        raise RootFindFailure(math.inf) from exc
     return float(eq.pair.u[0]), float(eq.pair.v[0])
-
-
-def _bracketed_root(g: Callable[[float], float]) -> float:
-    """Root of a scalar boundary defect, bracketed by doubling from a = 1."""
-    a = 1.0
-    ga = g(a)
-    if ga == 0.0:
-        return a
-    b, gb = a, ga
-    for _ in range(60):
-        b *= 2.0 if ga > 0 else 0.5
-        gb = g(b)
-        if ga * gb < 0:
-            lo, hi = (a, b) if a < b else (b, a)
-            return brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16)
-        a, ga = b, gb
-    raise RootFindFailure(abs(gb))

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholdlab import (
     BoundarySpec,
     ExponentPair,
     FieldPair,
+    ProblemSpec,
+    RadialBall,
+    build_grid,
+    build_laplacian,
     integrate,
     residual,
     residual_norm,
@@ -16,11 +22,13 @@ from thresholdlab import (
     solve_newton,
 )
 from thresholdlab.elliptic import (
+    BC_TOL,
+    NEWTON_HALVINGS,
     InvalidBracketError,
     NonPositiveSolutionError,
     RootFindFailure,
+    _bc_rows,
     _bc_values,
-    _bracketed_root,
     _integrate_radial,
     lambda_star,
     signed_power,
@@ -255,9 +263,89 @@ class TestShooting:
         assert _bc_values(sol, BoundarySpec.dirichlet(), 6.0) == (-1e12, -1e12)
         sol = _integrate_radial(1e200, 1e200, 2, 3.0, 3.0, 1.0)    # non-finite start
         assert _bc_values(sol, BoundarySpec.dirichlet(), 1.0) == (-1e12, -1e12)
-        # a defect that only ever escapes brackets no root: the root find fails
+
+    def test_escaping_defect_fails_the_oracle(self, monkeypatch):
+        # a defect that only ever escapes gives Newton no step to take
+        import thresholdlab.elliptic as el
+
+        monkeypatch.setattr(el, "_coarse_center", lambda *args: (1e50, 1e50))
         with pytest.raises(RootFindFailure):
-            _bracketed_root(lambda a: -1e12)
+            shooting_oracle(ExponentPair(3.0, 3.0), 2, BoundarySpec.dirichlet())
+
+        # a seed that integrates, but every Newton trial escapes: the step
+        # halves NEWTON_HALVINGS times, then the oracle gives up
+        calls = []
+        integrate = el._integrate_radial
+
+        def escape_after_seed(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return integrate(*args, **kwargs)
+            return integrate(1e200, 1e200, *args[2:], **kwargs)
+
+        monkeypatch.setattr(el, "_coarse_center", lambda *args: (5.0, 5.0))
+        monkeypatch.setattr(el, "_integrate_radial", escape_after_seed)
+        with pytest.raises(RootFindFailure):
+            shooting_oracle(ExponentPair(3.0, 3.0), 2, BoundarySpec.dirichlet())
+        assert len(calls) == 1 + NEWTON_HALVINGS
+
+    @pytest.mark.parametrize("p, q", [(3.3, 3.5), (3.5, 3.3), (3.5, 3.5)])
+    def test_large_exponents_on_the_ball(self, p, q):
+        # the coarse seed needs solve_newton's anchored restart here
+        oracle = shooting_oracle(ExponentPair(p, q), 3, BoundarySpec.dirichlet())
+        assert oracle.bc_residual <= BC_TOL
+        A = build_laplacian(build_grid(RadialBall(3, 1.0), BoundarySpec.dirichlet(), 512))
+        eq = solve_newton(ProblemSpec(ExponentPair(p, q), RadialBall(3, 1.0)), A)
+        ref = oracle.to_pair(A.grid)
+        assert np.max(np.abs(eq.pair.u - ref.u)) / oracle.sup_u <= 1e-4
+        assert np.max(np.abs(eq.pair.v - ref.v)) / oracle.sup_v <= 1e-4
+
+    # perfbench's steady-sweep pairs at seed 0 (disk, then 3-ball)
+    SWEEP_PAIRS = [
+        (2, 2.913, 1.638), (2, 1.968, 2.186), (2, 1.974, 1.738), (2, 3.105, 3.216),
+        (3, 3.264, 2.736), (3, 1.596, 1.813), (3, 3.021, 2.615), (3, 1.633, 2.355),
+    ]
+
+    @pytest.mark.parametrize("n_dim, p, q", SWEEP_PAIRS)
+    def test_few_integrations_per_call(self, monkeypatch, n_dim, p, q):
+        # seed, two or three Newton iterations and the final integration
+        import thresholdlab.elliptic as el
+
+        calls = []
+        integrate = el._integrate_radial
+        monkeypatch.setattr(el, "_integrate_radial",
+                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
+        oracle = shooting_oracle(ExponentPair(p, q), n_dim, BoundarySpec.dirichlet())
+        assert oracle.bc_residual <= BC_TOL
+        assert len(calls) <= 6
+
+
+def _shooting_problems():
+    boundary = st.one_of(
+        st.just(BoundarySpec.dirichlet()),
+        st.floats(0.5, 5.0).map(BoundarySpec.robin),
+    )
+    return st.tuples(st.floats(1.5, 3.5), st.floats(1.5, 3.5), st.sampled_from([2, 3]), boundary)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(_shooting_problems())
+def test_shooting_newton_property(problem):
+    """The oracle converges, and its variational Jacobian is the defect's derivative."""
+    p, q, n_dim, boundary = problem
+    oracle = shooting_oracle(ExponentPair(p, q), n_dim, boundary)
+    assert oracle.bc_residual <= BC_TOL
+    a, b = oracle.center
+    assert a > 0 and b > 0
+
+    end = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=True).y[:, -1]
+    jac = np.column_stack([_bc_rows(end[4:8], boundary), _bc_rows(end[8:], boundary)])
+    defect = lambda a, b: np.array(_bc_values(_integrate_radial(a, b, n_dim, p, q, 1.0),
+                                              boundary, 1.0))
+    h = 1e-5 * max(a, b)
+    fd = np.column_stack([(defect(a + h, b) - defect(a - h, b)) / (2 * h),
+                          (defect(a, b + h) - defect(a, b - h)) / (2 * h)])
+    np.testing.assert_allclose(jac, fd, rtol=0, atol=1e-6 * np.max(np.abs(jac)))
 
 
 class TestResidualNorm:

@@ -278,6 +278,16 @@ class TestCli:
         assert payload["outcome"] == "steady"
         assert payload["residual_norm"] <= 1e-10
 
+    @pytest.mark.parametrize("p, q", [("3.3", "3.5"), ("3.5", "3.3"), ("3.5", "3.5")])
+    def test_steady_large_exponents_on_the_ball(self, p, q, tmp_path, capsys):
+        # the eigenvector pre-scan alone stalls here at every resolution
+        for n in ("32", "96", "512"):
+            code = main(["steady", "--dim", "3", "--p", p, "--q", q, "--resolution", n,
+                         "--out", str(tmp_path / n)])
+            assert code == 0
+            payload = json.loads((tmp_path / n / "result.json").read_text())
+            assert payload["residual_norm"] <= 1e-10
+
     def test_evolve_decay(self, tmp_path, capsys):
         code = main([
             "evolve", "--alpha", "0.5", "--resolution", "64",
@@ -495,6 +505,15 @@ class TestCliErrorPaths:
     def test_high_dimension_in_float_range_solves(self, tmp_path, capsys):
         assert main(["steady", "--dim", "100", "--resolution", "16",
                      "--out", str(tmp_path)]) == 0
+
+    def test_unbuildable_shooting_seed_is_numerical_failure(self, tmp_path, capsys):
+        # the grids build, but the shooting oracle's 96-node seed grid does not
+        code = main(["verify", "--dim", "342", "--radius", "6", "--resolutions", "4,5",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "shooting root find failed" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_bracket_failing_after_probes_is_usage_error(self, tmp_path, capsys):
         code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",

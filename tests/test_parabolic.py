@@ -307,11 +307,9 @@ def test_data_inside_decay_cone_decays(p, q, name, seed, fill):
     assert record.squeeze_high <= 0.0
 
 
-# solve_newton's own seed misses the 3-ball equilibrium when both exponents
-# are near 3.5 (p, q = 3.3, 3.5 and 3.5, 3.5 fail), so the runs that need an
-# equilibrium draw their exponents below 3.3
 @_cone_settings
-@given(p=st.floats(1.5, 3.2), q=st.floats(1.5, 3.2), name=st.sampled_from(sorted(_CONE_GRIDS)))
+@given(p=_EXPONENT, q=_EXPONENT, name=st.sampled_from(sorted(_CONE_GRIDS)))
+@example(p=3.5, q=3.5, name="ball")
 def test_runs_above_equilibrium_never_enter_decay_cone(p, q, name):
     """Runs from alpha (U, V), alpha > 1, are not classified by the cone.
 
