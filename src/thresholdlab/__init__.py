@@ -31,7 +31,6 @@ from .discrete import (
     build_grid,
     build_laplacian,
     integrate,
-    interval_grid,
     solve_shifted,
 )
 from .elliptic import (

@@ -15,11 +15,10 @@ Supported grids:
     Robin keeps it and encodes du/dn + beta*u = 0 through the boundary flux.
   * rectangle: uniform tensor grid, interior nodes, 5-point stencil,
     Dirichlet only.
-  * interval: 1D debug geometry, not part of the public problem types.
 
 Shifted solves (sigma I + A) x = b never factorise a matrix: each operator
-sets up a solve once that takes sigma as an argument.  Radial and interval
-operators are tridiagonal and use a banded symmetric solve; the Dirichlet
+sets up a solve once that takes sigma as an argument.  Radial operators
+are tridiagonal and use a banded symmetric solve; the Dirichlet
 rectangle is diagonalised by the type-I discrete sine transform along each
 axis (the fast Poisson solver of Buzbee, Golub & Nielson, 1970), so sigma
 only shifts the known eigenvalues.
@@ -44,7 +43,6 @@ __all__ = [
     "FieldPair",
     "build_grid",
     "build_laplacian",
-    "interval_grid",
     "solve_shifted",
     "integrate",
     "GridError",
@@ -74,12 +72,12 @@ class Grid:
     plain cell areas of the interior nodes.
     """
 
-    geometry: str                 # "radial" | "rectangle" | "interval"
+    geometry: str                 # "radial" | "rectangle"
     dimension: int
     boundary: BoundarySpec
     resolution: tuple[int, ...]
     h: tuple[float, ...]
-    coords: np.ndarray            # (m,) radii for radial/interval, (m,2) for rectangle
+    coords: np.ndarray            # (m,) radii for radial, (m,2) for rectangle
     center_dist: np.ndarray       # distance of each node to the domain centre
     weights: np.ndarray
     domain: Optional[DomainSpec] = None
@@ -263,27 +261,6 @@ def _rectangle_grid(domain: Rectangle, boundary: BoundarySpec, nx: int, ny: int)
     )
 
 
-def interval_grid(length: float, resolution: int) -> Grid:
-    """1D Dirichlet interval (0, length): internal debug geometry.
-
-    Used for stencil arithmetic checks only; never produced from a
-    DomainSpec and excluded from theorem-level runs.
-    """
-    n = _check_resolution(resolution)
-    h = length / n
-    x = np.arange(1, n) * h
-    return Grid(
-        geometry="interval",
-        dimension=1,
-        boundary=BoundarySpec.dirichlet(),
-        resolution=(n,),
-        h=(h,),
-        coords=x,
-        center_dist=np.abs(x - length / 2),
-        weights=np.full(n - 1, h),
-    )
-
-
 def build_laplacian(grid: Grid) -> DiscreteLaplacian:
     """Assemble the stiffness matrix K for -Lap on the grid.
 
@@ -295,8 +272,6 @@ def build_laplacian(grid: Grid) -> DiscreteLaplacian:
     """
     if grid.geometry == "radial":
         K = _radial_stiffness(grid)
-    elif grid.geometry == "interval":
-        K = _interval_stiffness(grid)
     elif grid.geometry == "rectangle":
         K = _rectangle_stiffness(grid)
     else:
@@ -323,14 +298,6 @@ def _radial_stiffness(grid: Grid) -> sp.csr_matrix:
     else:
         # coupling to the eliminated boundary value through the face at R - h/2
         diag[-1] += sigma * ((n - 0.5) * h) ** (N - 1) / h
-    return sp.diags([-a, diag, -a], [-1, 0, 1], format="csr")
-
-
-def _interval_stiffness(grid: Grid) -> sp.csr_matrix:
-    (h,) = grid.h
-    m = grid.size
-    a = np.full(m - 1, 1.0 / h)
-    diag = np.full(m, 2.0 / h)
     return sp.diags([-a, diag, -a], [-1, 0, 1], format="csr")
 
 
@@ -382,8 +349,8 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     """Solve (sigma*I + A) x = rhs to relative residual <= 1e-12.
 
     sigma >= 0 keeps the system positive definite.  rhs may be (m,) or
-    (m, k) for multiple right-hand sides.  Nothing is factorised: radial and
-    interval operators solve the tridiagonal system sigma*W + K with a banded
+    (m, k) for multiple right-hand sides.  Nothing is factorised: radial
+    operators solve the tridiagonal system sigma*W + K with a banded
     symmetric solver, the Dirichlet rectangle applies DST-I along both axes
     and divides by the shifted eigenvalues.  One step of iterative refinement
     follows if the first solve misses the contract.

@@ -160,20 +160,21 @@ class Equilibrium:
             raise NonPositiveSolutionError(self.pair, self.residual_norm)
 
 
+def _steady_rhs(spec: ProblemSpec, grid: Grid, pair: FieldPair) -> tuple[np.ndarray, np.ndarray]:
+    """(|v|^(p-1)v + lam f, |u|^(q-1)u + lam g), what (A u, A v) equals at a steady state."""
+    fu, gv = forcing_arrays(spec, grid)
+    return signed_power(pair.v, spec.p) + fu, signed_power(pair.u, spec.q) + gv
+
+
 def residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> FieldPair:
     """Residual fields (A u - |v|^(p-1)v - lam f, A v - |u|^(q-1)u - lam g)."""
-    p, q = spec.p, spec.q
-    fu, gv = forcing_arrays(spec, A.grid)
-    ru = A.apply(pair.u) - signed_power(pair.v, p) - fu
-    rv = A.apply(pair.v) - signed_power(pair.u, q) - gv
-    return FieldPair(ru, rv, A.grid)
+    bu, bv = _steady_rhs(spec, A.grid, pair)
+    return FieldPair(A.apply(pair.u) - bu, A.apply(pair.v) - bv, A.grid)
 
 
 def residual_norm(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> float:
     """Relative weighted-L2 residual norm; see the module docstring."""
-    p, q = spec.p, spec.q
-    fu, gv = forcing_arrays(spec, A.grid)
-    return relative_residual(A, pair, signed_power(pair.v, p) + fu, signed_power(pair.u, q) + gv)
+    return relative_residual(A, pair, *_steady_rhs(spec, A.grid, pair))
 
 
 def relative_residual(

@@ -23,6 +23,12 @@ def disk_spec(p=3.0, q=3.0, lam=0.0, beta=None):
     return ProblemSpec(ExponentPair(p, q), RadialBall(2, 1.0), boundary, forcing)
 
 
+def assert_passed(checks):
+    """Fail with the line of every failing check: its name, measured value and detail."""
+    failed = [c.line() for c in checks if not c.passed]
+    assert not failed, "\n".join(failed)
+
+
 _operator_cache = {}
 
 
@@ -60,8 +66,8 @@ def forced2_family():
     """Forced disk problem p=q=2, f=g=1: extremal-scale bracket plus the
     minimal and second solutions at half the lower bracket end (n=256).
 
-    ``second`` is None if the deflated solve fails to find it; dependent
-    tests then fall back or skip rather than error."""
+    ``second`` is None if the deflated solve fails to find it; criterion 7
+    then fails and the other dependent tests skip rather than error."""
     from thresholdlab.elliptic import EllipticError
 
     A = disk_operator(256)

@@ -16,22 +16,29 @@ from thresholdlab import (
     IntegratorConfig,
     RadialBall,
     Rectangle,
-    blowup_bound_constant,
     build_grid,
     build_laplacian,
-    energy_monotonicity_violation,
     evolve,
-    evolve_ordered,
-    integrate,
-    interval_grid,
-    solution_pair_identity,
     solve_newton,
 )
 from thresholdlab.lab.cli import main
 from thresholdlab.lab.experiments import threshold_experiment
-from thresholdlab.lab.verify import relaxed_pair
+from thresholdlab.lab.verify import (
+    blowup_checks,
+    bound_margin_check,
+    convergence_checks,
+    decay_checks,
+    duality_check,
+    energy_descent_check,
+    equilibrium_checks,
+    identity_gaps,
+    identity_scaling_check,
+    ordering_check,
+    power_sum_checks,
+    shifted_identity_check,
+)
 
-from conftest import disk_operator
+from conftest import assert_passed, disk_operator
 
 
 def report(criterion: str, detail: str):
@@ -55,83 +62,53 @@ def runs_512(eq3_512, spec3):
 
 def test_criterion_1_power_sum_inequality():
     start = time.time()
-    rng = np.random.default_rng(20240801)
-    n = 1_000_000
-    x = 10 ** rng.uniform(-6, 6, n)
-    y = 10 ** rng.uniform(-6, 6, n)
-    a = rng.uniform(0.0, 1.0, n)
-    live = (a > 0) & (a < 1)
-    lhs = x**a + y**a
-    rhs = 2 ** (1 - a) * (x + y) ** a
-    violations = int(np.sum(lhs[live] > rhs[live] * (1 + 1e-12)))
-    assert violations == 0
-
-    worst_eq = 0.0
-    for t in (1e-6, 1e-2, 1.0, 1e3, 1e6):
-        for aa in (0.1, 0.5, 0.9):
-            l = 2 * t**aa
-            r = 2 ** (1 - aa) * (2 * t) ** aa
-            worst_eq = max(worst_eq, abs(l - r) / r)
-    assert worst_eq <= 1e-14
+    checks = power_sum_checks(20240801)
     elapsed = time.time() - start
+    assert_passed(checks)
     assert elapsed < 5.0
-    report("1", f"0 violations in 1e6 triples, equality gap {worst_eq:.1e}, {elapsed:.2f}s")
+    report("1", f"0 violations in 1e6 triples, equality gap {checks[1].value:.1e}, {elapsed:.2f}s")
 
 
 def test_criterion_2_discrete_duality():
     start = time.time()
-    rng = np.random.default_rng(7)
     grids = [build_grid(RadialBall(2, 1.0), BoundarySpec.dirichlet(), n) for n in (128, 256, 512)]
     grids.append(build_grid(RadialBall(2, 1.0), BoundarySpec.robin(1.0), 256))
     grids.append(build_grid(RadialBall(3, 1.0), BoundarySpec.dirichlet(), 128))
     grids.append(build_grid(Rectangle(1.0, 1.0), BoundarySpec.dirichlet(), (32, 32)))
-    grids.append(interval_grid(1.0, 128))
-    worst = 0.0
-    for grid in grids:
-        A = build_laplacian(grid)
-        for _ in range(100):
-            x = rng.standard_normal(grid.size)
-            y = rng.standard_normal(grid.size)
-            gap = abs(integrate(grid, A.apply(x) * y) - integrate(grid, x * A.apply(y)))
-            worst = max(worst, gap / (np.linalg.norm(x) * np.linalg.norm(y)))
+    checks = duality_check([build_laplacian(g) for g in grids], np.random.default_rng(7), 100,
+                           "criterion 2")
     elapsed = time.time() - start
-    assert worst <= 1e-12
+    assert_passed(checks)
     assert elapsed < 5.0
-    report("2", f"worst duality gap {worst:.2e} over {len(grids)} grids x 100 pairs, {elapsed:.2f}s")
+    report("2", f"worst duality gap {checks[0].value:.2e} over {len(grids)} grids x 100 pairs, "
+                f"{elapsed:.2f}s")
 
 
 def test_criterion_3_equilibrium_vs_oracle(spec3, oracle3, eq3_512):
     start = time.time()
-    _, eq512 = eq3_512
-    assert eq512.residual_norm <= 1e-10
-
-    errors = {}
-    for n in (256, 512, 1024):
-        A = disk_operator(n)
-        eq = eq512 if n == 512 else solve_newton(spec3, A)
-        ref = oracle3.to_pair(A.grid)
-        errors[n] = max(
-            np.max(np.abs(eq.pair.u - ref.u)), np.max(np.abs(eq.pair.v - ref.v))
-        ) / oracle3.sup_u
-    assert errors[512] <= 1e-3
-    r1, r2 = errors[256] / errors[512], errors[512] / errors[1024]
-    assert 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0
+    ladder = (256, 512, 1024)
+    checks, errors = [], []
+    for n in ladder:
+        eq = eq3_512[1] if n == 512 else solve_newton(spec3, disk_operator(n))
+        found = equilibrium_checks(eq, oracle3, f"n={n}")
+        checks += found
+        errors.append(found[-1].value)
+    ratios = convergence_checks("equilibrium", ladder, errors)
     elapsed = time.time() - start
+    assert_passed(checks + ratios)
     assert elapsed < 30.0
-    report("3", f"residual {eq512.residual_norm:.1e}, sup error {errors[512]:.2e}, "
-                f"ratios {r1:.2f}/{r2:.2f}, {elapsed:.1f}s")
+    report("3", f"residual {eq3_512[1].residual_norm:.1e}, sup error {errors[1]:.2e}, "
+                f"ratios {ratios[0].value:.2f}/{ratios[1].value:.2f}, {elapsed:.1f}s")
 
 
 def test_criterion_4_threshold(runs_512, spec3):
     start = time.time()
     A, eq = runs_512["A"], runs_512["eq"]
-    decay_outcome, decay_rec = runs_512["decay"]
+    _, decay_rec = runs_512["decay"]
     blow_outcome, _ = runs_512["blow"]
 
-    assert decay_outcome.kind == "decay"
     sup = np.maximum(np.asarray(decay_rec.sup_u), np.asarray(decay_rec.sup_v))
     assert sup[-1] <= 1e-8 * sup[0]
-    assert blow_outcome.kind == "blowup"
     assert blow_outcome.sup_at_stop >= 1e6
     assert math.isfinite(blow_outcome.t_est)
 
@@ -146,42 +123,22 @@ def test_criterion_4_threshold(runs_512, spec3):
     report("4", f"decay/blowup certified, alpha bracket [{lo:.4f}, {hi:.4f}], {elapsed:.1f}s")
 
 
-def test_criterion_5_monotone_and_squeeze(runs_512, spec3):
-    A, eq = runs_512["A"], runs_512["eq"]
-    scale = eq.pair.sup
-    _, decay_rec = runs_512["decay"]
-    _, blow_rec = runs_512["blow"]
-
-    assert decay_rec.max_step_increase <= 1e-10 * scale
-    assert decay_rec.squeeze_low >= -1e-10 * scale
-    assert decay_rec.squeeze_high <= 1e-10 * scale
-    assert blow_rec.max_step_decrease >= -1e-10 * scale
-
-    rng = np.random.default_rng(99)
-    coarse = disk_operator(128)
-    eq_coarse = solve_newton(spec3, coarse)
-    violations = 0
-    for _ in range(10):
-        a = rng.uniform(0.05, 0.8)
-        b = a + rng.uniform(0.05, 0.7)
-        rep = evolve_ordered(
-            spec3, coarse, eq_coarse.pair.scaled(a), eq_coarse.pair.scaled(b),
-            IntegratorConfig(t_max=2.0),
-        )
-        violations += 0 if rep.ok else 1
-    assert violations == 0
-    report("5", f"per-step monotone/squeeze within 1e-10*scale, 0/10 ordering violations")
+def test_criterion_5_monotone_and_squeeze(runs_512, eq3_128, spec3):
+    scale = runs_512["eq"].pair.sup
+    checks = decay_checks(*runs_512["decay"], scale, "n=512")
+    checks += blowup_checks(*runs_512["blow"], scale, "n=512")
+    checks += ordering_check(spec3, *eq3_128, np.random.default_rng(99))
+    assert_passed(checks)
+    report("5", "per-step monotone/squeeze bounds hold, 0/10 ordering violations")
 
 
 def test_criterion_6_energy_machinery(runs_512, eq3_128, spec3):
-    A = runs_512["A"]
     _, decay_rec = runs_512["decay"]
     _, blow_rec = runs_512["blow"]
-
-    for rec in (decay_rec, blow_rec):
-        tol_e = 1e-8 * max(1.0, abs(rec.energy[0]))
-        assert energy_monotonicity_violation(rec) <= tol_e
-        assert np.all(np.asarray(rec.energy) <= rec.energy[0] + tol_e)
+    checks = energy_descent_check(decay_rec, "decay", "n=512")
+    checks += energy_descent_check(blow_rec, "blowup", "n=512")
+    checks += bound_margin_check(blow_rec, "n=512")
+    assert_passed(checks)
 
     A128, eq128 = eq3_128
     t_check = 0.005
@@ -195,66 +152,24 @@ def test_criterion_6_energy_machinery(runs_512, eq3_128, spec3):
 
     ratio = residual_at(1e-3) / residual_at(5e-4)
     assert 2.0 * 0.7 <= ratio <= 2.0 * 1.3
-
-    arrays = blow_rec.arrays()
-    c = blowup_bound_constant(spec3.exponents, A.grid.volume)
-    margin = arrays["dphi_lhs"] - arrays["bound_rhs"]
-    allowance = np.abs(arrays["dphi_lhs"] - arrays["dphi_rhs"]) + 1e-9 * (1 + np.abs(arrays["bound_rhs"]))
-    assert np.all(margin >= -allowance)
     report("6", f"energy descent ok, identity ratio {ratio:.2f}, "
-                f"bound margin >= {float(np.min(margin)):.3g} (C={c:.4f})")
+                f"bound margin plus allowance >= {checks[-1].value:.3g}")
 
 
 def test_criterion_7_pair_identity(forced2_family):
     fam = forced2_family
     A = fam["A"]
-    grid = A.grid
-    exponents = fam["template"].exponents
     shift = fam["minimal"].pair
-    steady_tol = 1e-10
-
-    if fam["second"] is None:
-        # fallback: the trivial pair satisfies the identity exactly and a
-        # perturbed pair is detected with the ordered signs
-        zero = FieldPair.zeros(grid)
-        _, _, gap0 = solution_pair_identity(
-            grid, A, zero, zero, exponents, shift=shift, steady_tol=1e-7
-        )
-        assert gap0 == 0.0
-        bump = FieldPair(zero.u + 0.1, zero.v + 0.1, grid)
-        lhs, rhs, gap = solution_pair_identity(
-            grid, A, zero, bump, exponents, shift=shift, steady_tol=math.inf
-        )
-        assert gap > 1e-6
-        report("7", f"second solution not found; fallback controls pass (gap {gap:.2e})")
-        return
-
-    d_second = FieldPair(
-        fam["second"].pair.u - shift.u, fam["second"].pair.v - shift.v, grid
-    )
-    lhs, rhs, gap = solution_pair_identity(
-        grid, A, d_second, d_second, exponents, shift=shift, steady_tol=1e-7
-    )
-    scale = fam["second"].pair.sup
-    assert gap <= 10 * steady_tol * scale
-
+    # like verify's minimal-dominance check, a missing second solution fails
+    assert fam["second"] is not None, "deflated Newton found no second solution"
+    second = fam["second"].pair
+    checks = shifted_identity_check(fam["spec_low"], A, shift, second, "n=256")
     # identity residual scales linearly with the equilibrium residual
-    spec_low = fam["spec_low"]
-    tight = fam["second"]
-    xs, ys = [], []
-    for target in (1e-4, 1e-6, 1e-8):
-        relaxed, rn = relaxed_pair(spec_low, A, tight.pair, target)
-        d_relaxed = FieldPair(relaxed.u - shift.u, relaxed.v - shift.v, grid)
-        _, _, g = solution_pair_identity(
-            grid, A, d_relaxed, d_second, exponents, shift=shift,
-            steady_tol=10 * max(rn, 1e-16),
-        )
-        xs.append(rn)
-        ys.append(max(g, 1e-18))
-    slope = float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
-    assert math.log10(xs[0] / xs[-1]) >= 3.0
-    assert 0.7 <= slope <= 1.3
-    report("7", f"identity gap {gap:.2e} <= {10 * steady_tol * scale:.1e}, slope {slope:.2f}")
+    checks += identity_scaling_check(
+        *identity_gaps(fam["spec_low"], A, second, (1e-4, 1e-6, 1e-8), shift=shift)
+    )
+    assert_passed(checks)
+    report("7", f"identity gap {checks[0].value:.2e}, slope {checks[1].value:.2f}")
 
 
 def test_criterion_8_extremal_forcing_scale(forced2_family):

@@ -14,10 +14,12 @@ from thresholdlab import (
     build_grid,
     build_laplacian,
     integrate,
-    interval_grid,
     solve_shifted,
 )
 from thresholdlab.discrete import DiscreteLaplacian, GridError, LinearSolveError
+from thresholdlab.lab.verify import duality_check
+
+from conftest import assert_passed
 
 DIRICHLET = BoundarySpec.dirichlet()
 DISK = RadialBall(2, 1.0)
@@ -76,7 +78,6 @@ class TestBuildGrid:
             build_grid(DISK, DIRICHLET, 64),
             build_grid(DISK, BoundarySpec.robin(2.0), 64),
             build_grid(Rectangle(1.0, 2.0), DIRICHLET, (8, 16)),
-            interval_grid(1.0, 16),
         ):
             assert np.all(grid.weights > 0)
 
@@ -96,27 +97,14 @@ class TestBuildGrid:
 
 
 class TestOperator:
-    def test_interval_debug_stencil(self):
-        grid = interval_grid(1.0, 4)  # h = 0.25, interior nodes at 0.25, 0.5, 0.75
-        A = build_laplacian(grid)
-        u = np.array([1.0, 2.0, 1.0])
-        assert A.apply(u)[1] == pytest.approx((2 * 2 - 1 - 1) / 0.25**2)
-
     def test_duality_all_grids(self, rng):
         grids = [
             build_grid(DISK, DIRICHLET, 128),
             build_grid(DISK, BoundarySpec.robin(1.0), 128),
             build_grid(RadialBall(3, 1.0), DIRICHLET, 96),
             build_grid(Rectangle(1.0, 1.0), DIRICHLET, (24, 24)),
-            interval_grid(1.0, 64),
         ]
-        for grid in grids:
-            A = build_laplacian(grid)
-            for _ in range(20):
-                x = rng.standard_normal(grid.size)
-                y = rng.standard_normal(grid.size)
-                gap = abs(integrate(grid, A.apply(x) * y) - integrate(grid, x * A.apply(y)))
-                assert gap <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(y)
+        assert_passed(duality_check([build_laplacian(g) for g in grids], rng, 20, "unit"))
 
     def test_m_matrix_structure(self):
         for grid in (

@@ -33,8 +33,9 @@ from thresholdlab.elliptic import (
     lambda_star,
     signed_power,
 )
+from thresholdlab.lab.verify import convergence_checks, equilibrium_checks
 
-from conftest import disk_operator, disk_spec
+from conftest import assert_passed, disk_operator, disk_spec
 
 
 class TestResidual:
@@ -95,10 +96,7 @@ class TestNewton:
         np.testing.assert_allclose(eq.pair.u, eq.pair.v, rtol=1e-8)
 
     def test_matches_shooting_oracle(self, eq3_128, oracle3):
-        A, eq = eq3_128
-        ref = oracle3.to_pair(A.grid)
-        gap = np.max(np.abs(eq.pair.u - ref.u)) / oracle3.sup_u
-        assert gap <= 1e-3
+        assert_passed(equilibrium_checks(eq3_128[1], oracle3, "n=128"))
 
     def test_scaled_pair_is_strict_supersolution(self, eq3_128, spec3):
         # alpha*(U,V) with alpha < 1: A(alpha U) - (alpha V)^p > 0 nodewise
@@ -227,13 +225,11 @@ class TestShooting:
         assert abs(u[0]) <= 1e-10 and abs(v[0]) <= 1e-10
 
     def test_grid_refinement_toward_oracle(self, spec3, oracle3):
-        errs = []
+        checks, errs = [], []
         for n in (128, 256):
-            A = disk_operator(n)
-            eq = solve_newton(spec3, A)
-            ref = oracle3.to_pair(A.grid)
-            errs.append(np.max(np.abs(eq.pair.u - ref.u)) / oracle3.sup_u)
-        assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
+            checks += equilibrium_checks(solve_newton(spec3, disk_operator(n)), oracle3, f"n={n}")
+            errs.append(checks[-1].value)
+        assert_passed(checks + convergence_checks("equilibrium", (128, 256), errs))
 
     def test_robin_boundary_condition(self, robin3):
         oracle = robin3["oracle"]

@@ -5,10 +5,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from thresholdlab import FieldPair, IntegratorConfig, evolve, interval_grid
+from thresholdlab import (
+    BoundarySpec,
+    DiscreteLaplacian,
+    FieldPair,
+    IntegratorConfig,
+    Outcome,
+    RadialBall,
+    build_grid,
+    evolve,
+)
 from thresholdlab.analysis import TrajectoryRecord
 from thresholdlab.lab import (
     ConfigError,
@@ -25,6 +35,12 @@ from thresholdlab.lab.io import (
     result_json_text,
     save_snapshot,
     trajectory_csv_text,
+)
+from thresholdlab.lab.verify import (
+    convergence_checks,
+    decay_checks,
+    duality_check,
+    identity_scaling_check,
 )
 from thresholdlab.problem import ExponentPair
 
@@ -155,7 +171,7 @@ _HEADER_VALUE = st.from_regex(r"[!-~]([ !-~]{0,10}[!-~])?", fullmatch=True)
        header=st.dictionaries(_HEADER_KEY, _HEADER_VALUE, max_size=6))
 def test_snapshot_roundtrip_property(data, resolution, header, tmp_path_factory):
     """save_snapshot then load_snapshot gives back every bit of u, v and the header."""
-    grid = interval_grid(1.0, resolution)
+    grid = build_grid(RadialBall(2, 1.0), BoundarySpec.dirichlet(), resolution)
     values = st.lists(_FINITE, min_size=grid.size, max_size=grid.size)
     pair = FieldPair(np.array(data.draw(values)), np.array(data.draw(values)), grid)
     path = tmp_path_factory.mktemp("snap") / "state.snap"
@@ -486,9 +502,11 @@ class TestCliErrorPaths:
         (["evolve", "--dim", "340", "--resolution", "16"], "dimension 340"),
         (["verify", "--dim", "341", "--resolutions", "16,32"], "dimension 341"),
         (["steady", "--dim", "400", "--resolution", "16"], "dimension 400"),
+        (["verify", "--resolutions", "96,96"], "96"),
     ])
     def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
         import thresholdlab.lab.cli as cli
+        import thresholdlab.lab.verify as verify
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the input was checked")
@@ -496,6 +514,8 @@ class TestCliErrorPaths:
         for name in ("solve_newton", "solve_monotone", "evolve", "verify_suite"):
             if not (name == "verify_suite" and argv[0] == "verify"):
                 monkeypatch.setattr(cli, name, no_solve)
+        for name in ("shooting_oracle", "solve_newton"):
+            monkeypatch.setattr(verify, name, no_solve)
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--out", "run"]) == 1
         err = capsys.readouterr().err
@@ -621,6 +641,35 @@ class TestVerifySuite:
 
         with pytest.raises(ValueError):
             verify_suite(resolutions=(48,), spec=disk_spec(3.0, 3.0, lam=1.0))
+
+
+def _bumped_operator():
+    A = disk_operator(32)
+    K = sp.lil_matrix(A.K)
+    K[0, 1] += 1e-3
+    return DiscreteLaplacian(grid=A.grid, K=K.tocsr(), boundary=A.boundary)
+
+
+def _decay_run(**extrema):
+    return Outcome.decay(1.0), TrajectoryRecord(ExponentPair(3.0, 3.0), 1.0, **extrema)
+
+
+#: A deliberately broken input for each check the acceptance gate shares with
+#: verify, by the name of the one check that must fail on it.
+_BROKEN = {
+    "duality [x]": lambda: duality_check([_bumped_operator()], np.random.default_rng(0), 1, "x"),
+    "squeeze [x]": lambda: decay_checks(*_decay_run(squeeze_high=2e-10), 1.0, "x"),
+    "positivity [x]": lambda: decay_checks(*_decay_run(squeeze_low=-2e-12), 1.0, "x"),
+    "equilibrium-convergence [128->256]":  # first order: error ratio 2, not 4
+        lambda: convergence_checks("equilibrium", (128, 256), [2e-3, 1e-3]),
+    "identity-residual-scaling":  # gap quadratic in the residual: slope 2
+        lambda: identity_scaling_check([1e-4, 1e-6, 1e-8], [1e-8, 1e-12, 1e-16]),
+}
+
+
+@pytest.mark.parametrize("failing", list(_BROKEN))
+def test_shared_check_fails_on_broken_input(failing):
+    assert [c.name for c in _BROKEN[failing]() if not c.passed] == [failing]
 
 
 class TestVerifyCli:
