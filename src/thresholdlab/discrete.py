@@ -240,6 +240,11 @@ def _radial_grid(domain: RadialBall, boundary: BoundarySpec, n: int) -> Grid:
 
 def _rectangle_grid(domain: Rectangle, boundary: BoundarySpec, nx: int, ny: int) -> Grid:
     hx, hy = domain.lx / nx, domain.ly / ny
+    with np.errstate(divide="ignore", over="ignore"):   # sides near the float range
+        scales = np.array([hx * hy, *(1.0 / np.square([hx, hy]))])   # what K is built from
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise GridError(f"rectangle {domain.lx:g} x {domain.ly:g} is out of range at resolution "
+                        f"({nx}, {ny}): hx*hy, 1/hx^2 or 1/hy^2 is not a positive finite float")
     x = np.arange(1, nx) * hx
     y = np.arange(1, ny) * hy
     X, Y = np.meshgrid(x, y, indexing="ij")
@@ -315,7 +320,10 @@ def _banded_solve(band: np.ndarray, w: np.ndarray, sigma: float, b: np.ndarray) 
     """Tridiagonal route: K in lower-banded storage, shifted by sigma*w per call."""
     ab = band.copy()
     ab[0] += sigma * w
-    return solveh_banded(ab, w[:, None] * b, lower=True)
+    try:
+        return solveh_banded(ab, w[:, None] * b, lower=True)
+    except np.linalg.LinAlgError as exc:   # e.g. a Robin beta near 0 with sigma = 0
+        raise LinearSolveError(f"operator singular to float precision: {exc}", np.inf) from exc
 
 
 def _rectangle_eigenvalues(grid: Grid) -> np.ndarray:

@@ -18,7 +18,7 @@ would make an absolute 1e-10 unreachable on fine grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,7 +67,6 @@ __all__ = [
 DEFAULT_STEADY_TOL = 1e-10
 NEWTON_CAP = 50
 NEWTON_HALVINGS = 30
-ANCHOR_EXPONENTS = ExponentPair(3.0, 3.0)
 M_BIG = 1e8
 MONOTONE_CAP = 10_000
 BC_TOL = 1e-10
@@ -79,9 +78,11 @@ class EllipticError(RuntimeError):
 
 
 class MaxIterationsError(EllipticError):
-    def __init__(self, best_residual: float, iterations: int):
+    def __init__(self, best_residual: float, iterations: int, stalled: bool = False):
+        why = "line search found no decrease" if stalled else "iteration cap reached"
         super().__init__(
-            f"no convergence in {iterations} iterations (best residual {best_residual:.3e})"
+            f"no convergence in {iterations} iterations: {why} "
+            f"(best residual {best_residual:.3e})"
         )
         self.best_residual = best_residual
 
@@ -160,21 +161,21 @@ class Equilibrium:
             raise NonPositiveSolutionError(self.pair, self.residual_norm)
 
 
-def _steady_rhs(spec: ProblemSpec, grid: Grid, pair: FieldPair) -> tuple[np.ndarray, np.ndarray]:
-    """(|v|^(p-1)v + lam f, |u|^(q-1)u + lam g), what (A u, A v) equals at a steady state."""
-    fu, gv = forcing_arrays(spec, grid)
-    return signed_power(pair.v, spec.p) + fu, signed_power(pair.u, spec.q) + gv
+def _steady_residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair):
+    """_residual_parts at (bu, bv) = (|v|^(p-1)v + lam f, |u|^(q-1)u + lam g), the steady system."""
+    fu, gv = forcing_arrays(spec, A.grid)
+    return _residual_parts(A, pair, signed_power(pair.v, spec.p) + fu,
+                           signed_power(pair.u, spec.q) + gv)
 
 
 def residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> FieldPair:
     """Residual fields (A u - |v|^(p-1)v - lam f, A v - |u|^(q-1)u - lam g)."""
-    bu, bv = _steady_rhs(spec, A.grid, pair)
-    return FieldPair(A.apply(pair.u) - bu, A.apply(pair.v) - bv, A.grid)
+    return _steady_residual(spec, A, pair)[0]
 
 
 def residual_norm(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> float:
     """Relative weighted-L2 residual norm; see the module docstring."""
-    return relative_residual(A, pair, *_steady_rhs(spec, A.grid, pair))
+    return _steady_residual(spec, A, pair)[2]
 
 
 def relative_residual(
@@ -185,12 +186,17 @@ def relative_residual(
     The one relative residual of the steady systems: (bu, bv) holds the
     reaction plus forcing terms of whichever system ``pair`` should solve.
     """
+    return _residual_parts(A, pair, bu, bv)[2]
+
+
+def _residual_parts(A, pair, bu, bv) -> tuple[FieldPair, float, float]:
+    """Residual fields (A u - bu, A v - bv), their raw weighted-L2 norm and relative_residual."""
     grid = A.grid
     ru = A.apply(pair.u) - bu
     rv = A.apply(pair.v) - bv
     raw = math.sqrt(integrate(grid, ru**2) + integrate(grid, rv**2))
     scale = 1.0 + math.sqrt(integrate(grid, bu**2) + integrate(grid, bv**2))
-    return raw / scale
+    return FieldPair(ru, rv, grid), raw, raw / scale
 
 
 def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
@@ -220,12 +226,14 @@ def _amplitude_prescan(spec, A, shape: np.ndarray, lam1: float) -> FieldPair:
     grid = A.grid
     c_u, c_v = _amplitudes(spec, lam1)
     best_t, best_val = None, math.inf
-    for t in np.geomspace(1e-2, 1e2, 120):
-        pair = FieldPair(t * c_u * shape, t * c_v * shape, grid)
-        r = residual(spec, A, pair)
-        val = math.sqrt(integrate(grid, r.u**2) + integrate(grid, r.v**2)) / t
-        if val < best_val:
-            best_t, best_val = t, val
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in np.geomspace(1e-2, 1e2, 120):
+            pair = FieldPair(t * c_u * shape, t * c_v * shape, grid)
+            val = _steady_residual(spec, A, pair)[1] / t
+            if val < best_val:
+                best_t, best_val = t, val
+    if best_t is None:
+        raise EllipticError("amplitude pre-scan found no finite residual")
     return FieldPair(best_t * c_u * shape, best_t * c_v * shape, grid)
 
 
@@ -250,51 +258,37 @@ def solve_newton(
     """Damped Newton on the coupled steady system.
 
     The Jacobian blocks are (A, -diag(p|v|^(p-1)); -diag(q|u|^(q-1)), A).
-    A step is accepted only if the merit (the relative residual norm, times
-    the deflation factor when known solutions are supplied) decreases, with
-    at most NEWTON_HALVINGS backtracking halvings, for at most NEWTON_CAP
-    iterations.  Without a guess the solver seeds itself from an amplitude
-    pre-scan along the principal eigenvector of A.  Where Newton stalls from
-    that seed (it does for p, q near 3.5 on the 3-ball), it starts again from
-    the solution at ANCHOR_EXPONENTS, seeded the same way and rescaled by the
-    ratio of the pre-scan amplitudes c_u, c_v.
+    A step is accepted only if the merit decreases, with at most
+    NEWTON_HALVINGS backtracking halvings, for at most NEWTON_CAP
+    iterations.  The merit is the raw weighted-L2 residual norm (times the
+    deflation factor when known solutions are supplied), which Newton's
+    direction descends; the relative norm falls as the amplitude grows and
+    would accept overshoots.  Convergence is judged by the relative norm
+    against ``steady_tol``.  Without a guess the one seed is an amplitude
+    pre-scan along the principal eigenvector of A.
     """
     known = [e.pair for e in (deflation_against or [])]
     if initial_guess is not None:
         return _newton(spec, A, initial_guess.copy(), known, steady_tol)
     shape = _principal_eigenvector(A)
     lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
-    try:
-        return _newton(spec, A, _amplitude_prescan(spec, A, shape, lam1), known, steady_tol)
-    except MaxIterationsError as stalled:
-        if spec.exponents == ANCHOR_EXPONENTS:
-            raise
-        anchor_spec = replace(spec, exponents=ANCHOR_EXPONENTS)
-        try:
-            anchor = _newton(anchor_spec, A, _amplitude_prescan(anchor_spec, A, shape, lam1),
-                             [], steady_tol).pair
-            (cu, cv), (au, av) = _amplitudes(spec, lam1), _amplitudes(anchor_spec, lam1)
-            seed = FieldPair(anchor.u * (cu / au), anchor.v * (cv / av), A.grid)
-            return _newton(spec, A, seed, known, steady_tol)
-        except MaxIterationsError:
-            raise stalled from None
+    return _newton(spec, A, _amplitude_prescan(spec, A, shape, lam1), known, steady_tol)
 
 
 def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
-    """solve_newton's iteration from the seed ``pair``."""
+    """solve_newton's iteration from the seed ``pair``, one residual evaluation per iterate."""
     grid = A.grid
-    rn = residual_norm(spec, A, pair)
-    cur_merit = rn * _deflation_factor(grid, pair, known)
+    r, raw, rn = _steady_residual(spec, A, pair)
+    merit = raw * _deflation_factor(grid, pair, known)
     best = rn
     p, q = spec.p, spec.q
     m = grid.size
     w = grid.weights
     Aop = sp.diags(1.0 / w) @ A.K
 
-    for _ in range(NEWTON_CAP):
+    for iteration in range(1, NEWTON_CAP + 1):
         if rn <= steady_tol:
             return _finish_newton(spec, A, pair, rn, known, steady_tol)
-        r = residual(spec, A, pair)
         J = sp.bmat(
             [
                 [Aop, sp.diags(-p * np.abs(pair.v) ** (p - 1))],
@@ -309,18 +303,17 @@ def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
         if not np.all(np.isfinite(delta)):
             raise SingularJacobianError("non-finite Newton step")
 
-        step, accepted = 1.0, False
+        step = 1.0
         for _ in range(NEWTON_HALVINGS):
             trial = FieldPair(pair.u + step * delta[:m], pair.v + step * delta[m:], grid)
-            trial_rn = residual_norm(spec, A, trial)   # each iterate's norm once
-            trial_merit = trial_rn * _deflation_factor(grid, trial, known)
-            if trial_merit < cur_merit:
-                pair, rn, cur_merit = trial, trial_rn, trial_merit
-                accepted = True
+            trial_r, trial_raw, trial_rn = _steady_residual(spec, A, trial)
+            trial_merit = trial_raw * _deflation_factor(grid, trial, known)
+            if trial_merit < merit:
+                pair, r, rn, merit = trial, trial_r, trial_rn, trial_merit
                 break
             step /= 2
-        if not accepted:
-            break
+        else:
+            raise MaxIterationsError(best, iteration, stalled=True)
         best = min(best, rn)
 
     if rn <= steady_tol:

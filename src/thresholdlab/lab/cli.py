@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..discrete import GridError, build_grid, build_laplacian, FieldPair
+from ..discrete import GridError, LinearSolveError, build_grid, build_laplacian, FieldPair
 from ..elliptic import EllipticError, InvalidBracketError, solve_monotone, solve_newton
 from ..parabolic import IntegratorConfig, NumericalFailureError, evolve
 from ..problem import validate
@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     except (ConfigError, GridError, InvalidBracketError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NumericalFailureError, EllipticError) as exc:
+    except (NumericalFailureError, EllipticError, LinearSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_FAILURE
 

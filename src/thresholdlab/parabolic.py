@@ -36,7 +36,7 @@ import numpy as np
 
 from .analysis import TrajectoryRecord
 from .discrete import DiscreteLaplacian, FieldPair, solve_shifted
-from .elliptic import _principal_eigenvector, forcing_arrays, signed_power
+from .elliptic import _amplitudes, _principal_eigenvector, forcing_arrays, signed_power
 from .problem import ExponentPair, ProblemSpec
 
 __all__ = [
@@ -171,9 +171,7 @@ def decay_cone(spec: ProblemSpec, A: DiscreteLaplacian) -> tuple[FieldPair, floa
     """
     phi = _principal_eigenvector(A)
     mu = float(np.min(A.apply(phi) / phi))
-    p, q = spec.p, spec.q
-    a = mu ** ((p + 1) / (p * q - 1))
-    b = mu ** ((q + 1) / (p * q - 1))
+    a, b = _amplitudes(spec, mu)
     return FieldPair(CONE_THETA * a * phi, CONE_THETA * b * phi, A.grid), mu
 
 
@@ -231,7 +229,7 @@ def _classify(spec, config, s0, prev_sup, state, change, t, dt, cone=None) -> Op
             and np.all(state.u <= cone.u) and np.all(state.v <= cone.v)):
         return Outcome.decay(t, "cone")
     scale = max(sup, prev_sup)
-    if scale > 0 and change / (dt * scale) <= EPS_STEADY:
+    if dt * scale > 0 and change / (dt * scale) <= EPS_STEADY:   # dt * scale may underflow
         return Outcome.steady(t, state)
     if t >= config.t_max:
         return Outcome.undecided(t)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thresholdlab import (
@@ -11,6 +11,7 @@ from thresholdlab import (
     FieldPair,
     ProblemSpec,
     RadialBall,
+    Rectangle,
     build_grid,
     build_laplacian,
     integrate,
@@ -25,6 +26,7 @@ from thresholdlab.elliptic import (
     BC_TOL,
     NEWTON_HALVINGS,
     InvalidBracketError,
+    MaxIterationsError,
     NonPositiveSolutionError,
     RootFindFailure,
     _bc_rows,
@@ -81,15 +83,52 @@ class TestNewton:
 
     def test_each_iterate_residual_evaluated_once(self, monkeypatch):
         # p = 3, q = 2 on the 512-node disk: 4 full steps, no halvings, so
-        # one norm for the seed and one per accepted trial
+        # after the pre-scan one evaluation for the seed and one per
+        # accepted trial; the accepted trial's fields are the next right-hand side
         import thresholdlab.elliptic as el
 
-        calls = []
-        norm = el.residual_norm
-        monkeypatch.setattr(el, "residual_norm", lambda *a: calls.append(1) or norm(*a))
+        calls, scans = [], []
+        evaluate, prescan = el._steady_residual, el._amplitude_prescan
+
+        def counted_prescan(*args):
+            scans.append(1)
+            seed = prescan(*args)
+            calls.clear()
+            return seed
+
+        monkeypatch.setattr(el, "_steady_residual", lambda *a: calls.append(1) or evaluate(*a))
+        monkeypatch.setattr(el, "_amplitude_prescan", counted_prescan)
         eq = el.solve_newton(disk_spec(3.0, 2.0), disk_operator(512))
         assert eq.residual_norm <= 1e-10
+        assert len(scans) == 1
         assert len(calls) == 5
+
+    def test_prescan_seed_converges_on_the_ball(self):
+        # from this seed the relative residual, which falls as the amplitude
+        # grows, would accept a halved overshoot (centre 11.6 against 6.1)
+        import thresholdlab.elliptic as el
+
+        spec = ProblemSpec(ExponentPair(3.5, 3.5), RadialBall(3, 1.0))
+        A = build_laplacian(build_grid(spec.domain, spec.boundary, 64))
+        shape = el._principal_eigenvector(A)
+        lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
+        eq = el._newton(spec, A, el._amplitude_prescan(spec, A, shape, lam1), [], 1e-10)
+        assert eq.residual_norm <= 1e-10
+        assert eq.pair.u.min() > 0 and eq.pair.v.min() > 0
+
+    def test_iteration_cap_reports_iterations_taken(self, monkeypatch):
+        import thresholdlab.elliptic as el
+
+        monkeypatch.setattr(el, "NEWTON_CAP", 2)   # this solve needs 4 iterations
+        with pytest.raises(MaxIterationsError, match="in 2 iterations: iteration cap reached"):
+            solve_newton(disk_spec(3.0, 2.0), disk_operator(512))
+
+    def test_stalled_line_search_reports_iterations_taken(self, monkeypatch):
+        import thresholdlab.elliptic as el
+
+        monkeypatch.setattr(el, "NEWTON_HALVINGS", 0)   # no trial step at all
+        with pytest.raises(MaxIterationsError, match="in 1 iterations: line search found no"):
+            solve_newton(disk_spec(3.0, 2.0), disk_operator(512))
 
     def test_symmetric_exponents_give_symmetric_pair(self, eq3_128):
         _, eq = eq3_128
@@ -287,7 +326,8 @@ class TestShooting:
 
     @pytest.mark.parametrize("p, q", [(3.3, 3.5), (3.5, 3.3), (3.5, 3.5)])
     def test_large_exponents_on_the_ball(self, p, q):
-        # the coarse seed needs solve_newton's anchored restart here
+        # the oracle's 96-node seed solve reaches these corner pairs only with
+        # the raw residual norm as Newton's merit
         oracle = shooting_oracle(ExponentPair(p, q), 3, BoundarySpec.dirichlet())
         assert oracle.bc_residual <= BC_TOL
         A = build_laplacian(build_grid(RadialBall(3, 1.0), BoundarySpec.dirichlet(), 512))
@@ -314,6 +354,26 @@ class TestShooting:
         oracle = shooting_oracle(ExponentPair(p, q), n_dim, BoundarySpec.dirichlet())
         assert oracle.bc_residual <= BC_TOL
         assert len(calls) <= 6
+
+
+_NEWTON_DOMAINS = {
+    "disk": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 32),
+    "ball": (RadialBall(3, 1.0), BoundarySpec.dirichlet(), 32),
+    "square": (Rectangle(1.0, 1.0), BoundarySpec.dirichlet(), 16),
+    "robin-disk": (RadialBall(2, 1.0), BoundarySpec.robin(1.0), 32),
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(1.5, 3.5), st.floats(1.5, 3.5), st.sampled_from(sorted(_NEWTON_DOMAINS)))
+@example(3.5, 3.5, "ball")
+def test_unseeded_newton_property(p, q, name):
+    """Newton from its own seed reaches the positive solution on every geometry."""
+    domain, boundary, n = _NEWTON_DOMAINS[name]
+    A = build_laplacian(build_grid(domain, boundary, n))
+    eq = solve_newton(ProblemSpec(ExponentPair(p, q), domain, boundary), A)
+    assert eq.residual_norm <= 1e-10
+    assert eq.pair.u.min() > 0 and eq.pair.v.min() > 0
 
 
 def _shooting_problems():

@@ -296,13 +296,22 @@ class TestCli:
 
     @pytest.mark.parametrize("p, q", [("3.3", "3.5"), ("3.5", "3.3"), ("3.5", "3.5")])
     def test_steady_large_exponents_on_the_ball(self, p, q, tmp_path, capsys):
-        # the eigenvector pre-scan alone stalls here at every resolution
+        # corner pairs where a relative-residual merit stalls from the
+        # eigenvector pre-scan at every resolution
         for n in ("32", "96", "512"):
             code = main(["steady", "--dim", "3", "--p", p, "--q", q, "--resolution", n,
                          "--out", str(tmp_path / n)])
             assert code == 0
             payload = json.loads((tmp_path / n / "result.json").read_text())
             assert payload["residual_norm"] <= 1e-10
+
+    def test_steady_skewed_exponents_on_the_ball(self, tmp_path, capsys):
+        # outside [1.5, 3.5]^2, where a relative-residual merit stalls too
+        code = main(["steady", "--dim", "3", "--p", "8", "--q", "2", "--resolution", "64",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "result.json").read_text())
+        assert payload["residual_norm"] <= 1e-10
 
     def test_evolve_decay(self, tmp_path, capsys):
         code = main([
@@ -503,6 +512,8 @@ class TestCliErrorPaths:
         (["verify", "--dim", "341", "--resolutions", "16,32"], "dimension 341"),
         (["steady", "--dim", "400", "--resolution", "16"], "dimension 400"),
         (["verify", "--resolutions", "96,96"], "96"),
+        (["steady", "--geometry", "rect", "--lx", "1e-300", "--resolution", "8"],
+         "rectangle 1e-300"),
     ])
     def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
         import thresholdlab.lab.cli as cli
@@ -534,6 +545,18 @@ class TestCliErrorPaths:
         assert code == 2
         assert "shooting root find failed" in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("argv, code, named", [
+        (["steady", "--lambda", "1e300", "--resolution", "16"], 2, "amplitude pre-scan"),
+        (["steady", "--bc", "robin:1e-300", "--resolution", "16"], 2,
+         "singular to float precision"),
+        # dt * sup underflows to 0; the subnormal state never rounds to 0 either
+        (["evolve", "--alpha", "1e-320", "--resolution", "16"], 3, ""),
+    ])
+    def test_extreme_finite_input_ends_by_name(self, argv, code, named, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_bracket_failing_after_probes_is_usage_error(self, tmp_path, capsys):
         code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",
