@@ -27,7 +27,7 @@ only shifts the known eigenvalues.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -159,6 +159,19 @@ class DiscreteLaplacian:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (self.K @ x) / self.grid.weights
+
+    @cached_property
+    def principal_vector(self) -> np.ndarray:
+        """Sup-normalised lowest eigenvector of A, from elliptic._principal_eigenvector.
+
+        Computed once per operator and read-only: the Newton seed and the
+        threshold certificates share it.
+        """
+        from .elliptic import _principal_eigenvector   # elliptic imports this module
+
+        x = _principal_eigenvector(self)
+        x.flags.writeable = False
+        return x
 
     def quadratic_form(self, x: np.ndarray, y: np.ndarray) -> float:
         """<A x, y>_w = x^T K y, the discrete grad-grad integral.

@@ -200,7 +200,10 @@ def _residual_parts(A, pair, bu, bv) -> tuple[FieldPair, float, float]:
 
 
 def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
-    """Lowest eigenvector of A by inverse power iteration, sup-normalised."""
+    """Lowest eigenvector of A by inverse power iteration, sup-normalised.
+
+    Callers use the operator's cached copy, ``A.principal_vector``.
+    """
     x = np.ones(A.grid.size)
     for _ in range(iters):
         x = solve_shifted(A, 0.0, x)
@@ -270,7 +273,7 @@ def solve_newton(
     known = [e.pair for e in (deflation_against or [])]
     if initial_guess is not None:
         return _newton(spec, A, initial_guess.copy(), known, steady_tol)
-    shape = _principal_eigenvector(A)
+    shape = A.principal_vector
     lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
     return _newton(spec, A, _amplitude_prescan(spec, A, shape, lam1), known, steady_tol)
 

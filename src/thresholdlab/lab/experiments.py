@@ -5,9 +5,11 @@ the derived brackets, and enough provenance (problem digest, resolution,
 stepping parameters, seed, tool version) to reproduce the result from its
 JSON serialisation alone.
 
-The threshold bisection certifies a decaying probe as soon as it enters the
-decay cone of :func:`thresholdlab.parabolic.decay_cone`; the lambda* and
-Robin experiments run their decays down to EPS_DECAY.
+The threshold bisection classifies a probe by the certificates of
+:func:`thresholdlab.parabolic.certificates`: it decays as soon as it enters
+the decay cone and blows up as soon as its mass passes Kaplan's bound.  The
+lambda* and Robin experiments run their decays down to EPS_DECAY and their
+blow-ups up to M_BLOW.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from ..elliptic import (
     solve_monotone,
     solve_newton,
 )
-from ..parabolic import CONE_THETA, IntegratorConfig, Outcome, decay_cone, evolve
+from ..parabolic import CONE_THETA, IntegratorConfig, Outcome, certificates, evolve
 from ..problem import ProblemSpec
 from .config import spec_digest
 
@@ -105,10 +107,14 @@ def threshold_experiment(
     stops the shrinking and is reported, widening the bracket rather than
     failing.
 
-    Every run gets the decay cone, built once: a probe that enters it is
-    certified to decay there, and its entry records ``decay_rule`` "cone",
-    or "sup" when the sup-norm rule fired first.  ``derived`` records the
-    cone's eigenvalue bound ``cone_mu`` and scale ``cone_theta``.
+    Every run gets the certificates, built once.  A probe that enters the
+    decay cone is certified to decay there, and its entry records
+    ``decay_rule`` "cone", or "sup" when the sup-norm rule fired first.  A
+    probe whose mass passes Kaplan's bound is certified to blow up there,
+    and its entry records ``blowup_rule`` "kaplan" (or "sup") and Kaplan's
+    upper bound on the blow-up time as ``t_blowup_est``.  ``derived``
+    records the cone's eigenvalue bound ``cone_mu``, its scale
+    ``cone_theta`` and Kaplan's eigenvalue bound ``kaplan_lambda``.
     """
     if spec.lam != 0.0:
         raise ValueError("threshold experiment requires the unforced problem")
@@ -121,16 +127,17 @@ def threshold_experiment(
         provenance=_provenance(resolution, config, seed),
     )
 
-    cone, mu = decay_cone(spec, A)
-    result.derived.update(cone_mu=mu, cone_theta=CONE_THETA)
+    certs = certificates(spec, A)
+    result.derived.update(cone_mu=certs.mu, cone_theta=CONE_THETA,
+                          kaplan_lambda=certs.kaplan_lambda)
     outcomes: dict[float, str] = {}
 
     def run(alpha: float) -> str:
-        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config, cone=cone)
+        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config, certs=certs)
         outcomes[alpha] = outcome.kind
         entry = _run_entry("alpha", alpha, outcome)
-        if outcome.kind == "decay":
-            entry["decay_rule"] = outcome.rule
+        if outcome.kind in ("decay", "blowup"):
+            entry[f"{outcome.kind}_rule"] = outcome.rule
         result.runs.append(entry)
         return outcome.kind
 

@@ -18,12 +18,17 @@ and undecided.  :func:`evolve` runs it with k = 1 and records the
 diagnostics; :func:`evolve_ordered` runs it with k = 2 and watches the
 ordering of the pair.
 
-Decay is declared when the sup-norm falls to EPS_DECAY of its start.  An
-unforced run may instead be certified as soon as it enters the eigenfunction
-cone of :func:`decay_cone`, a strict supersolution below which every state
-decays: the comparison that proves the threshold theorem, applied step by
-step.  The threshold experiment passes the cone; without one, evolve runs
-every decay down to EPS_DECAY.
+Decay is declared when the sup-norm falls to EPS_DECAY of its start, and
+blow-up when it passes M_BLOW with the step at its floor.  An unforced run
+given the :class:`Certificates` of :func:`certificates` may be classified
+earlier, from the principal vector phi of the operator: it decays as soon
+as it enters the eigenfunction cone, a strict supersolution below which
+every state decays (the comparison that proves the threshold theorem,
+applied step by step), and it blows up as soon as its phi-weighted mass
+passes Kaplan's bound, above which that mass grows without bound (Kaplan,
+CPAM 16, 1963; Escobedo & Herrero, JDE 89, 1991).  The threshold experiment
+passes the certificates; without them, evolve runs every decay down to
+EPS_DECAY and every blow-up up to M_BLOW.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.integrate import quad
 
 from .analysis import TrajectoryRecord
 from .discrete import DiscreteLaplacian, FieldPair, solve_shifted
-from .elliptic import _amplitudes, _principal_eigenvector, forcing_arrays, signed_power
+from .elliptic import _amplitudes, forcing_arrays, signed_power
 from .problem import ExponentPair, ProblemSpec
 
 __all__ = [
@@ -49,10 +55,11 @@ __all__ = [
     "CONE_THETA",
     "IntegratorConfig",
     "Outcome",
+    "Certificates",
     "OrderingReport",
     "step",
     "adapt_dt",
-    "decay_cone",
+    "certificates",
     "evolve",
     "evolve_ordered",
     "NumericalFailureError",
@@ -80,7 +87,8 @@ EPS_DECAY = 1e-8
 EPS_STEADY = 1e-8
 #: Nodewise ordering slack of :func:`evolve_ordered`, relative to max(1, sup).
 TOL_ORDER = 1e-10
-#: Scale theta < 1 of the decay cone; 1 - theta is its margin as a strict supersolution.
+#: Scale theta < 1 of the decay cone; 1 - theta is its margin as a strict
+#: supersolution, and the margin of Kaplan's blow-up bound.
 CONE_THETA = 0.99
 
 
@@ -105,12 +113,16 @@ class IntegratorConfig:
 class Outcome:
     """Classification of a run.
 
-    kind: "decay" | "blowup" | "steady" | "undecided".  Decay carries the
-    rule that declared it: "sup" (the sup-norm fell to EPS_DECAY of its
-    start) or "cone" (the state entered the decay cone).  Blow-up carries
-    the stopping time t_est (an upper-bound estimate: the time at which the
-    sup-norm passed M_BLOW with the step at its floor; no extrapolation is
-    attempted) and the sup-norm at stop.  Steady convergence carries the
+    kind: "decay" | "blowup" | "steady" | "undecided".  Decay and blow-up
+    carry the rule that declared them.  Decay: "sup" (the sup-norm fell to
+    EPS_DECAY of its start) or "cone" (the state entered the decay cone).
+    Blow-up: "sup" (the sup-norm passed M_BLOW with the step at its floor)
+    or "kaplan" (the phi-weighted mass passed Kaplan's bound).  Blow-up also
+    carries the sup-norm at stop and t_est, the blow-up time estimate: for
+    "sup" the stopping time itself, with no extrapolation; for "kaplan" an
+    upper bound, the stopping time plus Kaplan's bound on the remaining
+    time of the space-discrete flow from the state at stop (see
+    :meth:`Certificates.kaplan_time`).  Steady convergence carries the
     limit state.
     """
 
@@ -126,8 +138,9 @@ class Outcome:
         return cls("decay", t, rule=rule)
 
     @classmethod
-    def blow_up(cls, t: float, sup: float) -> "Outcome":
-        return cls("blowup", t, t_est=t, sup_at_stop=sup)
+    def blow_up(cls, t: float, sup: float, rule: str = "sup", t_est: Optional[float] = None
+                ) -> "Outcome":
+        return cls("blowup", t, t_est=t if t_est is None else t_est, sup_at_stop=sup, rule=rule)
 
     @classmethod
     def steady(cls, t: float, limit: FieldPair) -> "Outcome":
@@ -156,23 +169,80 @@ def adapt_dt(state: FieldPair, exponents: ExponentPair) -> float:
     return min(max(ETA / rate, DT_MIN), DT_MAX)
 
 
-def decay_cone(spec: ProblemSpec, A: DiscreteLaplacian) -> tuple[FieldPair, float]:
-    """The decay cone C = CONE_THETA * (a phi, b phi) and its eigenvalue bound mu.
+@dataclass(frozen=True)
+class Certificates:
+    """Decay and blow-up certificates of an unforced problem on one operator.
 
-    phi > 0 is the sup-normalised principal vector of A and mu = min_i
-    (A phi)_i / phi_i, so A phi >= mu phi holds nodewise (a Collatz-Wielandt
-    bound; phi need not be an exact eigenvector).  With a = mu^((p+1)/(pq-1))
-    and b = mu^((q+1)/(pq-1)), b^p = mu a and a^q = mu b; since phi^p <= phi
-    and theta^p < theta, A C_u >= C_v^p and A C_v >= C_u^q with a margin.
-    One semi-implicit step of the unforced flow therefore maps every
-    nonnegative state below C below C again, shrunk by the factor
+    Both come from phi > 0, the sup-normalised principal vector of A; phi
+    need not be an exact eigenvector.  mu = min_i (A phi)_i / phi_i and
+    Lambda = max_i (A phi)_i / phi_i are its lower and upper Collatz-Wielandt
+    bounds, so mu phi <= A phi <= Lambda phi nodewise.
+
+    ``cone`` is C = CONE_THETA * (a phi, b phi) with a = mu^((p+1)/(pq-1))
+    and b = mu^((q+1)/(pq-1)), so b^p = mu a and a^q = mu b; since
+    phi^p <= phi and theta^p < theta, A C_u >= C_v^p and A C_v >= C_u^q with
+    a margin.  One semi-implicit step of the unforced flow therefore maps
+    every nonnegative state below C below C again, shrunk by the factor
     (1 + dt mu theta^(p-1)) / (1 + dt mu) (and likewise with q), whatever
     dt is: such a state decays to 0.
+
+    ``omega`` = w phi / <phi, 1>_w is a probability weight, and
+    H = omega . (u + v) is the mass Kaplan's argument follows.  By the
+    symmetry of K, A phi <= Lambda phi and Jensen's inequality, one step
+    gives (1 + dt Lambda) H_new >= H + dt (c H^r - s) for any dt, with
+    r = min(p, q), c = 2^(1-r), and s = 0 if p = q, else 1 (x^p >= x^r - 1
+    for x >= 0).  Once CONE_THETA (c H^r - s) > Lambda H, H grows every
+    step without bound: the flow blows up.
     """
-    phi = _principal_eigenvector(A)
-    mu = float(np.min(A.apply(phi) / phi))
+
+    cone: FieldPair
+    mu: float
+    omega: np.ndarray
+    kaplan_lambda: float
+    r: float
+    c: float
+    s: float
+
+    def kaplan_time(self, state: FieldPair) -> Optional[float]:
+        """Kaplan's bound on the remaining time to blow-up; None while it does not apply.
+
+        Along the space-discrete flow dH/dt >= c H^r - s - Lambda H, so the
+        flow from ``state`` blows up within the integral of
+        dh / (c h^r - s - Lambda h) from H to infinity: in closed form
+        ln(c H^(r-1) / (c H^(r-1) - Lambda)) / ((r-1) Lambda) when s = 0,
+        by quadrature otherwise.
+        """
+        r, c, s, lam = self.r, self.c, self.s, self.kaplan_lambda
+        with np.errstate(over="ignore"):
+            H = self.omega @ (state.u + state.v)
+            if not CONE_THETA * (c * H**r - s) > lam * H:
+                return None
+            y = float(c * H ** (r - 1))
+        if s == 0.0:
+            return -math.log1p(-lam / y) / ((r - 1) * lam)
+        # h = H x^(-1/(r-1)) maps [H, inf) onto (0, 1] and leaves a smooth,
+        # positive integrand: its denominator falls to (c H^r - s - Lambda H) / H
+        tail = lambda x: 1.0 / (y - lam * x - s / float(H) * x ** (r / (r - 1)))
+        return quad(tail, 0.0, 1.0)[0] / (r - 1)
+
+
+def certificates(spec: ProblemSpec, A: DiscreteLaplacian) -> Certificates:
+    """The decay cone and Kaplan's blow-up bound of ``spec`` on ``A``, built once."""
+    phi = A.principal_vector
+    ratio = A.apply(phi) / phi
+    mu = float(np.min(ratio))
     a, b = _amplitudes(spec, mu)
-    return FieldPair(CONE_THETA * a * phi, CONE_THETA * b * phi, A.grid), mu
+    weight = A.grid.weights * phi
+    r = min(spec.p, spec.q)
+    return Certificates(
+        cone=FieldPair(CONE_THETA * a * phi, CONE_THETA * b * phi, A.grid),
+        mu=mu,
+        omega=weight / np.sum(weight),
+        kaplan_lambda=float(np.max(ratio)),
+        r=r,
+        c=2.0 ** (1.0 - r),
+        s=0.0 if spec.p == spec.q else 1.0,
+    )
 
 
 def step(
@@ -218,16 +288,21 @@ def _march(spec, A, states, config):
         states = new
 
 
-def _classify(spec, config, s0, prev_sup, state, change, t, dt, cone=None) -> Optional[Outcome]:
+def _classify(spec, config, s0, prev_sup, state, change, t, dt, certs=None) -> Optional[Outcome]:
     """Apply the rules of :func:`evolve` in order; None while no rule fires."""
     sup = state.sup
     if sup >= M_BLOW and dt <= DT_MIN * (1 + 1e-9):
         return Outcome.blow_up(t, sup)
-    if spec.lam == 0.0 and sup <= EPS_DECAY * s0:
+    # the floor keeps the rule alive where EPS_DECAY * s0 underflows
+    if spec.lam == 0.0 and sup <= max(EPS_DECAY * s0, np.finfo(float).tiny):
         return Outcome.decay(t)
-    if (spec.lam == 0.0 and cone is not None
-            and np.all(state.u <= cone.u) and np.all(state.v <= cone.v)):
-        return Outcome.decay(t, "cone")
+    if spec.lam == 0.0 and certs is not None:
+        cone = certs.cone
+        if np.all(state.u <= cone.u) and np.all(state.v <= cone.v):
+            return Outcome.decay(t, "cone")
+        rest = certs.kaplan_time(state)
+        if rest is not None:
+            return Outcome.blow_up(t, sup, "kaplan", t + rest)
     scale = max(sup, prev_sup)
     if dt * scale > 0 and change / (dt * scale) <= EPS_STEADY:   # dt * scale may underflow
         return Outcome.steady(t, state)
@@ -246,19 +321,19 @@ def evolve(
     initial: FieldPair,
     config: IntegratorConfig = IntegratorConfig(),
     squeeze_upper: Optional[FieldPair] = None,
-    cone: Optional[FieldPair] = None,
+    certs: Optional[Certificates] = None,
 ) -> tuple[Outcome, TrajectoryRecord]:
     """Evolve nonnegative initial data and classify the run.
 
     Diagnostics are recorded every accepted step.  Classification order per
     step: blow-up (sup >= M_BLOW with dt at the floor), decay (unforced runs
-    whose relative sup-norm fell to EPS_DECAY; then, when a ``cone`` from
-    :func:`decay_cone` is given, unforced runs whose state lies below it
-    nodewise), steady convergence (relative change per unit time at most
-    EPS_STEADY; this also catches unforced runs parked at a metastable
-    discrete equilibrium), undecided at the horizon.  ``squeeze_upper``
-    tracks the largest exceedance over a prescribed upper state without
-    storing trajectories.
+    whose relative sup-norm fell to EPS_DECAY), then, for unforced runs given
+    ``certs`` from :func:`certificates`, decay when the state lies below the
+    cone nodewise and blow-up when its mass passes Kaplan's bound; steady
+    convergence (relative change per unit time at most EPS_STEADY; this also
+    catches unforced runs parked at a metastable discrete equilibrium),
+    undecided at the horizon.  ``squeeze_upper`` tracks the largest
+    exceedance over a prescribed upper state without storing trajectories.
     """
     if np.min(initial.u) < 0 or np.min(initial.v) < 0:
         raise ValueError("initial data must be nonnegative")
@@ -282,7 +357,7 @@ def evolve(
                     float(np.max(new.v - squeeze_upper.v)),
                 )
             record.observe(A, new, t, dt)
-            outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt, cone)
+            outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt, certs)
             state = new
             if outcome is not None:
                 break

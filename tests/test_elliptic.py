@@ -110,7 +110,7 @@ class TestNewton:
 
         spec = ProblemSpec(ExponentPair(3.5, 3.5), RadialBall(3, 1.0))
         A = build_laplacian(build_grid(spec.domain, spec.boundary, 64))
-        shape = el._principal_eigenvector(A)
+        shape = A.principal_vector
         lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
         eq = el._newton(spec, A, el._amplitude_prescan(spec, A, shape, lam1), [], 1e-10)
         assert eq.residual_norm <= 1e-10

@@ -213,7 +213,11 @@ class TestThresholdExperiment:
 
     @pytest.mark.parametrize("problem", ["disk-3-3", "disk-3-2", "rect-3-3"])
     def test_cone_certificate_keeps_every_outcome_and_the_bracket(self, problem, monkeypatch):
-        """Replaying every probe with plain evolve gives the same kinds and bracket."""
+        """Replaying every probe with both certificates off gives the same kinds and bracket.
+
+        Each certified run stops earlier, and Kaplan's bound on a blow-up
+        time is no earlier than the time at which the plain run stopped.
+        """
         import thresholdlab.lab.experiments as experiments
         from thresholdlab import ProblemSpec, Rectangle, build_grid, build_laplacian, solve_newton
         from thresholdlab.parabolic import CONE_THETA
@@ -226,19 +230,24 @@ class TestThresholdExperiment:
             A = disk_operator(128)
         eq = solve_newton(spec, A)
         certified = threshold_experiment(spec, A, eq, IntegratorConfig())
-        monkeypatch.setattr(experiments, "decay_cone", lambda spec, A: (None, 0.0))
+        plain_evolve = experiments.evolve
+        monkeypatch.setattr(experiments, "evolve",
+                            lambda *args, certs=None, **kwargs: plain_evolve(*args, **kwargs))
         plain = threshold_experiment(spec, A, eq, IntegratorConfig())
 
         kinds = lambda result: [(run["value"], run["outcome"]) for run in result.runs]
         assert kinds(certified) == kinds(plain)
         assert certified.derived["alpha_bracket"] == plain.derived["alpha_bracket"]
-        assert {run["decay_rule"] for run in plain.runs if run["outcome"] == "decay"} == {"sup"}
-        for cone_run, plain_run in zip(certified.runs, plain.runs):
-            if cone_run["outcome"] == "decay":
-                assert cone_run["decay_rule"] == "cone"
-                assert cone_run["t_end"] < plain_run["t_end"]
+        assert {run.get("decay_rule", run.get("blowup_rule")) for run in plain.runs} == {"sup"}
+        for cert_run, plain_run in zip(certified.runs, plain.runs):
+            if cert_run["outcome"] == "decay":
+                assert cert_run["decay_rule"] == "cone"
+            else:
+                assert cert_run["blowup_rule"] == "kaplan"
+                assert cert_run["t_blowup_est"] >= plain_run["t_blowup_est"]
+            assert cert_run["t_end"] < plain_run["t_end"]
         assert certified.derived["cone_theta"] == CONE_THETA
-        assert certified.derived["cone_mu"] > 0
+        assert certified.derived["kaplan_lambda"] >= certified.derived["cone_mu"] > 0
 
     def test_critical_alpha_recorded_without_breaking_bisection(self, eq3_128, spec3):
         # alpha = 1 parks at the metastable discrete equilibrium, classifying
@@ -550,13 +559,15 @@ class TestCliErrorPaths:
         (["steady", "--lambda", "1e300", "--resolution", "16"], 2, "amplitude pre-scan"),
         (["steady", "--bc", "robin:1e-300", "--resolution", "16"], 2,
          "singular to float precision"),
-        # dt * sup underflows to 0; the subnormal state never rounds to 0 either
-        (["evolve", "--alpha", "1e-320", "--resolution", "16"], 3, ""),
+        # dt * sup and EPS_DECAY * sup underflow to 0; the decay rule's floor still fires
+        (["evolve", "--alpha", "1e-320", "--resolution", "16"], 0, ""),
     ])
     def test_extreme_finite_input_ends_by_name(self, argv, code, named, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == code
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
+        if argv[0] == "evolve":
+            assert json.loads((tmp_path / "result.json").read_text())["outcome"] == "decay"
 
     def test_bracket_failing_after_probes_is_usage_error(self, tmp_path, capsys):
         code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",

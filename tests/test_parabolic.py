@@ -1,7 +1,11 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from thresholdlab import (
     BoundarySpec,
@@ -20,11 +24,12 @@ from thresholdlab import (
     step,
 )
 from thresholdlab.parabolic import (
+    CONE_THETA,
     DT_MAX,
     DT_MIN,
     ETA,
     NumericalFailureError,
-    decay_cone,
+    certificates,
 )
 from thresholdlab.lab.verify import blowup_checks, decay_checks
 
@@ -268,15 +273,15 @@ def _cone_problem(p, q, name):
     domain, boundary, resolution = _CONE_GRIDS[name]
     spec = ProblemSpec(ExponentPair(p, q), domain, boundary)
     A = build_laplacian(build_grid(domain, boundary, resolution))
-    cone, _ = decay_cone(spec, A)
-    return spec, A, cone
+    return spec, A, certificates(spec, A)
 
 
 @_cone_settings
 @given(p=_EXPONENT, q=_EXPONENT, name=st.sampled_from(sorted(_CONE_GRIDS)))
 def test_decay_cone_is_a_supersolution(p, q, name):
     """A C_u >= C_v^p and A C_v >= C_u^q nodewise, theta included."""
-    _, A, cone = _cone_problem(p, q, name)
+    _, A, certs = _cone_problem(p, q, name)
+    cone = certs.cone
     assert np.all(cone.u > 0) and np.all(cone.v > 0)
     assert np.all(A.apply(cone.u) >= cone.v**p)
     assert np.all(A.apply(cone.v) >= cone.u**q)
@@ -293,7 +298,8 @@ def test_data_inside_decay_cone_decays(p, q, name, seed, fill):
     A share ``fill`` of the nodes sits on the cone itself (fill = 1 is the cone),
     the rest at a random fraction of it.  The run is given no cone.
     """
-    spec, A, cone = _cone_problem(p, q, name)
+    spec, A, certs = _cone_problem(p, q, name)
+    cone = certs.cone
     rng = np.random.default_rng(seed)
     m = A.grid.size
     frac = lambda: np.where(rng.uniform(size=m) < fill, 1.0, rng.uniform(size=m))
@@ -315,21 +321,106 @@ def test_runs_above_equilibrium_never_enter_decay_cone(p, q, name):
     the horizon stays outside it for good.  The horizon is short because
     asymmetric exponents take some 30k steps to blow up.
     """
-    spec, A, cone = _cone_problem(p, q, name)
+    spec, A, certs = _cone_problem(p, q, name)
     eq = solve_newton(spec, A)
     for alpha in (1.01, 1.1):
         outcome, _ = evolve(spec, A, eq.pair.scaled(alpha),
-                            IntegratorConfig(dt0=DT_MAX, t_max=0.25), cone=cone)
+                            IntegratorConfig(dt0=DT_MAX, t_max=0.25), certs=certs)
         assert outcome.kind in ("blowup", "undecided")
 
 
 def test_decay_cone_rule_fires_only_with_a_cone(eq3_128, spec3):
     A, eq = eq3_128
-    cone, _ = decay_cone(spec3, A)
+    certs = certificates(spec3, A)
     plain, plain_record = evolve(spec3, A, eq.pair.scaled(0.5))
-    certified, record = evolve(spec3, A, eq.pair.scaled(0.5), cone=cone)
+    certified, record = evolve(spec3, A, eq.pair.scaled(0.5), certs=certs)
     assert (plain.kind, plain.rule) == ("decay", "sup")
     assert (certified.kind, certified.rule) == ("decay", "cone")
     assert len(record) < len(plain_record)
     final = record.final_state
-    assert np.all(final.u <= cone.u) and np.all(final.v <= cone.v)
+    assert np.all(final.u <= certs.cone.u) and np.all(final.v <= certs.cone.v)
+
+
+def _kaplan_mass(certs, state):
+    return float(certs.omega @ (state.u + state.v))
+
+
+def _kaplan_root(certs):
+    """The mass H* at which CONE_THETA (c H^r - s) = Lambda H; the rule holds above it."""
+    r, c, s, lam = certs.r, certs.c, certs.s, certs.kaplan_lambda
+    if s == 0.0:
+        return (lam / (CONE_THETA * c)) ** (1.0 / (r - 1.0))
+    gap = lambda x: CONE_THETA * (c * math.exp(r * x) - s) - lam * math.exp(x)
+    return math.exp(brentq(gap, 0.0, 700.0 / r))
+
+
+@_cone_settings
+@given(p=_EXPONENT, q=_EXPONENT, name=st.sampled_from(sorted(_CONE_GRIDS)))
+def test_kaplan_bound_brackets_the_operator(p, q, name):
+    """A phi <= Lambda phi nodewise, omega is a probability weight, Lambda >= mu.
+
+    Lambda is the largest quotient (A phi)_i / phi_i, so the product
+    Lambda phi_i may round one ulp below (A phi)_i at that node; CONE_THETA
+    leaves the rule a margin far above that.
+    """
+    _, A, certs = _cone_problem(p, q, name)
+    phi = A.principal_vector
+    assert np.all(A.apply(phi) <= certs.kaplan_lambda * phi * (1 + 2 * np.finfo(float).eps))
+    assert np.all(certs.omega > 0)
+    assert math.fsum(certs.omega) == pytest.approx(1.0, abs=1e-14)
+    assert certs.kaplan_lambda >= certs.mu > 0
+    assert (certs.r, certs.c, certs.s) == (min(p, q), 2.0 ** (1.0 - min(p, q)), float(p != q))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(p=_EXPONENT, q=_EXPONENT, name=st.sampled_from(sorted(_CONE_GRIDS)),
+       seed=st.integers(0, 2**32 - 1), excess=st.floats(1e-6, 1.0))
+@example(p=3.0, q=3.0, name="disk", seed=0, excess=1e-6)
+@example(p=3.0, q=2.0, name="robin", seed=0, excess=1e-6)
+def test_data_meeting_kaplan_rule_blows_up(p, q, name, seed, excess):
+    """Random data whose mass passes Kaplan's bound blows up by the sup-norm rule.
+
+    The run is given no certificates.  Its mass H = omega . (u + v) never
+    decreases, and the bound of the first state is an upper bound on the
+    time at which the run stopped.
+    """
+    spec, A, certs = _cone_problem(p, q, name)
+    rng = np.random.default_rng(seed)
+    m = A.grid.size
+    u, v = rng.uniform(size=m), rng.uniform(size=m)
+    scale = _kaplan_root(certs) * (1.0 + excess) / float(certs.omega @ (u + v))
+    initial = FieldPair(scale * u, scale * v, A.grid)
+    rest = certs.kaplan_time(initial)
+    assert rest is not None
+
+    masses = [_kaplan_mass(certs, initial)]
+
+    def traced_step(*args, **kwargs):
+        new = step(*args, **kwargs)
+        masses.append(_kaplan_mass(certs, new))
+        return new
+
+    with mock.patch("thresholdlab.parabolic.step", traced_step):
+        outcome, _ = evolve(spec, A, initial, IntegratorConfig(dt0=DT_MAX))
+    assert (outcome.kind, outcome.rule) == ("blowup", "sup")
+    assert np.all(np.diff(masses) >= 0.0)
+    assert outcome.t_end <= rest
+
+
+@_cone_settings
+@given(p=_EXPONENT, q=_EXPONENT, name=st.sampled_from(sorted(_CONE_GRIDS)),
+       alpha=st.floats(0.0, 1.0, exclude_max=True))
+@example(p=3.5, q=1.5, name="robin", alpha=1.0 - 1e-12)
+def test_data_below_equilibrium_never_meets_kaplan_rule(p, q, name, alpha):
+    """alpha (U, V) with alpha < 1 lies below Kaplan's bound.
+
+    A U = V^p gives <V^p>_omega = <A U>_omega <= Lambda F_U, and likewise
+    for U^q, so c H^r - s <= alpha Lambda H at every alpha < 1.
+    """
+    spec, A, certs = _cone_problem(p, q, name)
+    eq = solve_newton(spec, A)
+    U, V = eq.pair.u, eq.pair.v
+    lam = certs.kaplan_lambda
+    assert certs.omega @ V**p <= lam * (certs.omega @ U) * (1 + 1e-9)
+    assert certs.omega @ U**q <= lam * (certs.omega @ V) * (1 + 1e-9)
+    assert certs.kaplan_time(eq.pair.scaled(alpha)) is None
