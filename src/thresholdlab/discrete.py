@@ -32,7 +32,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dstn, idstn
 from scipy.linalg import solveh_banded
 
 from .problem import BoundarySpec, DomainSpec, RadialBall, Rectangle
@@ -150,7 +149,10 @@ class DiscreteLaplacian:
         w = self.grid.weights
         self._op_scale = 2.0 * float(np.max(self.K.diagonal() / w))
         if self.grid.geometry == "rectangle":
-            self._solve = partial(_sine_transform_solve, _rectangle_eigenvalues(self.grid))
+            from scipy.fft import dstn, idstn   # only the rectangle route needs scipy.fft
+
+            self._solve = partial(_sine_transform_solve, dstn, idstn,
+                                  _rectangle_eigenvalues(self.grid))
         else:
             band = np.zeros((2, len(w)))
             band[0] = self.K.diagonal()
@@ -352,8 +354,12 @@ def _rectangle_eigenvalues(grid: Grid) -> np.ndarray:
     return (axis(mx, hx)[:, None] + axis(my, hy)[None, :])[:, :, None]
 
 
-def _sine_transform_solve(eig: np.ndarray, sigma: float, b: np.ndarray) -> np.ndarray:
+def _sine_transform_solve(dstn: Callable, idstn: Callable, eig: np.ndarray, sigma: float,
+                          b: np.ndarray) -> np.ndarray:
     """Rectangle route: DST-I, division by sigma + eig, inverse DST-I.
+
+    ``dstn`` and ``idstn`` are scipy.fft's, bound once per operator so that
+    scipy.fft loads only when a rectangle operator is built.
 
     Where the solution of a nonnegative column is tiny, the transforms leave
     rounding-level negatives (below 1e-16 of its maximum); those are set to

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
-from scipy.optimize import OptimizeResult
 
 from .discrete import (
     DiscreteLaplacian,
@@ -58,6 +57,7 @@ __all__ = [
     "MaxIterationsError",
     "SingularJacobianError",
     "NonPositiveSolutionError",
+    "AmplitudeOverflowError",
     "ConvergedToKnownError",
     "MonotonicityError",
     "InvalidBracketError",
@@ -98,6 +98,10 @@ class NonPositiveSolutionError(EllipticError):
         super().__init__(f"converged to a nonpositive solution (residual {residual:.3e})")
         self.pair = pair
         self.residual = residual
+
+
+class AmplitudeOverflowError(EllipticError):
+    """The amplitude scale lam1^((p+1)/(pq-1)) leaves the float range (pq close to 1)."""
 
 
 class ConvergedToKnownError(EllipticError):
@@ -214,7 +218,13 @@ def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
 def _amplitudes(spec: ProblemSpec, lam1: float) -> tuple[float, float]:
     """(c_u, c_v) = (lam1^((p+1)/(pq-1)), lam1^((q+1)/(pq-1)))."""
     p, q = spec.p, spec.q
-    return lam1 ** ((p + 1) / (p * q - 1)), lam1 ** ((q + 1) / (p * q - 1))
+    try:
+        return lam1 ** ((p + 1) / (p * q - 1)), lam1 ** ((q + 1) / (p * q - 1))
+    except OverflowError:
+        raise AmplitudeOverflowError(
+            f"amplitude lam1^((p+1)/(pq-1)) = {lam1:.6g}^{(p + 1) / (p * q - 1):.6g} "
+            f"overflows (pq = {p * q:.6g})"
+        ) from None
 
 
 def _amplitude_prescan(spec, A, shape: np.ndarray, lam1: float) -> FieldPair:
@@ -559,6 +569,8 @@ def _integrate_radial(
     warned about: a trajectory that leaves the float range stops short of
     the radius or ends non-finite, and _bc_values counts it as escaping.
     """
+    from scipy.integrate import solve_ivp   # loaded by shooting only, not on import
+
     r0 = 1e-8 * radius
 
     def too_large(r, y):
@@ -574,7 +586,8 @@ def _integrate_radial(
             sa, sb = q * abs(a) ** (q - 1), p * abs(b) ** (p - 1)
             y0 += [1.0, 0.0, -sa * r0**2 / (2 * n_dim), -sa * r0 / n_dim,
                    -sb * r0**2 / (2 * n_dim), -sb * r0 / n_dim, 1.0, 0.0]
-    escaped = OptimizeResult(t=np.array([r0]), y=np.array(y0)[:, None], status=-1)
+    # what _escaped and _bc_values read of a solve_ivp result
+    escaped = SimpleNamespace(t=np.array([r0]), y=np.array(y0)[:, None], status=-1)
     if not np.all(np.isfinite(y0)):     # out of the float range at r0 already
         return escaped
     try:

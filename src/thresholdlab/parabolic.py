@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analysis import TrajectoryRecord
 from .discrete import DiscreteLaplacian, FieldPair, solve_shifted
@@ -67,10 +66,14 @@ __all__ = [
 
 
 class NumericalFailureError(RuntimeError):
-    """NaN/Inf appeared before any classification fired (not a blow-up call)."""
+    """NaN/Inf appeared before any classification fired (not a blow-up call).
 
-    def __init__(self, t: float):
-        super().__init__(f"non-finite state at t={t:.6g} before classification")
+    ``what`` names the quantity: the state, or, for data rejected at t = 0,
+    its reaction or its diagnostic row.
+    """
+
+    def __init__(self, t: float, what: str = "state"):
+        super().__init__(f"non-finite {what} at t={t:.6g} before classification")
         self.t = t
 
 
@@ -220,6 +223,7 @@ class Certificates:
             y = float(c * H ** (r - 1))
         if s == 0.0:
             return -math.log1p(-lam / y) / ((r - 1) * lam)
+        from scipy.integrate import quad    # p != q only; keeps scipy.integrate off the import
         # h = H x^(-1/(r-1)) maps [H, inf) onto (0, 1] and leaves a smooth,
         # positive integrand: its denominator falls to (c H^r - s - Lambda H) / H
         tail = lambda x: 1.0 / (y - lam * x - s / float(H) * x ** (r / (r - 1)))
@@ -253,27 +257,33 @@ def step(
     _forcing: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> FieldPair:
     """One semi-implicit step of length dt."""
-    p, q = spec.p, spec.q
-    fu, gv = forcing_arrays(spec, A.grid) if _forcing is None else _forcing
-    rhs = np.column_stack(
-        [
-            state.u + dt * (signed_power(state.v, p) + fu),
-            state.v + dt * (signed_power(state.u, q) + gv),
-        ]
-    )
+    ru, rv = _reaction(spec, state, forcing_arrays(spec, A.grid) if _forcing is None else _forcing)
+    rhs = np.column_stack([state.u + dt * ru, state.v + dt * rv])
     # (I + dt A) x = b  <=>  (1/dt I + A) x = b/dt
     new = solve_shifted(A, 1.0 / dt, rhs / dt)
     return FieldPair(new[:, 0], new[:, 1], A.grid)
+
+
+def _reaction(spec, state, forcing) -> tuple[np.ndarray, np.ndarray]:
+    """The explicit terms (|v|^(p-1) v + lam f, |u|^(q-1) u + lam g) of a step."""
+    fu, gv = forcing
+    return signed_power(state.v, spec.p) + fu, signed_power(state.u, spec.q) + gv
 
 
 def _march(spec, A, states, config):
     """Step every state under one shared dt sequence; yield (t, dt, new_states).
 
     The step is the smallest reaction-limited step over the states, capped
-    at dt0.  Non-finite data, whether rejected by the solver or produced by
-    the step, raises NumericalFailureError.  The caller decides when to stop.
+    at dt0.  Non-finite data, whether a reaction of the initial states,
+    rejected by the solver or produced by the step, raises
+    NumericalFailureError.  The caller decides when to stop.
     """
     forcing = forcing_arrays(spec, A.grid)
+    # checked at the initial states only: a guard in every step would cost every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.all(np.isfinite(r)) for s in states for r in _reaction(spec, s, forcing))
+    if not finite:
+        raise NumericalFailureError(0.0, "reaction")
     t = 0.0
     while True:
         dt = min(*(adapt_dt(s, spec.exponents) for s in states), config.dt0)
@@ -334,13 +344,18 @@ def evolve(
     catches unforced runs parked at a metastable discrete equilibrium),
     undecided at the horizon.  ``squeeze_upper`` tracks the largest
     exceedance over a prescribed upper state without storing trajectories.
+    Initial data whose diagnostic row or reaction is not finite raises
+    NumericalFailureError at t = 0, before any step.
     """
     if np.min(initial.u) < 0 or np.min(initial.v) < 0:
         raise ValueError("initial data must be nonnegative")
     record = TrajectoryRecord(exponents=spec.exponents, volume=A.grid.volume)
     state = initial.copy()
     s0 = state.sup
-    record.observe(A, state, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        record.observe(A, state, 0.0, 0.0)
+    if not all(map(math.isfinite, (record.phi[0], record.energy[0], record.bigT[0]))):
+        raise NumericalFailureError(0.0, "diagnostic row")
     outcome = Outcome.decay(0.0) if spec.lam == 0.0 and s0 == 0.0 else None
 
     if outcome is None:

@@ -31,6 +31,7 @@ from thresholdlab.elliptic import (
     RootFindFailure,
     _bc_rows,
     _bc_values,
+    _escaped,
     _integrate_radial,
     lambda_star,
     signed_power,
@@ -298,6 +299,16 @@ class TestShooting:
         assert _bc_values(sol, BoundarySpec.dirichlet(), 6.0) == (-1e12, -1e12)
         sol = _integrate_radial(1e200, 1e200, 2, 3.0, 3.0, 1.0)    # non-finite start
         assert _bc_values(sol, BoundarySpec.dirichlet(), 1.0) == (-1e12, -1e12)
+
+    @pytest.mark.parametrize("variational", [False, True])
+    @pytest.mark.parametrize("center, sign", [(1e200, -1.0), (-1e200, 1.0)])
+    def test_start_outside_float_range_is_escaped(self, center, sign, variational):
+        # the trajectory never starts: the result stands in for solve_ivp's,
+        # with the escaping sign of the series start at r0
+        sol = _integrate_radial(center, center, 2, 3.0, 3.0, 1.0, variational=variational)
+        assert sol.status == -1 and _escaped(sol, 1.0)
+        for boundary in (BoundarySpec.dirichlet(), BoundarySpec.robin(1.0)):
+            assert _bc_values(sol, boundary, 1.0) == (sign * 1e12, sign * 1e12)
 
     def test_escaping_defect_fails_the_oracle(self, monkeypatch):
         # a defect that only ever escapes gives Newton no step to take

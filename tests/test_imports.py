@@ -1,0 +1,54 @@
+"""Which scipy subpackages a command loads.
+
+scipy.integrate (which loads scipy.optimize) and scipy.fft (which loads
+scipy.special) are imported only where they are used: the shooting oracle,
+Kaplan's bound for p != q, and the Dirichlet rectangle's sine transforms.
+The suite itself imports scipy.optimize, so each check runs in a fresh
+interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import thresholdlab
+
+SRC = str(Path(thresholdlab.__file__).resolve().parents[1])
+DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special")
+
+
+def _loaded_after(code: str) -> set:
+    """The DEFERRED modules loaded once ``code`` has run in a fresh interpreter."""
+    probe = (f"import json, sys\n{code}\n"
+             f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_package_import_loads_no_deferred_subpackage():
+    assert _loaded_after("import thresholdlab, thresholdlab.lab") == set()
+
+
+def test_radial_threshold_run_loads_neither_integrate_nor_fft(tmp_path):
+    code = ("from thresholdlab.lab.cli import main\n"
+            f"assert main(['threshold', '--resolution', '16', '--out', {str(tmp_path)!r}]) == 0")
+    loaded = _loaded_after(code)
+    assert "scipy.integrate" not in loaded and "scipy.fft" not in loaded
+
+
+@pytest.mark.parametrize("code, module", [
+    ("from thresholdlab import BoundarySpec, Rectangle, build_grid, build_laplacian\n"
+     "build_laplacian(build_grid(Rectangle(1.0, 1.0), BoundarySpec.dirichlet(), 8))",
+     "scipy.fft"),
+    ("from thresholdlab import BoundarySpec, ExponentPair, shooting_oracle\n"
+     "shooting_oracle(ExponentPair(3.0, 3.0), 2, BoundarySpec.dirichlet())",
+     "scipy.integrate"),
+])
+def test_deferred_subpackage_loads_where_it_is_used(code, module):
+    assert module in _loaded_after(code)

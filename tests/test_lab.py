@@ -561,6 +561,12 @@ class TestCliErrorPaths:
          "singular to float precision"),
         # dt * sup and EPS_DECAY * sup underflow to 0; the decay rule's floor still fires
         (["evolve", "--alpha", "1e-320", "--resolution", "16"], 0, ""),
+        (["steady", "--p", "1.001", "--q", "1.001", "--resolution", "16"], 2,
+         "overflows (pq = 1.002)"),
+        # the probe's reaction and diagnostics overflow: refused before any
+        # step, with no overflow warning (an error under this suite's filter)
+        (["threshold", "--resolution", "16", "--alphas", "0.5,1e200"], 2,
+         "non-finite diagnostic row at t=0"),
     ])
     def test_extreme_finite_input_ends_by_name(self, argv, code, named, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == code

@@ -23,6 +23,7 @@ from thresholdlab import (
     solve_newton,
     step,
 )
+from thresholdlab.elliptic import AmplitudeOverflowError
 from thresholdlab.parabolic import (
     CONE_THETA,
     DT_MAX,
@@ -92,6 +93,17 @@ class TestEvolve:
         assert outcome.kind == "decay"
         assert outcome.t_end == 0.0
         assert len(record) == 1
+
+    def test_data_overflowing_at_start_fails_at_t0(self, eq3_128, spec3):
+        # finite data whose diagnostic row or reaction overflows is refused
+        # before the first step, without an overflow warning
+        A, eq = eq3_128
+        with pytest.raises(NumericalFailureError, match="diagnostic row") as exc:
+            evolve(spec3, A, eq.pair.scaled(1e200))
+        assert exc.value.t == 0.0
+        with pytest.raises(NumericalFailureError, match="reaction") as exc:
+            evolve_ordered(spec3, A, eq.pair.scaled(0.5), eq.pair.scaled(1e200))
+        assert exc.value.t == 0.0
 
     def test_subequilibrium_decays(self, eq3_128, spec3):
         A, eq = eq3_128
@@ -327,6 +339,12 @@ def test_runs_above_equilibrium_never_enter_decay_cone(p, q, name):
         outcome, _ = evolve(spec, A, eq.pair.scaled(alpha),
                             IntegratorConfig(dt0=DT_MAX, t_max=0.25), certs=certs)
         assert outcome.kind in ("blowup", "undecided")
+
+
+def test_certificates_near_pq_one_end_by_name():
+    # lam1^((p+1)/(pq-1)) leaves the float range for pq - 1 = 0.002
+    with pytest.raises(AmplitudeOverflowError, match="overflows"):
+        certificates(disk_spec(1.001, 1.001), disk_operator(64))
 
 
 def test_decay_cone_rule_fires_only_with_a_cone(eq3_128, spec3):
