@@ -26,6 +26,7 @@ only shifts the known eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional
@@ -388,7 +389,10 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     operator rows, so the plain ||res||/||rhs|| quotient bottoms out around
     1e-11 on fine grids no matter how exact the solve is.  The residual is
     taken from A.K on every call, so a solve that does not match K raises
-    LinearSolveError rather than returning a wrong answer.
+    LinearSolveError rather than returning a wrong answer.  So does data
+    whose norms overflow, since its backward error cannot be evaluated;
+    numpy warns about that overflow unless the caller's error state, as in
+    parabolic.evolve, ignores it.
     """
     if sigma < 0:
         raise ValueError("solve_shifted requires sigma >= 0")
@@ -408,11 +412,14 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
         live = denom > 0
         return (np.max(wnorm(res)[live] / denom[live]) if np.any(live) else 0.0), res
 
+    # written so that a NaN error, from norms that overflowed, fails the contract
     rel, res = backward_error(x)
-    if rel > 1e-12:
+    if not rel <= 1e-12:
+        if not math.isfinite(rel):
+            raise LinearSolveError("norms overflow on data near the float range", rel)
         x = x + A._solve(sigma, res)
         rel, _ = backward_error(x)
-        if rel > 1e-12:
+        if not rel <= 1e-12:
             raise LinearSolveError("shifted solve failed to converge", rel)
     return x[:, 0] if single else x
 

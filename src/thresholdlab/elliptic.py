@@ -13,6 +13,11 @@ divided by (1 + weighted-L2 norm of the reaction plus forcing terms).  This
 is the "scaled units" in which the default steady tolerance 1e-10 is meant;
 the raw norm has a float64 rounding floor of order sup(u)/h^2 * 1e-16 which
 would make an absolute 1e-10 unreachable on fine grids.
+
+Newton assembles and factorises no matrix.  Its linear step is one banded
+solve on radial grids and preconditioned GMRES on the rectangle (see
+_newton_step); scipy.sparse.linalg, which provides GMRES, is imported only
+on the rectangle route.
 """
 
 from __future__ import annotations
@@ -23,8 +28,7 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .discrete import (
     DiscreteLaplacian,
@@ -71,6 +75,12 @@ M_BIG = 1e8
 MONOTONE_CAP = 10_000
 BC_TOL = 1e-10
 SHOOTING_TOL = 1e-13
+#: Relative true residual each GMRES Newton step on the rectangle must meet,
+#: within KRYLOV_CYCLES cycles of GMRES(20).  A cycle ends once the
+#: preconditioned residual meets it; the next one starts if the true one
+#: does not.
+KRYLOV_TOL = 1e-12
+KRYLOV_CYCLES = 10
 
 
 class EllipticError(RuntimeError):
@@ -88,7 +98,8 @@ class MaxIterationsError(EllipticError):
 
 
 class SingularJacobianError(EllipticError):
-    pass
+    """Newton's linear step has no usable solution: a singular banded Jacobian,
+    a non-finite step, or a GMRES step that missed KRYLOV_TOL."""
 
 
 class NonPositiveSolutionError(EllipticError):
@@ -271,14 +282,20 @@ def solve_newton(
     """Damped Newton on the coupled steady system.
 
     The Jacobian blocks are (A, -diag(p|v|^(p-1)); -diag(q|u|^(q-1)), A).
-    A step is accepted only if the merit decreases, with at most
-    NEWTON_HALVINGS backtracking halvings, for at most NEWTON_CAP
-    iterations.  The merit is the raw weighted-L2 residual norm (times the
-    deflation factor when known solutions are supplied), which Newton's
-    direction descends; the relative norm falls as the amplitude grows and
-    would accept overshoots.  Convergence is judged by the relative norm
-    against ``steady_tol``.  Without a guess the one seed is an amplitude
-    pre-scan along the principal eigenvector of A.
+    Each step solves them without assembling J: exactly, by one banded
+    solve of the interleaved unknowns, on radial grids, and by GMRES
+    preconditioned with A^-1 to a true relative residual of KRYLOV_TOL on
+    the rectangle; a step that cannot be solved raises
+    SingularJacobianError.  A step is accepted only if the merit decreases,
+    with at most NEWTON_HALVINGS backtracking halvings, for at most
+    NEWTON_CAP iterations.  The merit is the raw weighted-L2 residual norm
+    (times the deflation factor when known solutions are supplied), which
+    Newton's direction descends; the relative norm falls as the amplitude
+    grows and would accept overshoots.  Convergence is judged by the
+    relative norm against ``steady_tol``, evaluated from the residual
+    itself, so the linear solve's accuracy does not enter it.  Without a
+    guess the one seed is an amplitude pre-scan along the principal
+    eigenvector of A.
     """
     known = [e.pair for e in (deflation_against or [])]
     if initial_guess is not None:
@@ -295,30 +312,15 @@ def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
     merit = raw * _deflation_factor(grid, pair, known)
     best = rn
     p, q = spec.p, spec.q
-    m = grid.size
-    w = grid.weights
-    Aop = sp.diags(1.0 / w) @ A.K
 
     for iteration in range(1, NEWTON_CAP + 1):
         if rn <= steady_tol:
             return _finish_newton(spec, A, pair, rn, known, steady_tol)
-        J = sp.bmat(
-            [
-                [Aop, sp.diags(-p * np.abs(pair.v) ** (p - 1))],
-                [sp.diags(-q * np.abs(pair.u) ** (q - 1)), Aop],
-            ],
-            format="csc",
-        )
-        try:
-            delta = spla.splu(J).solve(-np.concatenate([r.u, r.v]))
-        except RuntimeError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobianError("non-finite Newton step")
+        du, dv = _newton_step(A, p * np.abs(pair.v) ** (p - 1), q * np.abs(pair.u) ** (q - 1), r)
 
         step = 1.0
         for _ in range(NEWTON_HALVINGS):
-            trial = FieldPair(pair.u + step * delta[:m], pair.v + step * delta[m:], grid)
+            trial = FieldPair(pair.u + step * du, pair.v + step * dv, grid)
             trial_r, trial_raw, trial_rn = _steady_residual(spec, A, trial)
             trial_merit = trial_raw * _deflation_factor(grid, trial, known)
             if trial_merit < merit:
@@ -332,6 +334,60 @@ def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
     if rn <= steady_tol:
         return _finish_newton(spec, A, pair, rn, known, steady_tol)
     raise MaxIterationsError(best, NEWTON_CAP)
+
+
+def _newton_step(A: DiscreteLaplacian, sv: np.ndarray, su: np.ndarray,
+                 r: FieldPair) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's step (du, dv), the solution of J (du, dv) = -(r.u, r.v).
+
+    J = (A, -diag(sv); -diag(su), A) with sv = p|v|^(p-1) and su = q|u|^(q-1).
+    Nothing is assembled or factorised, and the route splits as the
+    operator's shifted solve does.  On radial grids A is tridiagonal, so with
+    the unknowns interleaved as (u_0, v_0, u_1, v_1, ...) J has two sub- and
+    two super-diagonals, and one banded solve is exact.  On the Dirichlet
+    rectangle GMRES applies J matrix-free, preconditioned block-diagonally by
+    A^-1 through the sine-transform solve; its true residual ||J delta + r||
+    must be at most KRYLOV_TOL ||r||.  A singular band, a non-finite step or a
+    missed Krylov tolerance raises SingularJacobianError.
+    """
+    grid = A.grid
+    m = grid.size
+    w = grid.weights
+    rhs = -np.column_stack([r.u, r.v]).ravel()       # interleaved, as the unknowns
+    if grid.geometry == "rectangle":
+        from scipy.sparse.linalg import LinearOperator, gmres   # only the rectangle needs it
+
+        coupling = np.column_stack([sv, su])
+
+        def jac(x):
+            z = x.reshape(m, 2)         # columns (u, v); z[:, ::-1] is (v, u)
+            return ((A.K @ z) / w[:, None] - coupling * z[:, ::-1]).ravel()
+
+        # A._solve, not solve_shifted: a preconditioner needs no backward-error check
+        precond = lambda x: A._solve(0.0, x.reshape(m, 2)).ravel()
+        shape = (2 * m, 2 * m)
+        delta, _ = gmres(LinearOperator(shape, jac), rhs, rtol=KRYLOV_TOL, atol=0.0, restart=20,
+                         maxiter=KRYLOV_CYCLES, M=LinearOperator(shape, precond))
+        miss = np.linalg.norm(jac(delta) - rhs) / np.linalg.norm(rhs)
+        if not miss <= KRYLOV_TOL:
+            raise SingularJacobianError(
+                f"GMRES Newton step missed its tolerance: true relative residual {miss:.3e} "
+                f"> {KRYLOV_TOL:.0e} after {KRYLOV_CYCLES} cycles")
+    else:
+        band = np.zeros((5, 2 * m))         # rows: offsets +2, +1, 0, -1, -2
+        band[0, 2:] = np.repeat(A.K.diagonal(1) / w[:-1], 2)
+        band[1, 1::2] = -sv
+        band[2] = np.repeat(A.K.diagonal() / w, 2)
+        band[3, 0::2] = -su
+        band[4, :-2] = np.repeat(A.K.diagonal(-1) / w[1:], 2)
+        try:
+            delta = solve_banded((2, 2), band, rhs, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"singular Newton Jacobian: {exc}") from exc
+    if not np.all(np.isfinite(delta)):
+        raise SingularJacobianError("non-finite Newton step")
+    delta = delta.reshape(m, 2)
+    return delta[:, 0], delta[:, 1]
 
 
 def _finish_newton(spec, A, pair, rn, known, steady_tol):
@@ -637,6 +693,9 @@ def shooting_oracle(
 
     Adjusts the centre values (a, b) so the boundary condition holds at
     r = radius, by Newton's method seeded from a coarse grid Newton solve.
+    For p = q the solution has u = v (the difference w = u - v solves
+    -Lap w + c w = 0 with c >= 0), so the seed and every iterate keep a = b
+    bitwise; the integration is then symmetric and the profiles equal.
     Each iteration integrates the radial system with its variational
     equations, so the 2x2 boundary Jacobian is exact.  An iterate whose
     trajectory escapes halves its step, at most NEWTON_HALVINGS times.
@@ -659,8 +718,11 @@ def shooting_oracle(
             break
         jac = np.column_stack([_bc_rows(end[4:8], boundary), _bc_rows(end[8:], boundary)])
         try:
-            delta = np.linalg.solve(jac, -defect)
-        except np.linalg.LinAlgError:
+            if p == q:      # stay on the diagonal a = b, along which the rows agree
+                delta = np.full(2, -float(defect[0]) / float(jac[0, 0] + jac[0, 1]))
+            else:
+                delta = np.linalg.solve(jac, -defect)
+        except (np.linalg.LinAlgError, ZeroDivisionError):
             raise RootFindFailure(resid) from None
         if not np.all(np.isfinite(delta)):
             raise RootFindFailure(resid)
@@ -702,8 +764,9 @@ def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:
     """Centre values of a coarse grid Newton solve, seeding the shooting Newton.
 
     The coarse discrete solution is already in the basin of the positive
-    solution, for skewed (p, q) too.  A seed whose grid cannot be built or
-    whose solve fails is a shooting failure.
+    solution, for skewed (p, q) too.  For p = q both values are u's, so the
+    seed lies on the diagonal.  A seed whose grid cannot be built or whose
+    solve fails is a shooting failure.
     """
     spec = ProblemSpec(exponents, RadialBall(n_dim, radius), boundary)
     try:
@@ -711,4 +774,5 @@ def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:
         eq = solve_newton(spec, A, steady_tol=1e-8)
     except (GridError, EllipticError) as exc:
         raise RootFindFailure(math.inf) from exc
-    return float(eq.pair.u[0]), float(eq.pair.v[0])
+    a = float(eq.pair.u[0])
+    return a, (a if exponents.p == exponents.q else float(eq.pair.v[0]))

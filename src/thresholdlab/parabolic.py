@@ -345,37 +345,46 @@ def evolve(
     undecided at the horizon.  ``squeeze_upper`` tracks the largest
     exceedance over a prescribed upper state without storing trajectories.
     Initial data whose diagnostic row or reaction is not finite raises
-    NumericalFailureError at t = 0, before any step.
+    NumericalFailureError at t = 0, before any step; a later row that is not
+    finite raises it at its time, before that step is classified.
     """
     if np.min(initial.u) < 0 or np.min(initial.v) < 0:
         raise ValueError("initial data must be nonnegative")
     record = TrajectoryRecord(exponents=spec.exponents, volume=A.grid.volume)
     state = initial.copy()
     s0 = state.sup
-    with np.errstate(over="ignore", invalid="ignore"):
-        record.observe(A, state, 0.0, 0.0)
-    if not all(map(math.isfinite, (record.phi[0], record.energy[0], record.bigT[0]))):
-        raise NumericalFailureError(0.0, "diagnostic row")
-    outcome = Outcome.decay(0.0) if spec.lam == 0.0 and s0 == 0.0 else None
 
-    if outcome is None:
-        for t, dt, (new,) in _march(spec, A, [state], config):
-            du = new.u - state.u
-            dv = new.v - state.v
-            record.max_step_increase = max(record.max_step_increase, du.max(), dv.max())
-            record.max_step_decrease = min(record.max_step_decrease, du.min(), dv.min())
-            record.squeeze_low = min(record.squeeze_low, float(new.u.min()), float(new.v.min()))
-            if squeeze_upper is not None:
-                record.squeeze_high = max(
-                    record.squeeze_high,
-                    float(np.max(new.u - squeeze_upper.u)),
-                    float(np.max(new.v - squeeze_upper.v)),
-                )
-            record.observe(A, new, t, dt)
-            outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt, certs)
-            state = new
-            if outcome is not None:
-                break
+    def observe(pair, t, dt):
+        record.observe(A, pair, t, dt)
+        # a sum of the row's terms is finite only if all of them are
+        if not math.isfinite(record.phi[-1] + record.energy[-1] + record.bigT[-1]):
+            raise NumericalFailureError(t, "diagnostic row")
+
+    # overflow while stepping is caught by the finiteness checks, not warned
+    # about: one error state for the run, none per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        observe(state, 0.0, 0.0)
+        outcome = Outcome.decay(0.0) if spec.lam == 0.0 and s0 == 0.0 else None
+        if outcome is None:
+            for t, dt, (new,) in _march(spec, A, [state], config):
+                du = new.u - state.u
+                dv = new.v - state.v
+                record.max_step_increase = max(record.max_step_increase, du.max(), dv.max())
+                record.max_step_decrease = min(record.max_step_decrease, du.min(), dv.min())
+                record.squeeze_low = min(record.squeeze_low, float(new.u.min()),
+                                         float(new.v.min()))
+                if squeeze_upper is not None:
+                    record.squeeze_high = max(
+                        record.squeeze_high,
+                        float(np.max(new.u - squeeze_upper.u)),
+                        float(np.max(new.v - squeeze_upper.v)),
+                    )
+                observe(new, t, dt)
+                outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt,
+                                    certs)
+                state = new
+                if outcome is not None:
+                    break
     record.final_state = state
     return outcome, record.finalize()
 

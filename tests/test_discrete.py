@@ -238,6 +238,17 @@ class TestSolveShifted:
         with pytest.raises(LinearSolveError):
             solve_shifted(handmade, 1.0, rhs)
 
+    @pytest.mark.parametrize("geometry", ["rectangle", "radial"])
+    def test_overflowing_norms_fail_the_contract(self, geometry):
+        # the squares in the weighted norms overflow and make the backward
+        # error NaN, which used to skip the contract; numpy's overflow
+        # warning is the caller's to silence, as evolve does
+        grid, A = rect_operator(1.0, 1.0, (16, 16)) if geometry == "rectangle" else disk_operator(16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(LinearSolveError, match="norms overflow"):
+                solve_shifted(A, 0.0, np.full(grid.size, 1e200))
+        assert np.all(np.isfinite(solve_shifted(A, 0.0, np.full(grid.size, 1e150))))
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(

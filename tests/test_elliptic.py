@@ -24,11 +24,13 @@ from thresholdlab import (
 )
 from thresholdlab.elliptic import (
     BC_TOL,
+    KRYLOV_TOL,
     NEWTON_HALVINGS,
     InvalidBracketError,
     MaxIterationsError,
     NonPositiveSolutionError,
     RootFindFailure,
+    SingularJacobianError,
     _bc_rows,
     _bc_values,
     _escaped,
@@ -252,13 +254,22 @@ class TestLambdaStar:
             lambda_star(fam["template"], fam["A"], (2 * hi, 4 * hi), rel_tol=0.1)
 
 
+def _assert_symmetric(oracle):
+    """For p = q the maximum principle forces u = v: the oracle keeps it bitwise."""
+    assert oracle.center[0] == oracle.center[1]
+    u, v = oracle.profile(np.linspace(0, 1, 50))
+    np.testing.assert_array_equal(u, v)
+    assert oracle.bc_residual <= 1e-10
+
+
 class TestShooting:
     def test_symmetric_solution(self, oracle3):
-        assert oracle3.center[0] == pytest.approx(oracle3.center[1])
-        r = np.linspace(0, 1, 50)
-        u, v = oracle3.profile(r)
-        np.testing.assert_allclose(u, v, rtol=1e-12)
-        assert oracle3.bc_residual <= 1e-10
+        _assert_symmetric(oracle3)
+
+    def test_symmetric_solution_on_the_ball(self):
+        # a centre off the diagonal by one rounding parts the 3-ball's
+        # profiles by a fifth of v near r = 1
+        _assert_symmetric(shooting_oracle(ExponentPair(3.0, 3.0), 3, BoundarySpec.dirichlet()))
 
     def test_boundary_value_vanishes(self, oracle3):
         u, v = oracle3.profile(np.array([1.0]))
@@ -385,6 +396,85 @@ def test_unseeded_newton_property(p, q, name):
     eq = solve_newton(ProblemSpec(ExponentPair(p, q), domain, boundary), A)
     assert eq.residual_norm <= 1e-10
     assert eq.pair.u.min() > 0 and eq.pair.v.min() > 0
+
+
+#: Grids of the Newton-step tests: 64-node radial grids and the 16² square.
+_STEP_GRIDS = {name: (domain, boundary, 16 if name == "square" else 64)
+               for name, (domain, boundary, _) in _NEWTON_DOMAINS.items()}
+
+
+def _newton_system(p, q, name):
+    """Newton's first linear system from the pre-scan seed: (A, sv, su, r) and J, dense."""
+    import thresholdlab.elliptic as el
+
+    domain, boundary, n = _STEP_GRIDS[name]
+    spec = ProblemSpec(ExponentPair(p, q), domain, boundary)
+    A = build_laplacian(build_grid(domain, boundary, n))
+    shape = A.principal_vector
+    lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
+    pair = el._amplitude_prescan(spec, A, shape, lam1)
+    sv, su = p * pair.v ** (p - 1), q * pair.u ** (q - 1)
+    dense = A.K.toarray() / A.grid.weights[:, None]
+    J = np.block([[dense, -np.diag(sv)], [-np.diag(su), dense]])
+    return A, sv, su, residual(spec, A, pair), J
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(1.5, 3.5), st.floats(1.5, 3.5), st.sampled_from(["disk", "ball", "robin-disk"]))
+def test_banded_newton_step_is_the_dense_solve(p, q, name):
+    """On radial grids the interleaved banded solve is J's exact solve."""
+    from thresholdlab.elliptic import _newton_step
+
+    A, sv, su, r, J = _newton_system(p, q, name)
+    du, dv = _newton_step(A, sv, su, r)
+    ref = np.linalg.solve(J, -np.concatenate([r.u, r.v]))
+    step = np.concatenate([du, dv])
+    assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.floats(1.5, 3.5), st.floats(1.5, 3.5))
+def test_krylov_newton_step_meets_its_tolerance(p, q):
+    """On the rectangle the GMRES step's true residual, from J assembled, meets KRYLOV_TOL."""
+    from thresholdlab.elliptic import _newton_step
+
+    A, sv, su, r, J = _newton_system(p, q, "square")
+    du, dv = _newton_step(A, sv, su, r)
+    rhs = np.concatenate([r.u, r.v])
+    assert np.linalg.norm(J @ np.concatenate([du, dv]) + rhs) <= KRYLOV_TOL * np.linalg.norm(rhs)
+
+
+class TestNewtonStepFailures:
+    def test_singular_band_is_named(self, monkeypatch):
+        import thresholdlab.elliptic as el
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(el, "solve_banded", singular)
+        with pytest.raises(SingularJacobianError, match="singular Newton Jacobian"):
+            solve_newton(disk_spec(3.0, 2.0), disk_operator(64))
+
+    @pytest.mark.parametrize("name", ["disk", "square"])
+    def test_non_finite_step_is_named(self, name):
+        from thresholdlab.elliptic import _newton_step
+
+        A, sv, su, r, _ = _newton_system(3.0, 2.0, name)
+        with pytest.raises(SingularJacobianError):
+            _newton_step(A, np.full_like(sv, np.nan), su, r)
+
+    def test_unresolved_krylov_step_ends_by_name(self, monkeypatch, tmp_path, capsys):
+        import thresholdlab.elliptic as el
+        from thresholdlab.lab.cli import main
+
+        A, sv, su, r, _ = _newton_system(3.0, 2.0, "square")
+        monkeypatch.setattr(el, "KRYLOV_TOL", 1e-30)     # below the rounding floor
+        with pytest.raises(SingularJacobianError, match="missed its tolerance"):
+            el._newton_step(A, sv, su, r)
+        assert main(["steady", "--geometry", "rect", "--resolution", "16",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "GMRES Newton step missed its tolerance" in err and "Traceback" not in err
 
 
 def _shooting_problems():

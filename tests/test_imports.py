@@ -1,10 +1,10 @@
 """Which scipy subpackages a command loads.
 
-scipy.integrate (which loads scipy.optimize) and scipy.fft (which loads
-scipy.special) are imported only where they are used: the shooting oracle,
-Kaplan's bound for p != q, and the Dirichlet rectangle's sine transforms.
-The suite itself imports scipy.optimize, so each check runs in a fresh
-interpreter.
+scipy.integrate (which loads scipy.optimize), scipy.fft (which loads
+scipy.special) and scipy.sparse.linalg are imported only where they are
+used: the shooting oracle, Kaplan's bound for p != q, the Dirichlet
+rectangle's sine transforms and its GMRES Newton steps.  The suite itself
+imports scipy.optimize, so each check runs in a fresh interpreter.
 """
 
 import json
@@ -18,7 +18,8 @@ import pytest
 import thresholdlab
 
 SRC = str(Path(thresholdlab.__file__).resolve().parents[1])
-DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special")
+DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special",
+            "scipy.sparse.linalg")
 
 
 def _loaded_after(code: str) -> set:
@@ -49,6 +50,9 @@ def test_radial_threshold_run_loads_neither_integrate_nor_fft(tmp_path):
     ("from thresholdlab import BoundarySpec, ExponentPair, shooting_oracle\n"
      "shooting_oracle(ExponentPair(3.0, 3.0), 2, BoundarySpec.dirichlet())",
      "scipy.integrate"),
+    ("from thresholdlab.lab.cli import main\n"
+     "assert main(['steady', '--geometry', 'rect', '--resolution', '8', '--out', {out!r}]) == 0",
+     "scipy.sparse.linalg"),
 ])
-def test_deferred_subpackage_loads_where_it_is_used(code, module):
-    assert module in _loaded_after(code)
+def test_deferred_subpackage_loads_where_it_is_used(code, module, tmp_path):
+    assert module in _loaded_after(code.format(out=str(tmp_path)))

@@ -567,6 +567,12 @@ class TestCliErrorPaths:
         # step, with no overflow warning (an error under this suite's filter)
         (["threshold", "--resolution", "16", "--alphas", "0.5,1e200"], 2,
          "non-finite diagnostic row at t=0"),
+        # finite at t = 0: the first step's row overflows, or, for larger
+        # data, the norms of the step's shifted solve
+        (["threshold", "--resolution", "16", "--alphas", "0.5,1e30"], 2,
+         "non-finite diagnostic row at t=1e-10"),
+        (["threshold", "--resolution", "16", "--alphas", "0.5,1e70"], 2,
+         "norms overflow on data near the float range"),
     ])
     def test_extreme_finite_input_ends_by_name(self, argv, code, named, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == code

@@ -105,6 +105,14 @@ class TestEvolve:
             evolve_ordered(spec3, A, eq.pair.scaled(0.5), eq.pair.scaled(1e200))
         assert exc.value.t == 0.0
 
+    def test_row_overflowing_after_a_step_fails_at_its_time(self, eq3_128, spec3):
+        # the row at t = 0 is finite; the first step's is not, and the run
+        # stops there by name, without an overflow warning
+        A, eq = eq3_128
+        with pytest.raises(NumericalFailureError, match="diagnostic row") as exc:
+            evolve(spec3, A, eq.pair.scaled(1e30))
+        assert exc.value.t > 0.0
+
     def test_subequilibrium_decays(self, eq3_128, spec3):
         A, eq = eq3_128
         outcome, record = evolve(spec3, A, eq.pair.scaled(0.5), squeeze_upper=eq.pair)
