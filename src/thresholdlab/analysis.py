@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discrete import DiscreteLaplacian, FieldPair, Grid, integrate
-from .elliptic import relative_residual, signed_power
+from .elliptic import DEFAULT_STEADY_TOL, relative_residual, signed_power
 from .problem import ExponentPair, blowup_exponent
 
 __all__ = [
@@ -108,20 +108,20 @@ def blowup_bound_constant(exponents: ExponentPair, volume: float) -> float:
     return c_min * big_k ** (-gamma)
 
 
-def power_sum_bound(x: float, y: float, a: float):
+def power_sum_bound(x, y, a):
     """Evaluate both sides of x^a + y^a <= 2^(1-a) * (x+y)^a.
 
-    Requires x > 0, y > 0 and 0 < a < 1.  Returns (lhs, rhs, holds) where
-    ``holds`` allows a 1e-12 relative slack for rounding.  Equality is
-    attained exactly at x = y.
+    Takes scalars or arrays, elementwise.  Requires x > 0, y > 0 and
+    0 < a < 1.  Returns (lhs, rhs, holds) where ``holds`` allows a 1e-12
+    relative slack for rounding.  Equality is attained exactly at x = y.
     """
-    if not (x > 0 and y > 0):
+    if not (np.all(x > 0) and np.all(y > 0)):
         raise ValueError("power_sum_bound requires x > 0 and y > 0")
-    if not 0 < a < 1:
+    if not (np.all(0 < a) and np.all(a < 1)):
         raise ValueError("power_sum_bound requires 0 < a < 1")
     lhs = x**a + y**a
     rhs = 2 ** (1 - a) * (x + y) ** a
-    return lhs, rhs, bool(lhs <= rhs * (1 + 1e-12))
+    return lhs, rhs, lhs <= rhs * (1 + 1e-12)
 
 
 @dataclass
@@ -292,7 +292,7 @@ def solution_pair_identity(
     pair2: FieldPair,
     exponents: ExponentPair,
     shift: FieldPair | None = None,
-    steady_tol: float = 1e-10,
+    steady_tol: float = DEFAULT_STEADY_TOL,
 ):
     """Integral identity linking two steady solutions; returns (lhs, rhs, |lhs-rhs|).
 

@@ -10,7 +10,7 @@ on positive data it agrees with the plain power.
 
 Residual norms are weighted-L2 and *relative*: the raw residual norm is
 divided by (1 + weighted-L2 norm of the reaction plus forcing terms).  This
-is the "scaled units" in which the default steady tolerance 1e-10 is meant;
+is the "scaled units" in which the steady tolerance 1e-10 is meant;
 the raw norm has a float64 rounding floor of order sup(u)/h^2 * 1e-16 which
 would make an absolute 1e-10 unreachable on fine grids.
 
@@ -152,25 +152,24 @@ def forcing_arrays(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarra
 
 @dataclass
 class Equilibrium:
-    """A steady solution with its certificate.
+    """A certified steady solution: the one admission of a steady state.
 
-    Invariants enforced at construction: relative residual at most the
-    stated tolerance, and strict positivity at every degree of freedom.
-    ``method`` records the route: newton | monotone | shooting.  For
-    shooting the residual is the boundary-condition defect of the radial
-    two-point problem rather than a grid residual.
+    Invariants enforced at construction, with no per-instance tolerance:
+    relative residual at most DEFAULT_STEADY_TOL (ValueError otherwise), and
+    strict positivity at every degree of freedom (NonPositiveSolutionError
+    otherwise).  Callers rely on both and check neither again.  ``method``
+    records the route: newton | monotone.
     """
 
     pair: FieldPair
     residual_norm: float
     problem: ProblemSpec
     method: str
-    steady_tol: float = DEFAULT_STEADY_TOL
 
     def __post_init__(self):
-        if self.residual_norm > self.steady_tol:
+        if self.residual_norm > DEFAULT_STEADY_TOL:
             raise ValueError(
-                f"equilibrium residual {self.residual_norm:.3e} exceeds {self.steady_tol:.1e}"
+                f"equilibrium residual {self.residual_norm:.3e} exceeds {DEFAULT_STEADY_TOL:.1e}"
             )
         if min(self.pair.u.min(), self.pair.v.min()) <= 0:
             raise NonPositiveSolutionError(self.pair, self.residual_norm)
@@ -277,7 +276,6 @@ def solve_newton(
     A: DiscreteLaplacian,
     initial_guess: Optional[FieldPair] = None,
     deflation_against: Optional[Sequence[Equilibrium]] = None,
-    steady_tol: float = DEFAULT_STEADY_TOL,
 ) -> Equilibrium:
     """Damped Newton on the coupled steady system.
 
@@ -292,20 +290,22 @@ def solve_newton(
     (times the deflation factor when known solutions are supplied), which
     Newton's direction descends; the relative norm falls as the amplitude
     grows and would accept overshoots.  Convergence is judged by the
-    relative norm against ``steady_tol``, evaluated from the residual
-    itself, so the linear solve's accuracy does not enter it.  Without a
-    guess the one seed is an amplitude pre-scan along the principal
-    eigenvector of A.
+    relative norm against DEFAULT_STEADY_TOL, the bound the returned
+    Equilibrium enforces, evaluated from the residual itself, so the linear
+    solve's accuracy does not enter it.  A limit that is not strictly
+    positive raises NonPositiveSolutionError; one within deflation distance
+    of a known solution raises ConvergedToKnownError.  Without a guess the
+    one seed is an amplitude pre-scan along the principal eigenvector of A.
     """
     known = [e.pair for e in (deflation_against or [])]
     if initial_guess is not None:
-        return _newton(spec, A, initial_guess.copy(), known, steady_tol)
+        return _newton(spec, A, initial_guess.copy(), known)
     shape = A.principal_vector
     lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
-    return _newton(spec, A, _amplitude_prescan(spec, A, shape, lam1), known, steady_tol)
+    return _newton(spec, A, _amplitude_prescan(spec, A, shape, lam1), known)
 
 
-def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
+def _newton(spec, A, pair, known) -> Equilibrium:
     """solve_newton's iteration from the seed ``pair``, one residual evaluation per iterate."""
     grid = A.grid
     r, raw, rn = _steady_residual(spec, A, pair)
@@ -314,8 +314,8 @@ def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
     p, q = spec.p, spec.q
 
     for iteration in range(1, NEWTON_CAP + 1):
-        if rn <= steady_tol:
-            return _finish_newton(spec, A, pair, rn, known, steady_tol)
+        if rn <= DEFAULT_STEADY_TOL:
+            return _finish_newton(spec, A, pair, rn, known)
         du, dv = _newton_step(A, p * np.abs(pair.v) ** (p - 1), q * np.abs(pair.u) ** (q - 1), r)
 
         step = 1.0
@@ -331,8 +331,8 @@ def _newton(spec, A, pair, known, steady_tol) -> Equilibrium:
             raise MaxIterationsError(best, iteration, stalled=True)
         best = min(best, rn)
 
-    if rn <= steady_tol:
-        return _finish_newton(spec, A, pair, rn, known, steady_tol)
+    if rn <= DEFAULT_STEADY_TOL:
+        return _finish_newton(spec, A, pair, rn, known)
     raise MaxIterationsError(best, NEWTON_CAP)
 
 
@@ -390,16 +390,16 @@ def _newton_step(A: DiscreteLaplacian, sv: np.ndarray, su: np.ndarray,
     return delta[:, 0], delta[:, 1]
 
 
-def _finish_newton(spec, A, pair, rn, known, steady_tol):
+def _finish_newton(spec, A, pair, rn, known) -> Equilibrium:
+    """The Equilibrium at a converged iterate, unless it is a known solution."""
     grid = A.grid
-    if min(pair.u.min(), pair.v.min()) <= 0:
-        raise NonPositiveSolutionError(pair, rn)
+    eq = Equilibrium(pair, rn, spec, "newton")
     for k in known:
         d2 = integrate(grid, (pair.u - k.u) ** 2 + (pair.v - k.v) ** 2)
         scale2 = max(integrate(grid, k.u**2 + k.v**2), 1.0)
         if d2 <= 1e-12 * scale2:
             raise ConvergedToKnownError("deflated solve returned a known solution")
-    return Equilibrium(pair, rn, spec, "newton", steady_tol=steady_tol)
+    return eq
 
 
 @dataclass
@@ -537,10 +537,10 @@ def _solvable_probe(spec_template, A, lam) -> bool:
     if res.status == "stagnated":
         # slow monotone convergence near the fold: let Newton settle it
         try:
-            eq = solve_newton(spec, A, initial_guess=res.pair)
+            solve_newton(spec, A, initial_guess=res.pair)
         except EllipticError:
             return False
-        return bool(min(eq.pair.u.min(), eq.pair.v.min()) > 0)
+        return True
     return False
 
 
@@ -771,7 +771,7 @@ def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:
     spec = ProblemSpec(exponents, RadialBall(n_dim, radius), boundary)
     try:
         A = build_laplacian(build_grid(spec.domain, boundary, 96))
-        eq = solve_newton(spec, A, steady_tol=1e-8)
+        eq = solve_newton(spec, A)
     except (GridError, EllipticError) as exc:
         raise RootFindFailure(math.inf) from exc
     a = float(eq.pair.u[0])

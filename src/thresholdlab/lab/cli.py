@@ -19,7 +19,8 @@ from ..parabolic import IntegratorConfig, NumericalFailureError, evolve
 from ..problem import validate
 from .config import (COMMANDS, FLAGS, STEPPING, ConfigError, build_problem, canonical_lines,
                      parse_config, spec_digest)
-from .experiments import lambda_star_experiment, robin_experiment, threshold_experiment
+from .experiments import (_provenance, lambda_star_experiment, robin_experiment,
+                          threshold_experiment)
 from .io import load_snapshot, save_snapshot, write_result_json, write_trajectory_csv
 from .verify import verify_suite
 
@@ -194,7 +195,7 @@ def _dispatch(args) -> int:
             "outcome": outcome.kind,
             "t_end": outcome.t_end,
             "digest": spec_digest(spec, args.resolution),
-            "provenance": {"resolution": args.resolution, "dt0": args.dt0, "seed": args.seed},
+            "provenance": _provenance(args.resolution, config, args.seed),
         }
         if outcome.kind == "blowup":
             payload["t_blowup_est"] = outcome.t_est

@@ -118,8 +118,6 @@ def threshold_experiment(
     """
     if spec.lam != 0.0:
         raise ValueError("threshold experiment requires the unforced problem")
-    if equilibrium.residual_norm > equilibrium.steady_tol:
-        raise ValueError("equilibrium residual exceeds its tolerance")
     resolution = A.grid.resolution
     result = ExperimentResult(
         kind="threshold",

@@ -115,7 +115,7 @@ class TestNewton:
         A = build_laplacian(build_grid(spec.domain, spec.boundary, 64))
         shape = A.principal_vector
         lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
-        eq = el._newton(spec, A, el._amplitude_prescan(spec, A, shape, lam1), [], 1e-10)
+        eq = el._newton(spec, A, el._amplitude_prescan(spec, A, shape, lam1), [])
         assert eq.residual_norm <= 1e-10
         assert eq.pair.u.min() > 0 and eq.pair.v.min() > 0
 

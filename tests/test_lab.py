@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from thresholdlab import (
     RadialBall,
     build_grid,
     evolve,
+    solve_newton,
 )
 from thresholdlab.analysis import TrajectoryRecord
 from thresholdlab.lab import (
@@ -41,6 +43,7 @@ from thresholdlab.lab.verify import (
     decay_checks,
     duality_check,
     identity_scaling_check,
+    ordering_check,
 )
 from thresholdlab.problem import ExponentPair
 
@@ -340,6 +343,17 @@ class TestCli:
             "--t-max", "0.01", "--out", str(tmp_path),
         ])
         assert code == 3
+
+    def test_evolve_provenance_records_horizon_and_version(self, tmp_path, capsys):
+        # --t-max decides "undecided", so the result must record it
+        from thresholdlab import __version__
+
+        code = main(["evolve", "--alpha", "0.5", "--resolution", "16", "--t-max", "0.5",
+                     "--dt0", "5e-4", "--out", str(tmp_path)])
+        assert code == 3
+        provenance = json.loads((tmp_path / "result.json").read_text())["provenance"]
+        assert provenance == {"resolution": 16, "dt0": 5e-4, "t_max": 0.5, "seed": 0,
+                              "version": __version__}
 
     def test_config_file_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -696,6 +710,29 @@ def _bumped_operator():
     return DiscreteLaplacian(grid=A.grid, K=K.tocsr(), boundary=A.boundary)
 
 
+def _ordering_with_low_lifted():
+    """ordering_check under a broken parabolic.step: in the first step of the
+    first pair, node 0 of the low state ends 1e-6 * max(1, sup) above the
+    high state.  The march steps low first, so the second call returns high
+    and the first one's result, lifted in place, is low."""
+    from thresholdlab import parabolic
+
+    real, made = parabolic.step, []
+
+    def step(*args, **kwargs):
+        new = real(*args, **kwargs)
+        made.append(new)
+        if len(made) == 2:
+            low, high = made
+            low.u[0] = high.u[0] + 1e-6 * max(1.0, high.sup)
+        return new
+
+    spec, A = disk_spec(3.0, 3.0), disk_operator(16)
+    eq = solve_newton(spec, A)
+    with mock.patch.object(parabolic, "step", step):
+        return ordering_check(spec, A, eq, np.random.default_rng(0))
+
+
 def _decay_run(**extrema):
     return Outcome.decay(1.0), TrajectoryRecord(ExponentPair(3.0, 3.0), 1.0, **extrema)
 
@@ -710,6 +747,7 @@ _BROKEN = {
         lambda: convergence_checks("equilibrium", (128, 256), [2e-3, 1e-3]),
     "identity-residual-scaling":  # gap quadratic in the residual: slope 2
         lambda: identity_scaling_check([1e-4, 1e-6, 1e-8], [1e-8, 1e-12, 1e-16]),
+    "ordering-preserved": _ordering_with_low_lifted,   # low state lifted above high once
 }
 
 

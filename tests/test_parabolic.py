@@ -23,6 +23,7 @@ from thresholdlab import (
     solve_newton,
     step,
 )
+from thresholdlab.discrete import LinearSolveError
 from thresholdlab.elliptic import AmplitudeOverflowError
 from thresholdlab.parabolic import (
     CONE_THETA,
@@ -251,9 +252,16 @@ class TestEvolveOrdered:
         A = build_laplacian(build_grid(domain, spec.boundary, resolution))
         low, high = (FieldPair(np.full(A.grid.size, c), np.full(A.grid.size, c), A.grid)
                      for c in (5e199, 1e200))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalFailureError):
-                evolve_ordered(spec, A, low, high)
+        with pytest.raises(NumericalFailureError):
+            evolve_ordered(spec, A, low, high)
+
+    def test_overflow_after_a_step_ends_by_name_without_warning(self, spec3):
+        # the march runs under evolve's float-range guard: the shifted solve's
+        # norms overflow in the first step and end it by name, not by warning
+        A = disk_operator(16)
+        eq = solve_newton(spec3, A)
+        with pytest.raises(LinearSolveError, match="norms overflow"):
+            evolve_ordered(spec3, A, eq.pair.scaled(0.5), eq.pair.scaled(1e70))
 
     def test_forced_run_classified_steady_like_evolve(self):
         spec = disk_spec(2.0, 2.0, lam=1.0)
