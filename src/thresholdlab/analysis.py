@@ -147,7 +147,6 @@ class TrajectoryRecord:
     dt: list = field(default_factory=list)
     phi: list = field(default_factory=list)
     energy: list = field(default_factory=list)
-    bigT: list = field(default_factory=list)
     sup_u: list = field(default_factory=list)
     sup_v: list = field(default_factory=list)
     int_u_q1: list = field(default_factory=list)
@@ -168,7 +167,6 @@ class TrajectoryRecord:
         self.energy.append(energy_val)
         self.int_u_q1.append(int_u_q1)
         self.int_v_p1.append(int_v_p1)
-        self.bigT.append(int_u_q1 + int_v_p1)
         self.sup_u.append(sup_u)
         self.sup_v.append(sup_v)
 
@@ -187,6 +185,11 @@ class TrajectoryRecord:
             pair.sup_u,
             pair.sup_v,
         )
+
+    @property
+    def bigT(self) -> np.ndarray:
+        """T per row, int_u_q1 + int_v_p1 elementwise."""
+        return np.add(self.int_u_q1, self.int_v_p1)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -221,7 +224,7 @@ class TrajectoryRecord:
             "dt": np.asarray(self.dt),
             "phi": np.asarray(self.phi),
             "energy": np.asarray(self.energy),
-            "bigT": np.asarray(self.bigT),
+            "bigT": self.bigT,
             "sup_u": np.asarray(self.sup_u),
             "sup_v": np.asarray(self.sup_v),
             "dphi_lhs": self.dphi_lhs,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,19 +69,27 @@ class Grid:
     Immutable after construction.  ``weights`` integrate nodal vectors over
     the domain; for radial grids they are exact finite-volume shell volumes
     (their sum reproduces the ball volume), for the rectangle they are the
-    plain cell areas of the interior nodes.
+    plain cell areas of the interior nodes.  ``geometry`` and ``dimension``
+    are read from ``domain``; the rectangle's interior node counts per axis
+    are ``resolution`` minus one.
     """
 
-    geometry: str                 # "radial" | "rectangle"
-    dimension: int
+    domain: DomainSpec
     boundary: BoundarySpec
     resolution: tuple[int, ...]
     h: tuple[float, ...]
     coords: np.ndarray            # (m,) radii for radial, (m,2) for rectangle
     center_dist: np.ndarray       # distance of each node to the domain centre
     weights: np.ndarray
-    domain: Optional[DomainSpec] = None
-    shape2d: Optional[tuple[int, int]] = None
+
+    @property
+    def geometry(self) -> str:
+        """The domain's kind: "rectangle" or "radial"."""
+        return "rectangle" if isinstance(self.domain, Rectangle) else "radial"
+
+    @property
+    def dimension(self) -> int:
+        return self.domain.dimension
 
     @property
     def size(self) -> int:
@@ -134,14 +142,13 @@ class DiscreteLaplacian:
     """Symmetric stiffness form of -Lap with the boundary condition baked in.
 
     apply(x) evaluates A x = K x / w nodewise; quadratic_form(x, y) returns
-    <A x, y>_w = x^T K y, exactly symmetric by construction.  The solve used
-    by solve_shifted is derived from grid and K on construction, so an
-    operator built by hand gets one too.
+    <A x, y>_w = x^T K y, exactly symmetric by construction.  ``boundary`` is
+    the grid's.  The solve used by solve_shifted is derived from grid and K
+    on construction, so an operator built by hand gets one too.
     """
 
     grid: Grid
     K: sp.csr_matrix
-    boundary: BoundarySpec
     # _solve(sigma, b) solves (sigma I + A) x = b for b of shape (m, k)
     _solve: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
     _op_scale: float = field(init=False, repr=False, compare=False)  # 2 max(K_ii / w_i)
@@ -159,6 +166,10 @@ class DiscreteLaplacian:
             band[0] = self.K.diagonal()
             band[1, :-1] = self.K.diagonal(-1)
             self._solve = partial(_banded_solve, band, w)
+
+    @property
+    def boundary(self) -> BoundarySpec:
+        return self.grid.boundary
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (self.K @ x) / self.grid.weights
@@ -242,15 +253,13 @@ def _radial_grid(domain: RadialBall, boundary: BoundarySpec, n: int) -> Grid:
         raise GridError(f"dimension {N} is out of range at radius {R:g} and resolution {n}: "
                         "shell volumes are not positive finite floats")
     return Grid(
-        geometry="radial",
-        dimension=N,
+        domain=domain,
         boundary=boundary,
         resolution=(n,),
         h=(h,),
         coords=r,
         center_dist=r,
         weights=w,
-        domain=domain,
     )
 
 
@@ -269,16 +278,13 @@ def _rectangle_grid(domain: Rectangle, boundary: BoundarySpec, nx: int, ny: int)
     dist = np.linalg.norm(pts - center, axis=1)
     w = np.full(len(pts), hx * hy)
     return Grid(
-        geometry="rectangle",
-        dimension=2,
+        domain=domain,
         boundary=boundary,
         resolution=(nx, ny),
         h=(hx, hy),
         coords=pts,
         center_dist=dist,
         weights=w,
-        domain=domain,
-        shape2d=(nx - 1, ny - 1),
     )
 
 
@@ -291,13 +297,8 @@ def build_laplacian(grid: Grid) -> DiscreteLaplacian:
     boundary diagonal, which is exactly the boundary term produced by
     integration by parts.  All variants are symmetric M-matrices.
     """
-    if grid.geometry == "radial":
-        K = _radial_stiffness(grid)
-    elif grid.geometry == "rectangle":
-        K = _rectangle_stiffness(grid)
-    else:
-        raise GridError(f"no operator for geometry {grid.geometry!r}")
-    return DiscreteLaplacian(grid=grid, K=K, boundary=grid.boundary)
+    K = _rectangle_stiffness(grid) if grid.geometry == "rectangle" else _radial_stiffness(grid)
+    return DiscreteLaplacian(grid=grid, K=K)
 
 
 def _radial_stiffness(grid: Grid) -> sp.csr_matrix:
@@ -349,7 +350,7 @@ def _rectangle_eigenvalues(grid: Grid) -> np.ndarray:
     eigenvectors and eigenvalues (2/h sin(j pi / (2(m+1))))^2, j = 1..m; the
     5-point eigenvalues are their sums over the two axes.
     """
-    mx, my = grid.shape2d
+    mx, my = (n - 1 for n in grid.resolution)
     hx, hy = grid.h
     axis = lambda m, h: (2.0 / h * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1)))) ** 2
     return (axis(mx, hx)[:, None] + axis(my, hy)[None, :])[:, :, None]

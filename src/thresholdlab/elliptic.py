@@ -481,9 +481,14 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
 
 @dataclass
 class LambdaStarResult:
-    lambda_hat: float
     bracket: tuple[float, float]
     probes: list = field(default_factory=list)   # (lam, converged) pairs in probe order
+
+    @property
+    def lambda_hat(self) -> float:
+        """The midpoint of ``bracket``."""
+        lo, hi = self.bracket
+        return 0.5 * (lo + hi)
 
 
 def lambda_star(
@@ -495,9 +500,12 @@ def lambda_star(
     """Bisect the extremal forcing scale using monotone-iteration solvability.
 
     Predicate: the monotone iteration from (0,0) at scale lam converges to a
-    positive solution.  It must hold at bracket[0] and fail at bracket[1];
-    monotone dependence on lam is assumed and spot-checked at three points
-    away from the final bracket (two below, one above).
+    positive solution.  It must hold at bracket[0] and fail at bracket[1].
+    Bisection stops once the bracket's relative width is at most
+    ``rel_tol``, or once its ends are adjacent floats, whose midpoint is one
+    of them, whichever comes first.  Monotone dependence on lam is assumed
+    and spot-checked at three points away from the final bracket (two
+    below, one above).
     """
     lo, hi = bracket
     if not 0 <= lo < hi:
@@ -516,6 +524,8 @@ def lambda_star(
 
     while (hi - lo) > rel_tol * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:       # lo and hi are adjacent floats
+            break
         if solvable(mid):
             lo = mid
         else:
@@ -526,7 +536,7 @@ def lambda_star(
             raise EllipticError(
                 f"solvability at lam={lam} contradicts the bisection bracket"
             )
-    return LambdaStarResult(0.5 * (lo + hi), (lo, hi), probes)
+    return LambdaStarResult((lo, hi), probes)
 
 
 def _solvable_probe(spec_template, A, lam) -> bool:
@@ -553,16 +563,14 @@ def _solvable_probe(spec_template, A, lam) -> bool:
 class ShootingResult:
     """High-accuracy radial equilibrium from the two-point shooting solve.
 
-    ``profile(r)`` evaluates (U, V) at arbitrary radii from the dense ODE
-    output; ``bc_residual`` is the achieved boundary-condition defect.
+    ``profile(r)`` evaluates (U, V) at radii in [0, ``radius``] from the
+    dense ODE output; ``bc_residual`` is the achieved boundary-condition
+    defect.  The problem solved is the caller's, not stored here.
     """
 
     center: tuple[float, float]
     bc_residual: float
-    exponents: ExponentPair
-    dimension: int
     radius: float
-    boundary: BoundarySpec
     _dense: Callable
 
     def profile(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -691,6 +699,9 @@ def shooting_oracle(
 ) -> ShootingResult:
     """Independent radial equilibrium via shooting from the centre.
 
+    It is the reference the grid solves are checked against, as in verify's
+    equilibrium-vs-shooting check; no command seeds a grid solve with it.
+
     Adjusts the centre values (a, b) so the boundary condition holds at
     r = radius, by Newton's method seeded from a coarse grid Newton solve.
     For p = q the solution has u = v (the difference w = u - v solves
@@ -749,15 +760,7 @@ def shooting_oracle(
     bc_res = float(np.max(np.abs(_bc_values(sol, boundary, radius))))
     if bc_res > BC_TOL:
         raise RootFindFailure(bc_res)
-    return ShootingResult(
-        center=center,
-        bc_residual=bc_res,
-        exponents=exponents,
-        dimension=n_dim,
-        radius=radius,
-        boundary=boundary,
-        _dense=sol.sol,
-    )
+    return ShootingResult(center=center, bc_residual=bc_res, radius=radius, _dense=sol.sol)
 
 
 def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:

@@ -28,7 +28,6 @@ from ..elliptic import (
     Equilibrium,
     LambdaStarResult,
     lambda_star,
-    shooting_oracle,
     solve_monotone,
     solve_newton,
 )
@@ -234,9 +233,11 @@ def robin_experiment(
 ) -> ExperimentResult:
     """Threshold runs against the Robin equilibrium.
 
-    The equilibrium is computed by Newton seeded from the shooting solve;
-    if neither route produces one, the experiment is reported as skipped
-    with the solver diagnostics instead of failing.
+    The equilibrium comes from the one seed route every command takes, an
+    unseeded :func:`solve_newton`; if it finds none, the experiment is
+    reported as skipped with the solver diagnostics instead of failing.
+    ``derived`` records the equilibrium's relative residual
+    ``equilibrium_residual`` and its ``sup_u``.
     """
     if spec.boundary.kind != "robin":
         raise ValueError("robin_experiment requires a Robin boundary")
@@ -247,14 +248,10 @@ def robin_experiment(
         provenance=_provenance(resolution, config, seed),
     )
     try:
-        oracle = shooting_oracle(
-            spec.exponents, spec.dimension, spec.boundary, spec.domain.radius
-        )
-        equilibrium = solve_newton(spec, A, initial_guess=oracle.to_pair(A.grid))
+        equilibrium = solve_newton(spec, A)
     except EllipticError as exc:
         result.skipped = f"equilibrium not found: {exc}"
         return result
-    result.derived["bc_residual"] = oracle.bc_residual
     result.derived["equilibrium_residual"] = equilibrium.residual_norm
     result.derived["sup_u"] = equilibrium.pair.sup_u
 

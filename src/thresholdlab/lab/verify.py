@@ -478,7 +478,7 @@ def power_sum_checks(seed: int) -> list[CheckResult]:
 def _negative_controls(report, grid, A, spec, eq, rng):
     broken = sp.lil_matrix(A.K)
     broken[0, 1] = broken[0, 1] + 1e-3
-    brokenA = DiscreteLaplacian(grid=grid, K=broken.tocsr(), boundary=A.boundary)
+    brokenA = DiscreteLaplacian(grid=grid, K=broken.tocsr())
     [asymmetry] = duality_check([brokenA], rng, 1, "broken")
     report.add("negative-control-asymmetry", not asymmetry.passed, asymmetry.value,
                "deliberately broken operator is detected")

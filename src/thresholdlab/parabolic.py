@@ -249,15 +249,9 @@ def certificates(spec: ProblemSpec, A: DiscreteLaplacian) -> Certificates:
     )
 
 
-def step(
-    spec: ProblemSpec,
-    A: DiscreteLaplacian,
-    state: FieldPair,
-    dt: float,
-    _forcing: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> FieldPair:
-    """One semi-implicit step of length dt."""
-    ru, rv = _reaction(spec, state, forcing_arrays(spec, A.grid) if _forcing is None else _forcing)
+def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float) -> FieldPair:
+    """One semi-implicit step of length dt; the forcing is evaluated on A's grid."""
+    ru, rv = _reaction(spec, state, forcing_arrays(spec, A.grid))
     rhs = np.column_stack([state.u + dt * ru, state.v + dt * rv])
     # (I + dt A) x = b  <=>  (1/dt I + A) x = b/dt
     new = solve_shifted(A, 1.0 / dt, rhs / dt)
@@ -288,7 +282,7 @@ def _march(spec, A, states, config):
     while True:
         dt = min(*(adapt_dt(s, spec.exponents) for s in states), config.dt0)
         try:
-            new = [step(spec, A, s, dt, _forcing=forcing) for s in states]
+            new = [step(spec, A, s, dt) for s in states]
         except ValueError as exc:          # non-finite data rejected by the solver
             raise NumericalFailureError(t + dt) from exc
         if not all(np.all(np.isfinite(s.u)) and np.all(np.isfinite(s.v)) for s in new):
@@ -321,6 +315,12 @@ def _classify(spec, config, s0, prev_sup, state, change, t, dt, certs=None) -> O
     return None
 
 
+def _check_nonnegative(*states: FieldPair) -> None:
+    """The drivers' one admission check of initial data, before any row or step."""
+    if any(np.min(s.u) < 0 or np.min(s.v) < 0 for s in states):
+        raise ValueError("initial data must be nonnegative")
+
+
 def _max_abs(du, dv) -> float:
     return max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
 
@@ -348,8 +348,7 @@ def evolve(
     NumericalFailureError at t = 0, before any step; a later row that is not
     finite raises it at its time, before that step is classified.
     """
-    if np.min(initial.u) < 0 or np.min(initial.v) < 0:
-        raise ValueError("initial data must be nonnegative")
+    _check_nonnegative(initial)
     record = TrajectoryRecord(exponents=spec.exponents, volume=A.grid.volume)
     state = initial.copy()
     s0 = state.sup
@@ -357,7 +356,8 @@ def evolve(
     def observe(pair, t, dt):
         record.observe(A, pair, t, dt)
         # a sum of the row's terms is finite only if all of them are
-        if not math.isfinite(record.phi[-1] + record.energy[-1] + record.bigT[-1]):
+        if not math.isfinite(record.phi[-1] + record.energy[-1]
+                             + (record.int_u_q1[-1] + record.int_v_p1[-1])):
             raise NumericalFailureError(t, "diagnostic row")
 
     # overflow while stepping is caught by the finiteness checks, not warned
@@ -421,8 +421,10 @@ def evolve_ordered(
     states are classified or either blows up.  The march runs under the
     same float-range guard as :func:`evolve`: data that overflows raises
     NumericalFailureError, or LinearSolveError from the shifted solve,
-    without a warning.
+    without a warning.  Initial data must be nonnegative, as for
+    :func:`evolve`.
     """
+    _check_nonnegative(low, high)
     if np.min(high.u - low.u) < -TOL_ORDER or np.min(high.v - low.v) < -TOL_ORDER:
         raise ValueError("initial states are not ordered low <= high")
     states = [low.copy(), high.copy()]

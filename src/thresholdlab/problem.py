@@ -164,8 +164,9 @@ class ForcingSpec:
         return cls(0.0, Profile(), Profile())
 
     @classmethod
-    def constant(cls, lam: float, f_value: float = 1.0, g_value: float = 1.0) -> "ForcingSpec":
-        return cls(lam, Profile("constant", f_value), Profile("constant", g_value))
+    def constant(cls, lam: float) -> "ForcingSpec":
+        """Scale ``lam`` of the unit constant sources f = g = 1."""
+        return cls(lam, Profile("constant", 1.0), Profile("constant", 1.0))
 
     def with_lam(self, lam: float) -> "ForcingSpec":
         return replace(self, lam=lam)
@@ -202,9 +203,14 @@ class ProblemSpec:
 
 @dataclass
 class ValidationReport:
-    accepted: bool
+    """Named violations, which reject a problem, and warnings, which do not."""
+
     violations: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def accepted(self) -> bool:
+        return not self.violations
 
 
 SUBCRITICALITY = "SUBCRITICALITY"
@@ -218,7 +224,7 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     equilibria may fail to exist on star-shaped domains there, but the
     parabolic flow itself is still well defined.
     """
-    report = ValidationReport(accepted=True)
+    report = ValidationReport()
     p, q = spec.exponents.p, spec.exponents.q
     if not p > 1:
         report.violations.append("p>1")
@@ -230,7 +236,6 @@ def validate(spec: ProblemSpec) -> ValidationReport:
     if forcing.lam > 0 and forcing.f.is_zero and forcing.g.is_zero:
         report.violations.append("forcing-not-identically-zero")
     if report.violations:
-        report.accepted = False
         return report
 
     n = spec.dimension

@@ -253,6 +253,24 @@ class TestLambdaStar:
         with pytest.raises(InvalidBracketError):
             lambda_star(fam["template"], fam["A"], (2 * hi, 4 * hi), rel_tol=0.1)
 
+    def test_tolerance_below_float_resolution_ends(self, monkeypatch):
+        # a relative tolerance no bracket can meet: bisection stops once the
+        # ends are adjacent floats instead of probing their midpoint forever
+        import thresholdlab.elliptic as el
+
+        edge, calls = 4.482540002847047, []
+
+        def probe(spec, A, lam):
+            calls.append(lam)
+            if len(calls) > 500:
+                raise AssertionError("bisection did not stop")
+            return lam < edge
+
+        monkeypatch.setattr(el, "_solvable_probe", probe)
+        result = lambda_star(disk_spec(lam=1.0), disk_operator(16), (0.001, 1000.0), 1e-300)
+        lo, hi = result.bracket
+        assert lo < edge <= hi and np.nextafter(lo, math.inf) == hi
+
 
 def _assert_symmetric(oracle):
     """For p = q the maximum principle forces u = v: the oracle keeps it bitwise."""

@@ -2,9 +2,10 @@
 
 scipy.integrate (which loads scipy.optimize), scipy.fft (which loads
 scipy.special) and scipy.sparse.linalg are imported only where they are
-used: the shooting oracle, Kaplan's bound for p != q, the Dirichlet
-rectangle's sine transforms and its GMRES Newton steps.  The suite itself
-imports scipy.optimize, so each check runs in a fresh interpreter.
+used: the shooting oracle (which, of the commands, only verify calls),
+Kaplan's bound for p != q, the Dirichlet rectangle's sine transforms and
+its GMRES Newton steps.  The suite itself imports scipy.optimize, so each
+check runs in a fresh interpreter.
 """
 
 import json
@@ -43,6 +44,13 @@ def test_radial_threshold_run_loads_neither_integrate_nor_fft(tmp_path):
     assert "scipy.integrate" not in loaded and "scipy.fft" not in loaded
 
 
+def test_radial_robin_run_with_p_equal_q_loads_no_integrate(tmp_path):
+    code = ("from thresholdlab.lab.cli import main\n"
+            f"assert main(['robin', '--bc', 'robin:1', '--resolution', '16', "
+            f"'--out', {str(tmp_path)!r}]) == 0")
+    assert "scipy.integrate" not in _loaded_after(code)
+
+
 @pytest.mark.parametrize("code, module", [
     ("from thresholdlab import BoundarySpec, Rectangle, build_grid, build_laplacian\n"
      "build_laplacian(build_grid(Rectangle(1.0, 1.0), BoundarySpec.dirichlet(), 8))",
@@ -53,6 +61,9 @@ def test_radial_threshold_run_loads_neither_integrate_nor_fft(tmp_path):
     ("from thresholdlab.lab.cli import main\n"
      "assert main(['steady', '--geometry', 'rect', '--resolution', '8', '--out', {out!r}]) == 0",
      "scipy.sparse.linalg"),
+    ("from thresholdlab.lab.cli import main\n"   # its equilibrium-vs-shooting check
+     "assert main(['verify', '--resolutions', '16,32', '--out', {out!r}]) == 0",
+     "scipy.integrate"),
 ])
 def test_deferred_subpackage_loads_where_it_is_used(code, module, tmp_path):
     assert module in _loaded_after(code.format(out=str(tmp_path)))

@@ -337,6 +337,17 @@ class TestCli:
         assert csv[0].startswith("t,dt,phi")
         assert len(csv) > 100
 
+    def test_robin_runs_where_the_shooting_solve_misses(self, tmp_path, capsys):
+        # the 3-ball at beta = 10, p = q = 1.5: the shooting defect misses
+        # BC_TOL, but robin's equilibrium is the grid Newton solve's
+        code = main(["robin", "--dim", "3", "--bc", "robin:10", "--p", "1.5", "--q", "1.5",
+                     "--resolution", "64", "--out", str(tmp_path)])
+        assert code == 0
+        payload = json.loads((tmp_path / "result.json").read_text())
+        assert "skipped" not in payload and payload["derived"]["equilibrium_residual"] <= 1e-10
+        assert [(r["value"], r["outcome"]) for r in payload["runs"]] == [
+            (0.5, "decay"), (1.5, "blowup")]
+
     def test_evolve_undecided_exit_code(self, tmp_path, capsys):
         code = main([
             "evolve", "--alpha", "0.9", "--resolution", "32",
@@ -707,7 +718,7 @@ def _bumped_operator():
     A = disk_operator(32)
     K = sp.lil_matrix(A.K)
     K[0, 1] += 1e-3
-    return DiscreteLaplacian(grid=A.grid, K=K.tocsr(), boundary=A.boundary)
+    return DiscreteLaplacian(grid=A.grid, K=K.tocsr())
 
 
 def _ordering_with_low_lifted():

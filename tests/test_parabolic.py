@@ -244,6 +244,12 @@ class TestEvolveOrdered:
         with pytest.raises(ValueError):
             evolve_ordered(spec3, A, eq.pair, eq.pair.scaled(0.5))
 
+    def test_negative_initial_rejected_like_evolve(self, spec3):
+        A = disk_operator(32)
+        eq = solve_newton(spec3, A)
+        with pytest.raises(ValueError, match="initial data must be nonnegative"):
+            evolve_ordered(spec3, A, eq.pair.scaled(-0.5), eq.pair.scaled(0.5))
+
     @pytest.mark.parametrize(
         "domain, resolution", [(Rectangle(1.0, 1.0), 16), (RadialBall(2, 1.0), 64)]
     )
