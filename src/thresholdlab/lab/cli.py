@@ -220,8 +220,7 @@ def _dispatch(args) -> int:
         summary = f"lambda bracket: {result.derived['lambda_bracket']}"
     else:
         result = robin_experiment(spec, A, config, alphas=args.alphas, seed=args.seed)
-        summary = (f"skipped: {result.skipped}" if result.skipped
-                   else f"robin runs: {[(r['value'], r['outcome']) for r in result.runs]}")
+        summary = f"robin runs: {[(r['value'], r['outcome']) for r in result.runs]}"
     write_result_json(result.to_payload(), out / "result.json")
     print(summary)
     return UNDECIDED if result.skipped else 0

@@ -24,7 +24,6 @@ import numpy as np
 from .. import __version__
 from ..discrete import DiscreteLaplacian, FieldPair
 from ..elliptic import (
-    EllipticError,
     Equilibrium,
     LambdaStarResult,
     lambda_star,
@@ -234,9 +233,9 @@ def robin_experiment(
     """Threshold runs against the Robin equilibrium.
 
     The equilibrium comes from the one seed route every command takes, an
-    unseeded :func:`solve_newton`; if it finds none, the experiment is
-    reported as skipped with the solver diagnostics instead of failing.
-    ``derived`` records the equilibrium's relative residual
+    unseeded :func:`solve_newton`; if it finds none, its EllipticError
+    propagates, as it does for ``steady`` and ``threshold`` (exit 2 from
+    the CLI).  ``derived`` records the equilibrium's relative residual
     ``equilibrium_residual`` and its ``sup_u``.
     """
     if spec.boundary.kind != "robin":
@@ -247,11 +246,7 @@ def robin_experiment(
         digest=spec_digest(spec, resolution),
         provenance=_provenance(resolution, config, seed),
     )
-    try:
-        equilibrium = solve_newton(spec, A)
-    except EllipticError as exc:
-        result.skipped = f"equilibrium not found: {exc}"
-        return result
+    equilibrium = solve_newton(spec, A)
     result.derived["equilibrium_residual"] = equilibrium.residual_norm
     result.derived["sup_u"] = equilibrium.pair.sup_u
 

@@ -9,6 +9,7 @@ from thresholdlab import (
     BoundarySpec,
     ExponentPair,
     FieldPair,
+    ForcingSpec,
     ProblemSpec,
     RadialBall,
     Rectangle,
@@ -22,9 +23,12 @@ from thresholdlab import (
     solve_monotone,
     solve_newton,
 )
+from thresholdlab.discrete import solve_shifted
 from thresholdlab.elliptic import (
     BC_TOL,
+    DEFAULT_STEADY_TOL,
     KRYLOV_TOL,
+    MONOTONE_CAP,
     NEWTON_HALVINGS,
     InvalidBracketError,
     MaxIterationsError,
@@ -35,6 +39,7 @@ from thresholdlab.elliptic import (
     _bc_values,
     _escaped,
     _integrate_radial,
+    forcing_arrays,
     lambda_star,
     signed_power,
 )
@@ -186,6 +191,18 @@ class TestMonotone:
         res = solve_monotone(spec, A)
         assert res.converged
         assert np.all(np.diff(res.sup_history) >= -1e-12)
+
+    def test_iterations_near_the_fold(self):
+        # 24² square, (p, q) = (1.5, 3): lambda* lies in (58.106, 58.595), so
+        # lambda_hat = 58.35.  The unshifted iteration takes 262 steps at
+        # lambda = 58.1; the shifted one it replaced took 1883.
+        square = Rectangle(1.0, 1.0)
+        spec = ProblemSpec(ExponentPair(1.5, 3.0), square, BoundarySpec.dirichlet(),
+                           ForcingSpec.constant(58.1))
+        A = build_laplacian(build_grid(square, BoundarySpec.dirichlet(), 24))
+        res = solve_monotone(spec, A)
+        assert res.converged
+        assert res.iterations <= 400
 
     def test_minimal_dominated_by_newton_solution(self, forced2_family):
         fam = forced2_family
@@ -414,6 +431,38 @@ def test_unseeded_newton_property(p, q, name):
     eq = solve_newton(ProblemSpec(ExponentPair(p, q), domain, boundary), A)
     assert eq.residual_norm <= 1e-10
     assert eq.pair.u.min() > 0 and eq.pair.v.min() > 0
+
+
+def _shifted_monotone(spec, A):
+    """Reference: the iteration shifted by sigma = the largest reaction slope so far."""
+    p, q = spec.p, spec.q
+    fu, gv = forcing_arrays(spec, A.grid)
+    u = v = np.zeros(A.grid.size)
+    for k in range(1, MONOTONE_CAP + 1):
+        sigma = max(p * v.max() ** (p - 1), q * u.max() ** (q - 1))
+        rhs = np.column_stack([sigma * u + signed_power(v, p) + fu,
+                               sigma * v + signed_power(u, q) + gv])
+        u, v = solve_shifted(A, sigma, rhs).T
+        if residual_norm(spec, A, FieldPair(u, v, A.grid)) <= DEFAULT_STEADY_TOL:
+            return FieldPair(u, v, A.grid), k
+    raise AssertionError("shifted reference iteration did not converge")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(1.5, 3.0), st.floats(1.5, 3.0), st.floats(0.1, 0.9),
+       st.sampled_from(sorted(_NEWTON_DOMAINS)))
+def test_unshifted_monotone_matches_the_shifted_iteration(p, q, theta, name):
+    """Below lambda*, the unshifted map reaches the shifted map's limit, never in more steps."""
+    domain, boundary, n = _NEWTON_DOMAINS[name]
+    A = build_laplacian(build_grid(domain, boundary, n))
+    template = ProblemSpec(ExponentPair(p, q), domain, boundary, ForcingSpec.constant(1.0))
+    lam_hat = lambda_star(template, A, (0.001, 1e4), rel_tol=0.05).lambda_hat
+    spec = template.with_lam(theta * lam_hat)
+    res = solve_monotone(spec, A)
+    ref, ref_iterations = _shifted_monotone(spec, A)
+    assert res.converged and res.iterations <= ref_iterations
+    for x, y in ((res.pair.u, ref.u), (res.pair.v, ref.v)):
+        assert np.max(np.abs(x - y)) <= 1e-9 * np.max(np.abs(y))
 
 
 #: Grids of the Newton-step tests: 64-node radial grids and the 16² square.

@@ -598,6 +598,10 @@ class TestCliErrorPaths:
          "non-finite diagnostic row at t=1e-10"),
         (["threshold", "--resolution", "16", "--alphas", "0.5,1e70"], 2,
          "norms overflow on data near the float range"),
+        # every monotone step solves with A itself, unshifted
+        (["steady", "--method", "monotone", "--bc", "robin:1e-300", "--lambda", "1",
+          "--p", "2", "--q", "2", "--resolution", "64"], 2,
+         "operator singular to float precision"),
     ])
     def test_extreme_finite_input_ends_by_name(self, argv, code, named, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == code
@@ -605,6 +609,15 @@ class TestCliErrorPaths:
         assert named in err and "Traceback" not in err
         if argv[0] == "evolve":
             assert json.loads((tmp_path / "result.json").read_text())["outcome"] == "decay"
+
+    def test_robin_without_equilibrium_is_numerical_failure(self, tmp_path, capsys):
+        # as for steady with the same flags: Newton's failure is exit 2, not undecided
+        code = main(["robin", "--dim", "3", "--bc", "robin:1", "--p", "6", "--q", "6",
+                     "--resolution", "64", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not (tmp_path / "result.json").exists()
 
     def test_bracket_failing_after_probes_is_usage_error(self, tmp_path, capsys):
         code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",
