@@ -406,9 +406,10 @@ def _finish_newton(spec, A, pair, rn, known) -> Equilibrium:
 class MonotoneResult:
     """Outcome of the monotone iteration.
 
-    status: "converged" | "diverged" | "stagnated".  Divergence (iterates
-    escaping beyond M_BIG, or still growing at MONOTONE_CAP) signals
-    that the forcing scale lies above the solvable range.  ``iterations``
+    status: "converged" | "diverged" | "capped".  "diverged" means the
+    sup-norm passed M_BIG, so the forcing scale lies above the solvable
+    range; "capped" means MONOTONE_CAP steps ended with neither, which
+    decides nothing (near the fold the climb is slow).  ``iterations``
     counts Picard steps of the unshifted map; see solve_monotone.
     """
 
@@ -416,7 +417,6 @@ class MonotoneResult:
     pair: FieldPair
     residual_norm: float
     iterations: int
-    sup_history: np.ndarray
 
     @property
     def converged(self) -> bool:
@@ -441,17 +441,17 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
     (sigma + kappa)/(sigma + mu), which is closer to 1, so it only slows
     convergence.  The reaction of each iterate is evaluated once and serves
     both the stopping test and the next right-hand side.  Every step asserts monotonicity; a decrease
-    beyond rounding raises MonotonicityError.
+    beyond rounding raises MonotonicityError.  The run ends in one of
+    MonotoneResult's three states.
     """
     grid = A.grid
     p, q = spec.p, spec.q
     fu, gv = forcing_arrays(spec, grid)
     pair = FieldPair.zeros(grid)
-    sups = [pair.sup]
     bu, bv = fu, gv
     rn = relative_residual(A, pair, bu, bv)
     if rn <= DEFAULT_STEADY_TOL:
-        return MonotoneResult("converged", pair, rn, 0, np.asarray(sups))
+        return MonotoneResult("converged", pair, rn, 0)
 
     for k in range(1, MONOTONE_CAP + 1):
         new = solve_shifted(A, 0.0, np.column_stack([bu, bv]))
@@ -460,21 +460,13 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
         if np.min(u_new - pair.u) < -slack or np.min(v_new - pair.v) < -slack:
             raise MonotonicityError(f"iterate decreased at step {k}")
         pair = FieldPair(u_new, v_new, grid)
-        sups.append(pair.sup)
         if pair.sup > M_BIG:
-            return MonotoneResult("diverged", pair, math.inf, k, np.asarray(sups))
+            return MonotoneResult("diverged", pair, math.inf, k)
         bu, bv = signed_power(pair.v, p) + fu, signed_power(pair.u, q) + gv
         rn = relative_residual(A, pair, bu, bv)
         if rn <= DEFAULT_STEADY_TOL:
-            return MonotoneResult("converged", pair, rn, k, np.asarray(sups))
-
-    # cap reached: still-growing increments mean divergence, otherwise stagnation
-    s = np.asarray(sups)
-    window = MONOTONE_CAP // 10
-    recent = s[-1] - s[-1 - window]
-    earlier = s[-1 - window] - s[-1 - 2 * window]
-    status = "diverged" if recent > 0.5 * earlier and recent > 0 else "stagnated"
-    return MonotoneResult(status, pair, rn, MONOTONE_CAP, s)
+            return MonotoneResult("converged", pair, rn, k)
+    return MonotoneResult("capped", pair, rn, MONOTONE_CAP)
 
 
 @dataclass
@@ -495,10 +487,13 @@ def lambda_star(
     bracket: tuple[float, float],
     rel_tol: float,
 ) -> LambdaStarResult:
-    """Bisect the extremal forcing scale using monotone-iteration solvability.
+    """Bisect the extremal forcing scale on solvability.
 
-    Predicate: the monotone iteration from (0,0) at scale lam converges to a
-    positive solution.  It must hold at bracket[0] and fail at bracket[1].
+    Predicate: an Equilibrium is admitted at scale lam, the monotone limit
+    or, when the iteration is capped, Newton's solve from its last iterate.
+    Any positive solution bounds the monotone iterates from (0,0) (Sattinger
+    1972; Keener & Keller 1974), so one admitted Equilibrium proves lam
+    solvable.  It must hold at bracket[0] and fail at bracket[1].
     Bisection stops once the bracket's relative width is at most
     ``rel_tol``, or once its ends are adjacent floats, whose midpoint is one
     of them, whichever comes first.  Monotone dependence on lam is assumed
@@ -506,8 +501,8 @@ def lambda_star(
     below, one above).
     """
     lo, hi = bracket
-    if not 0 <= lo < hi:
-        raise InvalidBracketError(f"bad bracket {bracket}: need 0 <= lo < hi")
+    if not 0 < lo < hi:
+        raise InvalidBracketError(f"bad bracket {bracket}: need 0 < lo < hi")
     probes: list = []
 
     def solvable(lam: float) -> bool:
@@ -516,9 +511,9 @@ def lambda_star(
         return res
 
     if not solvable(lo):
-        raise InvalidBracketError(f"monotone iteration does not converge at lam={lo}")
+        raise InvalidBracketError(f"bad bracket: not solvable at lam={lo}")
     if solvable(hi):
-        raise InvalidBracketError(f"monotone iteration converges at lam={hi}")
+        raise InvalidBracketError(f"bad bracket: solvable at lam={hi}")
 
     while (hi - lo) > rel_tol * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
@@ -540,16 +535,14 @@ def lambda_star(
 def _solvable_probe(spec_template, A, lam) -> bool:
     spec = spec_template.with_lam(lam)
     res = solve_monotone(spec, A)
-    if res.converged:
-        return bool(min(res.pair.u.min(), res.pair.v.min()) >= 0)
-    if res.status == "stagnated":
-        # slow monotone convergence near the fold: let Newton settle it
-        try:
+    try:
+        if res.status == "capped":
             solve_newton(spec, A, initial_guess=res.pair)
-        except EllipticError:
-            return False
-        return True
-    return False
+        else:
+            res.equilibrium(spec)
+    except EllipticError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

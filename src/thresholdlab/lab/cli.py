@@ -184,6 +184,8 @@ def _dispatch(args) -> int:
 
     if args.command == "evolve":
         if args.initial is not None:
+            if args.alpha is not None:
+                raise ConfigError("evolve takes --initial or --alpha, not both")
             initial = _load_initial(args, spec, grid)
         elif args.alpha is not None:
             eq = solve_newton(spec, A)

@@ -72,7 +72,7 @@ FLAGS = {
     "initial": (("evolve",), dict(type=Path, default=None, help="snapshot file")),
     "alpha": (("evolve",), dict(type=positive, default=None)),
     "format": (("evolve",), dict(choices=("csv", "json"), default="json")),
-    "alphas": (("threshold", "robin"), dict(type=_list_of(finite), default=(0.5, 1.5))),
+    "alphas": (("threshold", "robin"), dict(type=_list_of(positive), default=(0.5, 1.5))),
     "width": (("threshold",), dict(type=positive, default=0.02)),
     "lambda-lo": (("lambda-star",), dict(type=finite, default=0.001)),
     "lambda-hi": (("lambda-star",), dict(type=finite, default=1000.0)),

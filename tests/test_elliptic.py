@@ -32,6 +32,7 @@ from thresholdlab.elliptic import (
     NEWTON_HALVINGS,
     InvalidBracketError,
     MaxIterationsError,
+    MonotonicityError,
     NonPositiveSolutionError,
     RootFindFailure,
     SingularJacobianError,
@@ -184,13 +185,30 @@ class TestMonotone:
         assert solve_monotone(spec, A).status == "diverged"
 
     def test_iterates_nondecreasing(self):
-        # per-iterate monotonicity is asserted inside; convergence without
-        # MonotonicityError plus a growing sup history is the check
+        # per-iterate monotonicity is asserted inside: convergence without
+        # MonotonicityError is the check (test_decreasing_iterate_raises is
+        # its negative control)
         spec = disk_spec(2.0, 2.0, lam=2.0)
         A = disk_operator(64)
         res = solve_monotone(spec, A)
         assert res.converged
-        assert np.all(np.diff(res.sup_history) >= -1e-12)
+
+    def test_decreasing_iterate_raises(self, monkeypatch):
+        # one node of the third iterate drops below the second
+        import thresholdlab.elliptic as el
+
+        calls = []
+
+        def dropping_solve(A, sigma, b):
+            x = solve_shifted(A, sigma, b)
+            calls.append(1)
+            if len(calls) == 3:
+                x[0, 0] = 0.0
+            return x
+
+        monkeypatch.setattr(el, "solve_shifted", dropping_solve)
+        with pytest.raises(MonotonicityError, match="iterate decreased at step 3"):
+            solve_monotone(disk_spec(2.0, 2.0, lam=2.0), disk_operator(64))
 
     def test_iterations_near_the_fold(self):
         # 24² square, (p, q) = (1.5, 3): lambda* lies in (58.106, 58.595), so
@@ -269,6 +287,16 @@ class TestLambdaStar:
         lo, hi = fam["lambda_star"].bracket
         with pytest.raises(InvalidBracketError):
             lambda_star(fam["template"], fam["A"], (2 * hi, 4 * hi), rel_tol=0.1)
+
+    def test_probe_just_below_the_fold_is_solvable(self):
+        # this grid's discrete fold lies in (7.1989000803, 7.1989000839): the
+        # monotone climb is still slow at the cap, and Newton from its last
+        # iterate admits the equilibrium that makes the probe solvable
+        import thresholdlab.elliptic as el
+
+        template, A, lam = disk_spec(2.0, 2.0, lam=1.0), disk_operator(16), 7.1988993
+        assert solve_monotone(template.with_lam(lam), A).status == "capped"
+        assert el._solvable_probe(template, A, lam)
 
     def test_tolerance_below_float_resolution_ends(self, monkeypatch):
         # a relative tolerance no bracket can meet: bisection stops once the

@@ -548,6 +548,9 @@ class TestCliErrorPaths:
         (["verify", "--resolutions", "96,96"], "96"),
         (["steady", "--geometry", "rect", "--lx", "1e-300", "--resolution", "8"],
          "rectangle 1e-300"),
+        (["threshold", "--alphas=-0.5,1.5"], "--alphas"),
+        (["robin", "--bc", "robin:1", "--alphas=-0.5,1.5"], "--alphas"),
+        (["evolve", "--initial", "steady.snap", "--alpha", "0.5"], "--initial or --alpha"),
     ])
     def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
         import thresholdlab.lab.cli as cli
@@ -623,7 +626,7 @@ class TestCliErrorPaths:
         code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",
                      "--lambda-hi", "1000", "--out", str(tmp_path)])
         assert code == 1
-        assert "does not converge at lam=100" in capsys.readouterr().err
+        assert "not solvable at lam=100" in capsys.readouterr().err
         assert not (tmp_path / "result.json").exists()
 
 
@@ -649,8 +652,8 @@ _OUT_OF_RANGE = {
     "alpha": (_NONPOSITIVE, []),
     "width": (_NONPOSITIVE, []),
     "rel-tol": (_NONPOSITIVE, []),
-    "alphas": (st.sampled_from(["0.5,", ",1.5", "0.5,nan"]), []),
-    "lambda-lo": (st.floats(max_value=0.0, exclude_max=True).map(repr), ["--lambda", "1"]),
+    "alphas": (st.sampled_from(["0.5,", ",1.5", "0.5,nan", "-0.5,1.5"]), []),
+    "lambda-lo": (st.floats(max_value=0.0).map(repr), ["--lambda", "1"]),
     "lambda-hi": (st.floats(max_value=1e-3).map(repr), ["--lambda", "1"]),
 }
 #: Problems a subcommand cannot run.
