@@ -216,12 +216,19 @@ def _residual_parts(A, pair, bu, bv) -> tuple[FieldPair, float, float]:
 def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
     """Lowest eigenvector of A by inverse power iteration, sup-normalised.
 
-    Callers use the operator's cached copy, ``A.principal_vector``.
+    At most ``iters`` solves; the iteration stops early at its floating-point
+    fixed point, the first iterate bitwise equal to its predecessor.  The
+    map is deterministic, so every later iterate would be that same vector
+    and the result is bitwise the ``iters``-step one.  Callers use the
+    operator's cached copy, ``A.principal_vector``.
     """
     x = np.ones(A.grid.size)
     for _ in range(iters):
+        prev = x
         x = solve_shifted(A, 0.0, x)
         x /= np.max(np.abs(x))
+        if np.array_equal(x, prev):
+            break
     return x
 
 
@@ -244,20 +251,40 @@ def _amplitude_prescan(spec, A, shape: np.ndarray, lam1: float) -> FieldPair:
     at the Rayleigh quotient lam1 of the shape: c_u = lam1^((p+1)/(pq-1)) and
     c_v = lam1^((q+1)/(pq-1)), which for p = q reduces to the familiar
     lam1^(1/(p-1)) scale.  The plain residual vanishes as t -> 0 (the zero
-    state solves the unforced system), so the scan minimises ||R|| / t.
+    state solves the unforced system), so the scan minimises ||R|| / t over
+    120 geometric steps of t in [1e-2, 1e2], taking the first minimum.
+
+    The shape is positive, so along the ray the residual components are
+    fixed combinations of three vectors each,
+    R_u = (t c_u) A shape - (t c_v)^p shape^p - lam f and
+    R_v = (t c_v) A shape - (t c_u)^q shape^q - lam g,
+    and ||R||^2 is a quadratic form in their coefficients: one weighted Gram
+    matrix per component, built once, prices every scan point in O(1).
+    Scan points whose norm is not finite are skipped.
     """
     grid = A.grid
     c_u, c_v = _amplitudes(spec, lam1)
-    best_t, best_val = None, math.inf
+    fu, gv = forcing_arrays(spec, grid)
+    a_shape = A.apply(shape)
+    ts = np.geomspace(1e-2, 1e2, 120)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in np.geomspace(1e-2, 1e2, 120):
-            pair = FieldPair(t * c_u * shape, t * c_v * shape, grid)
-            val = _steady_residual(spec, A, pair)[1] / t
-            if val < best_val:
-                best_t, best_val = t, val
-    if best_t is None:
+        sq = (_ray_square(grid, (a_shape, shape**spec.p, fu), ts * c_u, (ts * c_v) ** spec.p)
+              + _ray_square(grid, (a_shape, shape**spec.q, gv), ts * c_v, (ts * c_u) ** spec.q))
+        merit = np.sqrt(np.maximum(sq, 0.0)) / ts   # round-off can leave sq just below 0
+    merit[~np.isfinite(merit)] = np.inf
+    best = np.argmin(merit)
+    if merit[best] == np.inf:
         raise EllipticError("amplitude pre-scan found no finite residual")
+    best_t = ts[best]
     return FieldPair(best_t * c_u * shape, best_t * c_v * shape, grid)
+
+
+def _ray_square(grid: Grid, vectors, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a_k x - b_k y - z||_w^2 for each scan point k, with (x, y, z) = vectors."""
+    V = np.stack(vectors)
+    G = (V * grid.weights) @ V.T
+    C = np.stack([a, -b, -np.ones_like(a)])
+    return np.einsum("ik,ij,jk->k", C, G, C)
 
 
 def _deflation_factor(grid: Grid, pair: FieldPair, known: Sequence[FieldPair]) -> float:

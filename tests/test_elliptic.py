@@ -461,6 +461,97 @@ def test_unseeded_newton_property(p, q, name):
     assert eq.pair.u.min() > 0 and eq.pair.v.min() > 0
 
 
+def _forced_principal_vector(A, iters=60):
+    """Reference: inverse iteration for exactly ``iters`` solves, with no early stop."""
+    x = np.ones(A.grid.size)
+    for _ in range(iters):
+        x = solve_shifted(A, 0.0, x)
+        x /= np.max(np.abs(x))
+    return x
+
+
+def _loop_prescan(spec, A, shape, lam1):
+    """Reference: the amplitude scan as 120 full steady-residual evaluations."""
+    import thresholdlab.elliptic as el
+
+    c_u, c_v = el._amplitudes(spec, lam1)
+    best_t, best_val = None, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in np.geomspace(1e-2, 1e2, 120):
+            pair = FieldPair(t * c_u * shape, t * c_v * shape, A.grid)
+            val = el._steady_residual(spec, A, pair)[1] / t
+            if val < best_val:
+                best_t, best_val = t, val
+    if best_t is None:
+        raise el.EllipticError("amplitude pre-scan found no finite residual")
+    return FieldPair(best_t * c_u * shape, best_t * c_v * shape, A.grid)
+
+
+#: Grids of the seed tests; the 16-node disk's inverse iteration never reaches a fixed point.
+_SEED_GRIDS = {
+    "disk": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 512),
+    "ball": (RadialBall(3, 1.0), BoundarySpec.dirichlet(), 64),
+    "robin-disk": (RadialBall(2, 1.0), BoundarySpec.robin(1.0), 64),
+    "rectangle": (Rectangle(2.0, 1.0), BoundarySpec.dirichlet(), (24, 12)),
+    "disk-16": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 16),
+}
+_seed_operators = {}
+
+
+def _seed_operator(name):
+    if name not in _seed_operators:
+        domain, boundary, n = _SEED_GRIDS[name]
+        _seed_operators[name] = build_laplacian(build_grid(domain, boundary, n))
+    return _seed_operators[name]
+
+
+class TestNewtonSeed:
+    @pytest.mark.parametrize("name", sorted(_SEED_GRIDS))
+    def test_inverse_iteration_stops_at_its_fixed_point(self, name, monkeypatch):
+        import thresholdlab.elliptic as el
+
+        A = _seed_operator(name)
+        calls = []
+        monkeypatch.setattr(el, "solve_shifted", lambda *a: calls.append(1) or solve_shifted(*a))
+        x = el._principal_eigenvector(A)
+        np.testing.assert_array_equal(x, _forced_principal_vector(A))
+        if name == "disk-16":   # oscillates at 1e-16: every solve runs
+            assert len(calls) == 60
+        else:
+            assert len(calls) < 60
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(1.2, 8.0), st.floats(1.2, 8.0), st.sampled_from([0.0, 0.5, 2.0]),
+           st.sampled_from(sorted(_SEED_GRIDS)))
+    @example(1.005, 1.005, 0.0, "disk")    # amplitudes near 1e152
+    @example(1.005, 1.005, 2.0, "disk")
+    def test_gram_prescan_is_the_residual_scan(self, p, q, lam, name):
+        """The Gram-matrix scan picks the same amplitude as 120 residual evaluations."""
+        import thresholdlab.elliptic as el
+
+        domain, boundary, _ = _SEED_GRIDS[name]
+        forcing = ForcingSpec.constant(lam) if lam > 0 else ForcingSpec.none()
+        spec = ProblemSpec(ExponentPair(p, q), domain, boundary, forcing)
+        A = _seed_operator(name)
+        shape = A.principal_vector
+        lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
+        seed, ref = (scan(spec, A, shape, lam1) for scan in (el._amplitude_prescan, _loop_prescan))
+        np.testing.assert_array_equal(seed.u, ref.u)
+        np.testing.assert_array_equal(seed.v, ref.v)
+
+    def test_prescan_without_a_finite_residual_is_named(self):
+        # lam f = 1e300 overflows the residual at every scan point
+        import thresholdlab.elliptic as el
+
+        spec = disk_spec(3.0, 3.0, lam=1e300)
+        A = disk_operator(16)
+        shape = A.principal_vector
+        lam1 = A.quadratic_form(shape, shape) / integrate(A.grid, shape**2)
+        for scan in (el._amplitude_prescan, _loop_prescan):
+            with pytest.raises(el.EllipticError, match="amplitude pre-scan found no finite residual"):
+                scan(spec, A, shape, lam1)
+
+
 def _shifted_monotone(spec, A):
     """Reference: the iteration shifted by sigma = the largest reaction slope so far."""
     p, q = spec.p, spec.q
