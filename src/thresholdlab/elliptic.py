@@ -22,7 +22,9 @@ on the rectangle route.
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -467,9 +469,9 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
     < mu contracts by kappa/mu per step; a shift sigma would make that
     (sigma + kappa)/(sigma + mu), which is closer to 1, so it only slows
     convergence.  The reaction of each iterate is evaluated once and serves
-    both the stopping test and the next right-hand side.  Every step asserts monotonicity; a decrease
-    beyond rounding raises MonotonicityError.  The run ends in one of
-    MonotoneResult's three states.
+    both the stopping test and the next right-hand side.  Every step asserts
+    monotonicity; a decrease beyond rounding raises MonotonicityError.  The
+    run ends in one of MonotoneResult's three states.
     """
     grid = A.grid
     p, q = spec.p, spec.q
@@ -582,8 +584,12 @@ class ShootingResult:
     """High-accuracy radial equilibrium from the two-point shooting solve.
 
     ``profile(r)`` evaluates (U, V) at radii in [0, ``radius``] from the
-    dense ODE output; ``bc_residual`` is the achieved boundary-condition
-    defect.  The problem solved is the caller's, not stored here.
+    dense output of the final ``solve_ivp`` integration (the compiled
+    integrator behind the Newton iterates keeps no continuous extension);
+    radii outside that interval, beyond rounding at its end, raise
+    ValueError instead of extrapolating.  ``bc_residual`` is the achieved
+    boundary-condition defect.  The problem solved is the caller's, not
+    stored here.
     """
 
     center: tuple[float, float]
@@ -593,15 +599,20 @@ class ShootingResult:
 
     def profile(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = np.asarray(r, dtype=float)
-        rr = np.maximum(r, 1e-8 * self.radius)
-        y = self._dense(rr)
-        u = np.where(r < 1e-8 * self.radius, self.center[0], y[0])
-        v = np.where(r < 1e-8 * self.radius, self.center[1], y[2])
+        r0 = 1e-8 * self.radius
+        if not np.all((r >= 0) & (r <= self.radius * (1 + 4 * np.finfo(float).eps))):
+            raise ValueError(f"shooting profile is defined on [0, {self.radius:g}] only")
+        y = self._dense(np.maximum(r, r0))
+        u = np.where(r < r0, self.center[0], y[0])
+        v = np.where(r < r0, self.center[1], y[2])
         return u, v
 
     def to_pair(self, grid: Grid) -> FieldPair:
         if grid.geometry != "radial":
             raise ValueError("shooting profiles live on radial grids")
+        if grid.domain.radius != self.radius:
+            raise ValueError(f"grid radius {grid.domain.radius:g} differs from the "
+                             f"shooting radius {self.radius:g}")
         u, v = self.profile(grid.coords)
         return FieldPair(u, v, grid)
 
@@ -637,6 +648,14 @@ def _radial_rhs(n_dim: int, p: float, q: float) -> Callable:
     return rhs
 
 
+def _too_large(r, y) -> float:
+    """The size event: a trajectory stops where max(|u|, |v|) crosses 1e6."""
+    return max(abs(y[0]), abs(y[2])) - 1e6
+
+
+_too_large.terminal = True
+
+
 def _integrate_radial(
     a: float, b: float, n_dim: int, p: float, q: float, radius: float,
     variational: bool = False,
@@ -644,21 +663,18 @@ def _integrate_radial(
     """Integrate outward from the centre values (a, b) with u'(0) = v'(0) = 0.
 
     Starts at r0 << R from the even-symmetry series u = a - phi_p(b) r^2/(2N)
-    to clear the coordinate singularity.  With ``variational`` the solution
-    also carries d(u, u', v, v')/da and d/db, started from the derivative of
-    that series, so the boundary Jacobian is exact; without it the solution
-    has a dense output for ``ShootingResult.profile``.  Overflow is not
+    to clear the coordinate singularity.  Both routes run DOP853 at rtol =
+    atol = 1e-12 with the size event _too_large.  With ``variational`` the
+    solution also carries d(u, u', v, v')/da and d/db, started from the
+    derivative of that series, so the boundary Jacobian is exact; only its
+    endpoint is read, so it runs on scipy's compiled DOP853 (_CompiledDOP853),
+    whose per-step driver is not Python.  Without it the solution has the
+    dense output behind ``ShootingResult.profile``, which the compiled
+    integrator lacks, so that run stays on ``solve_ivp``.  Overflow is not
     warned about: a trajectory that leaves the float range stops short of
     the radius or ends non-finite, and _bc_values counts it as escaping.
     """
-    from scipy.integrate import solve_ivp   # loaded by shooting only, not on import
-
     r0 = 1e-8 * radius
-
-    def too_large(r, y):
-        return max(abs(y[0]), abs(y[2])) - 1e6
-
-    too_large.terminal = True
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = np.float64(a), np.float64(b)
         fa, fb = signed_power(b, p), signed_power(a, q)
@@ -672,19 +688,86 @@ def _integrate_radial(
     escaped = SimpleNamespace(t=np.array([r0]), y=np.array(y0)[:, None], status=-1)
     if not np.all(np.isfinite(y0)):     # out of the float range at r0 already
         return escaped
+    rhs = _radial_rhs(n_dim, p, q)
+    if variational:
+        return _dop853().endpoint(rhs, y0, r0, radius)
+    from scipy.integrate import solve_ivp   # loaded by shooting only, not on import
+
     try:
-        return solve_ivp(
-            _radial_rhs(n_dim, p, q),
-            (r0, radius),
-            y0,
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-12,
-            dense_output=not variational,
-            events=too_large,
-        )
+        return solve_ivp(rhs, (r0, radius), y0, method="DOP853", rtol=1e-12, atol=1e-12,
+                         dense_output=True, events=_too_large)
     except OverflowError:               # a float power left the range mid-step
         return escaped
+
+
+class _CompiledDOP853:
+    """scipy's compiled DOP853 for endpoint-only runs; one instance serves the process.
+
+    The same method and tolerances as the ``solve_ivp`` route, and the same
+    size event: a run stops at the first accepted step across which
+    _too_large changes sign, as ``solve_ivp``'s event does (it then refines
+    the crossing, which the endpoint's escaping sign does not need).  A start
+    above the level therefore runs on until it comes back down.  A float
+    power that overflows inside the compiled callback cannot propagate (it
+    would surface as an unrelated error), so the callback returns NaN
+    instead: the step is rejected, and the run ends short of the radius with
+    "step size becomes too small", whose warning is silenced here.  Any
+    other exception in the callback (an interrupt, say) is held, every later
+    call returns NaN so the run ends within a few dozen steps, and the
+    exception is raised again once it has.  Left in the callback, it would
+    have scipy call the right-hand side again at each of the unlimited steps.
+
+    scipy's wrapper keeps a reference to the callbacks of every run, and
+    through them to the integrator and its work arrays, for the life of the
+    process: a fresh ``ode`` per run held about 3 kB per integration.  So
+    one integrator, built on first use by _dop853, serves every run, and its
+    callbacks are bound methods that read the current run's state.
+    """
+
+    def __init__(self):
+        from scipy.integrate import ode     # loaded by shooting only, not on import
+
+        self.rhs: Optional[Callable] = None
+        self.last: Optional[float] = None   # _too_large at the last accepted step
+        self.error: Optional[BaseException] = None
+        # no step limit, as in solve_ivp
+        self.solver = ode(self._f).set_integrator("dop853", rtol=1e-12, atol=1e-12,
+                                                   nsteps=10**9)
+        self.solver.set_solout(self._stop_on_crossing)
+
+    def _f(self, r, y):
+        if self.error is None:
+            try:
+                return self.rhs(r, y)
+            except OverflowError:           # the step fails; the trajectory escapes
+                pass
+            except BaseException as exc:    # raised again by endpoint
+                self.error = exc
+        return [math.nan] * len(y)
+
+    def _stop_on_crossing(self, r, y):
+        g = _too_large(r, y)
+        crossed = self.last is not None and min(self.last, g) <= 0 <= max(self.last, g)
+        self.last = g
+        return -1 if crossed else 0
+
+    def endpoint(self, rhs: Callable, y0: list, r0: float, radius: float) -> SimpleNamespace:
+        """Endpoint of ``rhs`` from (r0, y0) toward ``radius``: what _escaped
+        and _bc_values read of a ``solve_ivp`` result, with its status codes."""
+        self.rhs, self.last, self.error = rhs, None, None
+        self.solver.set_initial_value(y0, r0)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "dop853", UserWarning)
+            y = self.solver.integrate(radius)
+        if self.error is not None:
+            raise self.error
+        status = {1: 0, 2: 1}.get(self.solver.get_return_code(), -1)
+        return SimpleNamespace(t=np.array([self.solver.t]), y=y[:, None], status=status)
+
+
+@functools.cache
+def _dop853() -> _CompiledDOP853:
+    return _CompiledDOP853()
 
 
 def _escaped(sol, radius: float) -> bool:
@@ -731,7 +814,10 @@ def shooting_oracle(
     Newton stops when the boundary defect or the relative step is at most
     SHOOTING_TOL; a final integration at tolerance 1e-12 must then leave a
     defect of at most BC_TOL at positive centre values.  Every failure,
-    the seed's included, raises RootFindFailure.
+    the seed's included, raises RootFindFailure.  The seed shot, the Newton
+    iterates and the halving trials read only endpoints and run on scipy's
+    compiled DOP853; the final integration runs on ``solve_ivp``, whose
+    dense output backs ``ShootingResult.profile`` (see _integrate_radial).
     """
     p, q = exponents.p, exponents.q
     shoot = lambda x: _integrate_radial(x[0], x[1], n_dim, p, q, radius, variational=True)

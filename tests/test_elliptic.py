@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from thresholdlab import (
     BoundarySpec,
@@ -40,6 +42,7 @@ from thresholdlab.elliptic import (
     _bc_values,
     _escaped,
     _integrate_radial,
+    _too_large,
     forcing_arrays,
     lambda_star,
     signed_power,
@@ -439,6 +442,134 @@ class TestShooting:
         oracle = shooting_oracle(ExponentPair(p, q), n_dim, BoundarySpec.dirichlet())
         assert oracle.bc_residual <= BC_TOL
         assert len(calls) <= 6
+
+    @pytest.mark.parametrize("n_dim, p, q", SWEEP_PAIRS)
+    def test_compiled_route_matches_solve_ivp(self, monkeypatch, n_dim, p, q):
+        import thresholdlab.elliptic as el
+
+        exponents, boundary = ExponentPair(p, q), BoundarySpec.dirichlet()
+        oracle = shooting_oracle(exponents, n_dim, boundary)
+        a, b = oracle.center
+        compiled = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=True).y[:4, -1]
+        dense = _integrate_radial(a, b, n_dim, p, q, 1.0).y[:, -1]
+        assert np.max(np.abs(compiled - dense)) <= 1e-11 * max(a, b)
+
+        monkeypatch.setattr(el._CompiledDOP853, "endpoint",
+                            lambda self, *args: _solve_ivp_endpoint(*args))
+        reference = shooting_oracle(exponents, n_dim, boundary)
+        np.testing.assert_allclose(oracle.center, reference.center, rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("center, n_dim, p, radius", [
+        (1e50, 342, 3.0, 6.0),      # the grid builds; every trajectory overflows
+        (1e160, 2, 1.5, 1.0),       # finite series start, overflow in the first step
+    ])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_on_the_compiled_route_escapes(self, monkeypatch, capfd,
+                                                     center, n_dim, p, radius, sign):
+        import thresholdlab.elliptic as el
+
+        overflows = []
+        radial_rhs = el._radial_rhs
+
+        def spied_rhs(*args):
+            rhs = radial_rhs(*args)
+
+            def f(r, y):
+                try:
+                    return rhs(r, y)
+                except OverflowError:
+                    overflows.append(r)
+                    raise
+            return f
+
+        monkeypatch.setattr(el, "_radial_rhs", spied_rhs)
+        a = sign * center
+        sol = _integrate_radial(a, a, n_dim, p, p, radius, variational=True)
+        assert overflows                    # the callback's overflow path ran
+        assert sol.status == -1 and _escaped(sol, radius)
+        escaping = (-sign * 1e12, -sign * 1e12)
+        for boundary in (BoundarySpec.dirichlet(), BoundarySpec.robin(1.0)):
+            assert _bc_values(sol, boundary, radius) == escaping
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.filterwarnings("error")
+    def test_size_event_is_a_crossing(self):
+        # a start above 1e6 that stays above runs to the radius on both routes
+        for variational in (True, False):
+            sol = _integrate_radial(2e6, 2e6, 2, 1.5, 1.5, 1e-5, variational=variational)
+            assert sol.status == 0 and sol.t[-1] == 1e-5 and not _escaped(sol, 1e-5)
+        # one that falls through the level stops at the step that crosses it,
+        # at or just past solve_ivp's refined crossing
+        dense = _integrate_radial(1e7, 1e7, 2, 3.0, 3.0, 1.0)
+        compiled = _integrate_radial(1e7, 1e7, 2, 3.0, 3.0, 1.0, variational=True)
+        assert dense.status == compiled.status == 1
+        assert dense.t[-1] <= compiled.t[-1] < 1.0
+        assert compiled.y[0, -1] < 1e6 < dense.y[0, 0]
+
+    def test_callback_exception_is_raised_after_the_run(self, monkeypatch, oracle3):
+        # an exception other than overflow cannot cross the compiled callback;
+        # it ends the run within a few dozen steps and is raised from it
+        import thresholdlab.elliptic as el
+
+        calls = []
+        radial_rhs = el._radial_rhs
+
+        def failing_rhs(*args):
+            rhs = radial_rhs(*args)
+
+            def f(r, y):
+                calls.append(r)
+                if len(calls) == 50:
+                    raise ZeroDivisionError("in the callback")
+                return rhs(r, y)
+            return f
+
+        a, b = oracle3.center
+        expected = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True).y[:, -1]
+        monkeypatch.setattr(el, "_radial_rhs", failing_rhs)
+        with pytest.raises(ZeroDivisionError, match="in the callback"):
+            _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)
+        assert len(calls) == 50
+        monkeypatch.undo()
+        # the shared integrator runs on as before
+        again = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True).y[:, -1]
+        np.testing.assert_array_equal(again, expected)
+
+    def test_compiled_runs_hold_no_memory(self, oracle3):
+        # scipy's wrapper keeps every run's callbacks alive; a fresh integrator
+        # per run held about 3 kB each, the shared one well under 0.3 kB
+        a, b = oracle3.center
+        shoot = lambda: _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)
+        shoot()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                shoot()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 100 * 300
+
+    def test_profile_is_defined_on_the_radius_only(self, oracle3):
+        for r in ([1.5, 3.0], [-0.5], [0.5, math.nan]):
+            with pytest.raises(ValueError, match="defined on"):
+                oracle3.profile(np.array(r))
+        # the end up to rounding, as a Robin grid's last node may sit
+        u, _ = oracle3.profile(np.array([0.0, np.nextafter(1.0, 2.0)]))
+        assert u[0] == oracle3.center[0] and abs(u[1]) <= 1e-10
+
+    def test_to_pair_refuses_another_radius(self, oracle3):
+        grid = build_grid(RadialBall(2, 2.0), BoundarySpec.dirichlet(), 32)
+        with pytest.raises(ValueError, match="differs from the shooting radius"):
+            oracle3.to_pair(grid)
+
+
+def _solve_ivp_endpoint(rhs, y0, r0, radius):
+    """The variational integration on solve_ivp: the reference for the compiled route."""
+    return solve_ivp(rhs, (r0, radius), y0, method="DOP853", rtol=1e-12, atol=1e-12,
+                     events=_too_large)
 
 
 _NEWTON_DOMAINS = {
