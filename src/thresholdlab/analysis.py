@@ -170,8 +170,13 @@ class TrajectoryRecord:
         self.sup_u.append(sup_u)
         self.sup_v.append(sup_v)
 
-    def observe(self, A: DiscreteLaplacian, pair: FieldPair, t: float, dt: float) -> None:
-        """Append the row of ``pair``, the state at time t reached by a step dt."""
+    def observe(self, A: DiscreteLaplacian, pair: FieldPair, t: float, dt: float,
+                sup_u: float, sup_v: float) -> None:
+        """Append the row of ``pair``, the state at time t reached by a step dt.
+
+        ``sup_u`` and ``sup_v`` are the pair's sup-norms, which the stepping
+        loop has already taken.
+        """
         grid = A.grid
         cross = A.quadratic_form(pair.u, pair.v)
         int_u_q1, int_v_p1 = _power_halves(grid, pair, self.exponents)
@@ -182,8 +187,8 @@ class TrajectoryRecord:
             _energy(cross, int_u_q1, int_v_p1, self.exponents),
             int_u_q1,
             int_v_p1,
-            pair.sup_u,
-            pair.sup_v,
+            sup_u,
+            sup_v,
         )
 
     @property

@@ -18,10 +18,11 @@ Supported grids:
 
 Shifted solves (sigma I + A) x = b never factorise a matrix: each operator
 sets up a solve once that takes sigma as an argument.  Radial operators
-are tridiagonal and use a banded symmetric solve; the Dirichlet
-rectangle is diagonalised by the type-I discrete sine transform along each
-axis (the fast Poisson solver of Buzbee, Golub & Nielson, 1970), so sigma
-only shifts the known eigenvalues.
+are tridiagonal and call LAPACK ``ptsv``, bound once per operator; the
+Dirichlet rectangle is diagonalised by the type-I discrete sine transform
+along each axis (the fast Poisson solver of Buzbee, Golub & Nielson, 1970),
+so sigma only shifts the known eigenvalues.  Non-finite input is refused on
+every route.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 
 from .problem import BoundarySpec, DomainSpec, RadialBall, Rectangle
 
@@ -162,10 +163,10 @@ class DiscreteLaplacian:
             self._solve = partial(_sine_transform_solve, dstn, idstn,
                                   _rectangle_eigenvalues(self.grid))
         else:
-            band = np.zeros((2, len(w)))
-            band[0] = self.K.diagonal()
-            band[1, :-1] = self.K.diagonal(-1)
-            self._solve = partial(_banded_solve, band, w)
+            off = self.K.diagonal(-1)
+            off.flags.writeable = False     # ptsv gets a copy; the band stays K's
+            ptsv, = get_lapack_funcs(("ptsv",), (w,))
+            self._solve = partial(_tridiagonal_solve, ptsv, self.K.diagonal(), off, w)
 
     @property
     def boundary(self) -> BoundarySpec:
@@ -334,14 +335,21 @@ def _rectangle_stiffness(grid: Grid) -> sp.csr_matrix:
     return (hx * hy * L).tocsr()
 
 
-def _banded_solve(band: np.ndarray, w: np.ndarray, sigma: float, b: np.ndarray) -> np.ndarray:
-    """Tridiagonal route: K in lower-banded storage, shifted by sigma*w per call."""
-    ab = band.copy()
-    ab[0] += sigma * w
-    try:
-        return solveh_banded(ab, w[:, None] * b, lower=True)
-    except np.linalg.LinAlgError as exc:   # e.g. a Robin beta near 0 with sigma = 0
-        raise LinearSolveError(f"operator singular to float precision: {exc}", np.inf) from exc
+def _tridiagonal_solve(ptsv: Callable, diag: np.ndarray, off: np.ndarray, w: np.ndarray,
+                       sigma: float, b: np.ndarray) -> np.ndarray:
+    """Radial route: LAPACK ptsv on sigma*W + K, given K's diagonal and off-diagonal.
+
+    This is the call scipy's solveh_banded makes for a two-row band, so the
+    answer is bitwise the same, without its validation: solve_shifted has
+    already refused non-finite data.  The shifted diagonal and the weighted
+    right-hand side are fresh arrays that ptsv may overwrite; the
+    off-diagonal is K's and is copied.
+    """
+    _, _, x, info = ptsv(sigma * w + diag, off, w[:, None] * b, overwrite_d=True, overwrite_b=True)
+    if info > 0:   # e.g. a Robin beta near 0 with sigma = 0
+        raise LinearSolveError("operator singular to float precision: "
+                               f"{info}th leading minor not positive definite", np.inf)
+    return x
 
 
 def _rectangle_eigenvalues(grid: Grid) -> np.ndarray:
@@ -384,15 +392,17 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     """Solve (sigma*I + A) x = rhs to relative residual <= 1e-12.
 
     sigma >= 0 keeps the system positive definite.  rhs may be (m,) or
-    (m, k) for multiple right-hand sides.  Nothing is factorised: radial
-    operators solve the tridiagonal system sigma*W + K with a banded
-    symmetric solver, the Dirichlet rectangle applies DST-I along both axes
-    and divides by the shifted eigenvalues.  One step of iterative refinement
-    follows if the first solve misses the contract.
+    (m, k) for multiple right-hand sides.  A sigma or rhs that is not finite
+    raises ValueError on every route.  Nothing is factorised: radial
+    operators solve the tridiagonal system sigma*W + K with LAPACK ``ptsv``,
+    bound once per operator; the Dirichlet rectangle applies DST-I along
+    both axes and divides by the shifted eigenvalues.  One step of iterative
+    refinement follows if the first solve misses the contract.
 
     The residual contract is the normwise backward error in the weighted L2
-    norm, ||rhs - (sigma I + A) x|| / (||rhs|| + ||sigma I + A|| * ||x||):
-    evaluating the residual itself carries eps/h^2 rounding from the
+    norm, ||rhs - (sigma I + A) x|| / (||rhs|| + ||sigma I + A|| * ||x||),
+    per column; a column whose denominator is 0 (rhs and x both 0) is
+    empty.  Evaluating the residual itself carries eps/h^2 rounding from the
     operator rows, so the plain ||res||/||rhs|| quotient bottoms out around
     1e-11 on fine grids no matter how exact the solve is.  The residual is
     taken from A.K on every call, so a solve that does not match K raises
@@ -403,32 +413,49 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     """
     if sigma < 0:
         raise ValueError("solve_shifted requires sigma >= 0")
-    w = A.grid.weights
     rhs = np.asarray(rhs, dtype=float)
+    if not (math.isfinite(sigma) and np.isfinite(rhs).all()):
+        raise ValueError("solve_shifted requires a finite sigma and rhs")
     single = rhs.ndim == 1
     b = rhs[:, None] if single else rhs
     x = A._solve(sigma, b)
 
-    shifted = lambda z: sigma * z + (A.K @ z) / w[:, None]
-    wnorm = lambda z: np.sqrt(w @ z**2)
-    op_scale = sigma + A._op_scale
-
-    def backward_error(xc):
-        res = b - shifted(xc)
-        denom = wnorm(b) + op_scale * wnorm(xc)
-        live = denom > 0
-        return (np.max(wnorm(res)[live] / denom[live]) if np.any(live) else 0.0), res
-
     # written so that a NaN error, from norms that overflowed, fails the contract
-    rel, res = backward_error(x)
+    rel, res = _backward_error(A, sigma, b, x)
     if not rel <= 1e-12:
         if not math.isfinite(rel):
             raise LinearSolveError("norms overflow on data near the float range", rel)
         x = x + A._solve(sigma, res)
-        rel, _ = backward_error(x)
+        rel, _ = _backward_error(A, sigma, b, x)
         if not rel <= 1e-12:
             raise LinearSolveError("shifted solve failed to converge", rel)
     return x[:, 0] if single else x
+
+
+def _backward_error(A: DiscreteLaplacian, sigma: float, b: np.ndarray, x: np.ndarray
+                    ) -> tuple[float, np.ndarray]:
+    """(largest backward error over the columns of x, residual b - (sigma I + A) x).
+
+    One product with A.K, the rest in place; the norms are taken per term
+    as the contract states them, so the error is bitwise the plain formula's.
+    """
+    w = A.grid.weights
+    res = A.K @ x
+    res /= w[:, None]
+    res += sigma * x
+    np.subtract(b, res, out=res)
+    denom = _wnorm(w, b)
+    denom += (sigma + A._op_scale) * _wnorm(w, x)
+    norm_res = _wnorm(w, res)
+    if denom.all():         # no empty column: the common case, without masking
+        return (norm_res / denom).max(), res
+    live = denom != 0
+    return ((norm_res[live] / denom[live]).max() if live.any() else 0.0), res
+
+
+def _wnorm(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Weighted L2 norm of each column of z."""
+    return np.sqrt(w @ np.square(z))
 
 
 def integrate(grid: Grid, x: np.ndarray) -> float:

@@ -588,12 +588,14 @@ class ShootingResult:
     integrator behind the Newton iterates keeps no continuous extension);
     radii outside that interval, beyond rounding at its end, raise
     ValueError instead of extrapolating.  ``bc_residual`` is the achieved
-    boundary-condition defect.  The problem solved is the caller's, not
-    stored here.
+    boundary-condition defect.  ``dimension`` and ``radius`` are the ball's
+    it was shot in, and :meth:`to_pair` refuses a grid on another ball.  The
+    problem solved is the caller's, not stored here.
     """
 
     center: tuple[float, float]
     bc_residual: float
+    dimension: int
     radius: float
     _dense: Callable
 
@@ -610,6 +612,9 @@ class ShootingResult:
     def to_pair(self, grid: Grid) -> FieldPair:
         if grid.geometry != "radial":
             raise ValueError("shooting profiles live on radial grids")
+        if grid.dimension != self.dimension:
+            raise ValueError(f"grid dimension {grid.dimension} differs from the "
+                             f"shooting dimension {self.dimension}")
         if grid.domain.radius != self.radius:
             raise ValueError(f"grid radius {grid.domain.radius:g} differs from the "
                              f"shooting radius {self.radius:g}")
@@ -864,7 +869,8 @@ def shooting_oracle(
     bc_res = float(np.max(np.abs(_bc_values(sol, boundary, radius))))
     if bc_res > BC_TOL:
         raise RootFindFailure(bc_res)
-    return ShootingResult(center=center, bc_residual=bc_res, radius=radius, _dense=sol.sol)
+    return ShootingResult(center=center, bc_residual=bc_res, dimension=n_dim, radius=radius,
+                          _dense=sol.sol)
 
 
 def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:

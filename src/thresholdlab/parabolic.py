@@ -154,17 +154,20 @@ class Outcome:
         return cls("undecided", t)
 
 
-def adapt_dt(state: FieldPair, exponents: ExponentPair) -> float:
+def adapt_dt(state: FieldPair, exponents: ExponentPair,
+             sups: Optional[tuple[float, float]] = None) -> float:
     """Reaction-limited step: clamp(ETA / rate, DT_MIN, DT_MAX).
 
     rate = max(p ||v||_inf^(p-1), q ||u||_inf^(q-1), ETA/DT_MAX); the guard
-    term makes the reaction-free limit exactly DT_MAX.
+    term makes the reaction-free limit exactly DT_MAX.  ``sups`` is the
+    state's (||u||_inf, ||v||_inf) when the caller has taken them already.
     """
     p, q = exponents.p, exponents.q
+    sup_u, sup_v = (state.sup_u, state.sup_v) if sups is None else sups
     try:
         rate = max(
-            p * state.sup_v ** (p - 1),
-            q * state.sup_u ** (q - 1),
+            p * sup_v ** (p - 1),
+            q * sup_u ** (q - 1),
             ETA / DT_MAX,
         )
     except OverflowError:
@@ -265,11 +268,13 @@ def _reaction(spec, state, forcing) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _march(spec, A, states, config):
-    """Step every state under one shared dt sequence; yield (t, dt, new_states).
+    """Step every state under one shared dt sequence; yield (t, dt, new_states, sups).
 
-    The step is the smallest reaction-limited step over the states, capped
-    at dt0.  Non-finite data, whether a reaction of the initial states,
-    rejected by the solver or produced by the step, raises
+    ``sups`` holds each new state's (||u||_inf, ||v||_inf), taken once per
+    step: the next step size, the caller's rows and its classification all
+    read them.  The step is the smallest reaction-limited step over the
+    states, capped at dt0.  Non-finite data, whether a reaction of the
+    initial states, rejected by the solver or produced by the step, raises
     NumericalFailureError.  The caller decides when to stop.
     """
     forcing = forcing_arrays(spec, A.grid)
@@ -278,23 +283,26 @@ def _march(spec, A, states, config):
         finite = all(np.all(np.isfinite(r)) for s in states for r in _reaction(spec, s, forcing))
     if not finite:
         raise NumericalFailureError(0.0, "reaction")
+    sups = [(s.sup_u, s.sup_v) for s in states]
     t = 0.0
     while True:
-        dt = min(*(adapt_dt(s, spec.exponents) for s in states), config.dt0)
+        dt = min(*(adapt_dt(s, spec.exponents, m) for s, m in zip(states, sups)), config.dt0)
         try:
             new = [step(spec, A, s, dt) for s in states]
         except ValueError as exc:          # non-finite data rejected by the solver
             raise NumericalFailureError(t + dt) from exc
-        if not all(np.all(np.isfinite(s.u)) and np.all(np.isfinite(s.v)) for s in new):
+        sups = [(s.sup_u, s.sup_v) for s in new]
+        # a sup-norm is finite only if every value is: NaN and inf both propagate
+        if not all(math.isfinite(su) and math.isfinite(sv) for su, sv in sups):
             raise NumericalFailureError(t + dt)
         t += dt
-        yield t, dt, new
+        yield t, dt, new, sups
         states = new
 
 
-def _classify(spec, config, s0, prev_sup, state, change, t, dt, certs=None) -> Optional[Outcome]:
-    """Apply the rules of :func:`evolve` in order; None while no rule fires."""
-    sup = state.sup
+def _classify(spec, config, s0, prev_sup, state, sup, change, t, dt, certs=None
+              ) -> Optional[Outcome]:
+    """Apply the rules of :func:`evolve` to ``state`` of sup-norm ``sup``; None while none fires."""
     if sup >= M_BLOW and dt <= DT_MIN * (1 + 1e-9):
         return Outcome.blow_up(t, sup)
     # the floor keeps the rule alive where EPS_DECAY * s0 underflows
@@ -351,10 +359,11 @@ def evolve(
     _check_nonnegative(initial)
     record = TrajectoryRecord(exponents=spec.exponents, volume=A.grid.volume)
     state = initial.copy()
-    s0 = state.sup
+    sup_u, sup_v = state.sup_u, state.sup_v
+    s0 = prev_sup = max(sup_u, sup_v)
 
-    def observe(pair, t, dt):
-        record.observe(A, pair, t, dt)
+    def observe(pair, t, dt, *sups):
+        record.observe(A, pair, t, dt, *sups)
         # a sum of the row's terms is finite only if all of them are
         if not math.isfinite(record.phi[-1] + record.energy[-1]
                              + (record.int_u_q1[-1] + record.int_v_p1[-1])):
@@ -363,14 +372,16 @@ def evolve(
     # overflow while stepping is caught by the finiteness checks, not warned
     # about: one error state for the run, none per step
     with np.errstate(over="ignore", invalid="ignore"):
-        observe(state, 0.0, 0.0)
+        observe(state, 0.0, 0.0, sup_u, sup_v)
         outcome = Outcome.decay(0.0) if spec.lam == 0.0 and s0 == 0.0 else None
         if outcome is None:
-            for t, dt, (new,) in _march(spec, A, [state], config):
+            for t, dt, (new,), ((sup_u, sup_v),) in _march(spec, A, [state], config):
                 du = new.u - state.u
                 dv = new.v - state.v
-                record.max_step_increase = max(record.max_step_increase, du.max(), dv.max())
-                record.max_step_decrease = min(record.max_step_decrease, du.min(), dv.min())
+                increase = max(du.max(), dv.max())
+                decrease = min(du.min(), dv.min())
+                record.max_step_increase = max(record.max_step_increase, increase)
+                record.max_step_decrease = min(record.max_step_decrease, decrease)
                 record.squeeze_low = min(record.squeeze_low, float(new.u.min()),
                                          float(new.v.min()))
                 if squeeze_upper is not None:
@@ -379,10 +390,13 @@ def evolve(
                         float(np.max(new.u - squeeze_upper.u)),
                         float(np.max(new.v - squeeze_upper.v)),
                     )
-                observe(new, t, dt)
-                outcome = _classify(spec, config, s0, state.sup, new, _max_abs(du, dv), t, dt,
-                                    certs)
-                state = new
+                observe(new, t, dt, sup_u, sup_v)
+                sup = max(sup_u, sup_v)
+                # abs is exact, so max(increase, -decrease) is the largest
+                # |du| or |dv|, the change the steady rule reads
+                outcome = _classify(spec, config, s0, prev_sup, new, sup,
+                                    max(increase, -decrease), t, dt, certs)
+                state, prev_sup = new, sup
                 if outcome is not None:
                     break
     record.final_state = state
@@ -428,22 +442,24 @@ def evolve_ordered(
     if np.min(high.u - low.u) < -TOL_ORDER or np.min(high.v - low.v) < -TOL_ORDER:
         raise ValueError("initial states are not ordered low <= high")
     states = [low.copy(), high.copy()]
-    s0 = [s.sup for s in states]
+    s0 = sup = [s.sup for s in states]
     outcomes: list[Optional[Outcome]] = [None, None]
     t = 0.0
     ok, max_gap = True, -math.inf
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, dt, new in _march(spec, A, states, config):
+        for t, dt, new, sups in _march(spec, A, states, config):
             a, b = new
+            new_sup = [max(m) for m in sups]
             gap = max(float(np.max(a.u - b.u)), float(np.max(a.v - b.v)))
             max_gap = max(max_gap, gap)
-            ok = ok and gap <= TOL_ORDER * max(1.0, b.sup)
+            ok = ok and gap <= TOL_ORDER * max(1.0, new_sup[1])
             for i, (old, cur) in enumerate(zip(states, new)):
                 if outcomes[i] is None:
                     change = _max_abs(cur.u - old.u, cur.v - old.v)
-                    outcomes[i] = _classify(spec, config, s0[i], old.sup, cur, change, t, dt)
-            states = new
+                    outcomes[i] = _classify(spec, config, s0[i], sup[i], cur, new_sup[i],
+                                            change, t, dt)
+            states, sup = new, new_sup
             if all(outcomes) or any(o.kind == "blowup" for o in outcomes if o):
                 break    # a blown-up state cannot be stepped further
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solveh_banded
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +249,67 @@ class TestSolveShifted:
             with pytest.raises(LinearSolveError, match="norms overflow"):
                 solve_shifted(A, 0.0, np.full(grid.size, 1e200))
         assert np.all(np.isfinite(solve_shifted(A, 0.0, np.full(grid.size, 1e150))))
+
+    @pytest.mark.parametrize("geometry", ["rectangle", "radial"])
+    def test_non_finite_input_refused(self, geometry, monkeypatch):
+        # a NaN backward-error denominator once counted as an empty column, so
+        # the rectangle returned all-NaN for sigma = NaN and for an inf in
+        # the rhs, and zeros for sigma = inf
+        grid, A = rect_operator(1.0, 1.0, (16, 16)) if geometry == "rectangle" else disk_operator(16)
+        ones = np.ones(grid.size)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite sigma and rhs"):
+                solve_shifted(A, sigma, ones)
+        for bad in (math.inf, -math.inf, math.nan):
+            for rhs in (ones.copy(), np.ones((grid.size, 2))):
+                rhs[3, ...] = bad
+                with pytest.raises(ValueError, match="finite sigma and rhs"):
+                    solve_shifted(A, 1.0, rhs)
+        # finite data whose solve comes back NaN fails the contract
+        monkeypatch.setattr(A, "_solve", lambda sigma, b: np.full(b.shape, math.nan))
+        with pytest.raises(LinearSolveError):
+            solve_shifted(A, 1.0, ones)
+
+
+_RADIAL = {
+    "disk": (DISK, DIRICHLET),
+    "ball": (RadialBall(3, 1.0), DIRICHLET),
+    "robin-disk": (DISK, BoundarySpec.robin(1.0)),
+}
+
+
+@pytest.mark.parametrize("cols", [1, 2])
+@pytest.mark.parametrize("name", sorted(_RADIAL))
+def test_radial_route_is_solveh_banded(name, cols, rng):
+    # the direct ptsv call is the one solveh_banded makes for a two-row band
+    # (overwrite flags aside): the answers are bitwise equal, and the
+    # operator's band and K stay as built
+    grid = build_grid(*_RADIAL[name], 64)
+    A = build_laplacian(grid)
+    w = grid.weights
+    K = A.K.toarray()
+    band = [a.copy() for a in A._solve.args if isinstance(a, np.ndarray)]
+    b = rng.uniform(0.0, 1.0, (grid.size, cols))
+    for sigma in (0.0, 1.0, 1e3, 1e10):
+        ab = np.zeros((2, grid.size))
+        ab[0] = A.K.diagonal()
+        ab[1, :-1] = A.K.diagonal(-1)
+        ab[0] += sigma * w
+        expected = solveh_banded(ab, w[:, None] * b, lower=True)
+        assert A._solve(sigma, b).tobytes() == expected.tobytes()
+        solve_shifted(A, sigma, b)
+    np.testing.assert_array_equal(A.K.toarray(), K)
+    for kept, now in zip(band, (a for a in A._solve.args if isinstance(a, np.ndarray))):
+        np.testing.assert_array_equal(now, kept)
+
+
+def test_singular_robin_operator_raises_by_name():
+    # beta = 1e-300 leaves K singular to float precision: ptsv finds a
+    # nonpositive pivot in the unshifted solve
+    grid = build_grid(DISK, BoundarySpec.robin(1e-300), 64)
+    A = build_laplacian(grid)
+    with pytest.raises(LinearSolveError, match="operator singular to float precision"):
+        solve_shifted(A, 0.0, np.ones(grid.size))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -565,6 +565,13 @@ class TestShooting:
         with pytest.raises(ValueError, match="differs from the shooting radius"):
             oracle3.to_pair(grid)
 
+    def test_to_pair_refuses_another_dimension(self, oracle3):
+        # the disk's profile on a 3-ball grid would be the wrong equilibrium:
+        # the 3-ball's centre is 6.90, the disk's 3.57
+        grid = build_grid(RadialBall(3, 1.0), BoundarySpec.dirichlet(), 64)
+        with pytest.raises(ValueError, match="differs from the shooting dimension 2"):
+            oracle3.to_pair(grid)
+
 
 def _solve_ivp_endpoint(rhs, y0, r0, radius):
     """The variational integration on solve_ivp: the reference for the compiled route."""

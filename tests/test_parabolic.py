@@ -23,14 +23,18 @@ from thresholdlab import (
     solve_newton,
     step,
 )
-from thresholdlab.discrete import LinearSolveError
+from thresholdlab.analysis import energy, product_integral
+from thresholdlab.discrete import LinearSolveError, integrate
 from thresholdlab.elliptic import AmplitudeOverflowError
 from thresholdlab.parabolic import (
     CONE_THETA,
     DT_MAX,
     DT_MIN,
+    EPS_DECAY,
     ETA,
+    M_BLOW,
     NumericalFailureError,
+    Outcome,
     certificates,
 )
 from thresholdlab.lab.verify import blowup_checks, decay_checks
@@ -210,6 +214,73 @@ class TestEvolve:
         d1 = abs(phi_at(1e-3) - phi_at(5e-4))
         d2 = abs(phi_at(5e-4) - phi_at(2.5e-4))
         assert d1 / d2 == pytest.approx(2.0, rel=0.4)
+
+
+def _replay(spec, A, initial, config, upper, certs):
+    """evolve rebuilt one step at a time from parabolic.step and the analysis functionals.
+
+    Returns the outcome, the record's rows and its extrema.  It stops by the
+    sup-norm blow-up and decay rules and, given ``certs``, the cone and
+    Kaplan rules, in evolve's order; the runs it replays meet no other rule.
+    """
+    grid, (p, q) = A.grid, (spec.p, spec.q)
+    sup_u = lambda pair: float(np.max(np.abs(pair.u)))
+    sup_v = lambda pair: float(np.max(np.abs(pair.v)))
+    row = lambda pair, t, dt: (
+        t, dt, product_integral(grid, pair), energy(grid, A, pair, spec.exponents),
+        integrate(grid, np.abs(pair.u) ** (q + 1)), integrate(grid, np.abs(pair.v) ** (p + 1)),
+        sup_u(pair), sup_v(pair))
+    state, t = initial, 0.0
+    s0 = max(sup_u(state), sup_v(state))
+    rows = [row(state, 0.0, 0.0)]
+    increase, decrease, low, high = -math.inf, math.inf, 0.0, 0.0
+    while True:
+        dt = min(adapt_dt(state, spec.exponents), config.dt0)
+        new = step(spec, A, state, dt)
+        t += dt
+        du, dv = new.u - state.u, new.v - state.v
+        increase = max(increase, du.max(), dv.max())
+        decrease = min(decrease, du.min(), dv.min())
+        low = min(low, float(new.u.min()), float(new.v.min()))
+        high = max(high, float(np.max(new.u - upper.u)), float(np.max(new.v - upper.v)))
+        rows.append(row(new, t, dt))
+        state, sup = new, max(sup_u(new), sup_v(new))
+        if sup >= M_BLOW and dt <= DT_MIN * (1 + 1e-9):
+            outcome = Outcome.blow_up(t, sup)
+        elif sup <= max(EPS_DECAY * s0, np.finfo(float).tiny):
+            outcome = Outcome.decay(t)
+        elif certs is not None and np.all(new.u <= certs.cone.u) and np.all(new.v <= certs.cone.v):
+            outcome = Outcome.decay(t, "cone")
+        elif certs is not None and (rest := certs.kaplan_time(new)) is not None:
+            outcome = Outcome.blow_up(t, sup, "kaplan", t + rest)
+        else:
+            continue
+        return outcome, rows, (increase, decrease, low, high)
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("alpha, kind", [(0.9, "decay"), (1.1, "blowup")])
+def test_evolve_replays_bitwise(spec3, alpha, kind, certified):
+    # every value evolve records or classifies by equals, bit for bit, the
+    # plain per-step computation it stands for: the sup-norms it takes once
+    # per step, the extrema and the steady change from fewer reductions.
+    # u and v differ, so a swapped column shows; the runs take 20-350 steps
+    A = disk_operator(64)
+    eq = solve_newton(spec3, A)
+    config = IntegratorConfig(dt0=1e-2)
+    certs = certificates(spec3, A) if certified else None
+    initial = FieldPair(alpha * eq.pair.u, alpha**2 * eq.pair.v, A.grid)
+    outcome, record = evolve(spec3, A, initial, config, squeeze_upper=eq.pair, certs=certs)
+    expected, rows, extrema = _replay(spec3, A, initial, config, eq.pair, certs)
+    assert outcome.kind == kind and outcome.rule == ("sup" if not certified else
+                                                     "cone" if kind == "decay" else "kaplan")
+    assert outcome == expected
+    columns = ("t", "dt", "phi", "energy", "int_u_q1", "int_v_p1", "sup_u", "sup_v")
+    for name, column in zip(columns, zip(*rows)):
+        assert np.asarray(getattr(record, name)).tobytes() == np.asarray(column).tobytes(), name
+    kept = (record.max_step_increase, record.max_step_decrease, record.squeeze_low,
+            record.squeeze_high)
+    assert np.asarray(kept).tobytes() == np.asarray(extrema).tobytes()
 
 
 class TestEvolveOrdered:
