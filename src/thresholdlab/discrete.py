@@ -21,8 +21,14 @@ sets up a solve once that takes sigma as an argument.  Radial operators
 are tridiagonal and call LAPACK ``ptsv``, bound once per operator; the
 Dirichlet rectangle is diagonalised by the type-I discrete sine transform
 along each axis (the fast Poisson solver of Buzbee, Golub & Nielson, 1970),
-so sigma only shifts the known eigenvalues.  Non-finite input is refused on
-every route.
+so sigma only shifts the known eigenvalues.  The transform is a dense
+product with each axis's orthonormal DST-I matrix, built once per
+operator; the matrix is symmetric and its own inverse, so one solve is
+four BLAS matrix products, and no scipy.fft is needed.  Below about 100
+nodes a side (the 48^2 square among them) that costs half or less of an
+FFT-based DST-I with its Python dispatch; from about 128 nodes a side on,
+the products' O(n^3) work costs more, about twice as much at 512.
+Non-finite input is refused on every route.
 """
 
 from __future__ import annotations
@@ -158,9 +164,8 @@ class DiscreteLaplacian:
         w = self.grid.weights
         self._op_scale = 2.0 * float(np.max(self.K.diagonal() / w))
         if self.grid.geometry == "rectangle":
-            from scipy.fft import dstn, idstn   # only the rectangle route needs scipy.fft
-
-            self._solve = partial(_sine_transform_solve, dstn, idstn,
+            mx, my = (n - 1 for n in self.grid.resolution)
+            self._solve = partial(_sine_transform_solve, _sine_matrix(mx), _sine_matrix(my),
                                   _rectangle_eigenvalues(self.grid))
         else:
             off = self.K.diagonal(-1)
@@ -179,9 +184,9 @@ class DiscreteLaplacian:
     def principal_vector(self) -> np.ndarray:
         """Sup-normalised lowest eigenvector of A, from elliptic._principal_eigenvector.
 
-        Inverse iteration up to its floating-point fixed point, at most 60
-        solves.  Computed once per operator and read-only: the Newton seed
-        and the threshold certificates share it.
+        Inverse iteration up to its first bitwise repeat, a fixed point or
+        a short cycle, at most 60 solves.  Computed once per operator and
+        read-only: the Newton seed and the threshold certificates share it.
         """
         from .elliptic import _principal_eigenvector   # elliptic imports this module
 
@@ -353,27 +358,48 @@ def _tridiagonal_solve(ptsv: Callable, diag: np.ndarray, off: np.ndarray, w: np.
 
 
 def _rectangle_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of A on the Dirichlet rectangle, shaped (mx, my, 1).
+    """Eigenvalues of A on the Dirichlet rectangle, shaped (mx, my), read-only.
 
     The 1D stencil (-1, 2, -1)/h^2 on m interior nodes has the DST-I
-    eigenvectors and eigenvalues (2/h sin(j pi / (2(m+1))))^2, j = 1..m; the
-    5-point eigenvalues are their sums over the two axes.
+    eigenvectors (the columns of ``_sine_matrix(m)``) and eigenvalues
+    (2/h sin(j pi / (2(m+1))))^2, j = 1..m; the 5-point eigenvalues are
+    their sums over the two axes.
     """
     mx, my = (n - 1 for n in grid.resolution)
     hx, hy = grid.h
     axis = lambda m, h: (2.0 / h * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1)))) ** 2
-    return (axis(mx, hx)[:, None] + axis(my, hy)[None, :])[:, :, None]
+    eig = axis(mx, hx)[:, None] + axis(my, hy)[None, :]
+    eig.flags.writeable = False
+    return eig
 
 
-def _sine_transform_solve(dstn: Callable, idstn: Callable, eig: np.ndarray, sigma: float,
+def _sine_matrix(m: int) -> np.ndarray:
+    """Orthonormal DST-I matrix on m interior nodes, read-only.
+
+    S_jk = sqrt(2/n) sin(pi jk/n) for j, k = 1..m with n = m + 1.  The
+    argument is reduced exactly, as (jk mod 2n) pi/n, so S is bitwise
+    symmetric and S S = I to rounding: one matrix is both the transform
+    and its inverse.
+    """
+    n = m + 1
+    j = np.arange(1, n)
+    S = math.sqrt(2.0 / n) * np.sin(np.outer(j, j) % (2 * n) * (np.pi / n))
+    S.flags.writeable = False
+    return S
+
+
+def _sine_transform_solve(Sx: np.ndarray, Sy: np.ndarray, eig: np.ndarray, sigma: float,
                           b: np.ndarray) -> np.ndarray:
     """Rectangle route: DST-I, division by sigma + eig, inverse DST-I.
 
-    ``dstn`` and ``idstn`` are scipy.fft's, bound once per operator so that
-    scipy.fft loads only when a rectangle operator is built.
+    Each column of b is laid out as an (mx, my) array, so with the columns
+    stacked first the transform is ``Sx @ B @ Sy`` and so is its inverse:
+    four BLAS products for any number of columns.  The answer is that
+    (k, m) stack transposed, so each column is contiguous, as the callers
+    read them (a step's u and v).
 
     Where the solution of a nonnegative column is tiny, the transforms leave
-    rounding-level negatives (below 1e-16 of its maximum); those are set to
+    rounding-level negatives (a few 1e-16 of its maximum); those are set to
     zero, so the rectangle keeps the discrete maximum principle exactly, as
     the banded route does.  A column is nonnegative when its minimum is >= 0,
     so a column holding a NaN is never clipped.  The test takes one minimum
@@ -381,9 +407,10 @@ def _sine_transform_solve(dstn: Callable, idstn: Callable, eig: np.ndarray, sigm
     several times more; this clip runs in every rectangle step and every
     GMRES preconditioner application.
     """
-    mx, my, _ = eig.shape
-    coef = dstn(b.reshape(mx, my, -1), type=1, axes=(0, 1))
-    x = idstn(coef / (sigma + eig), type=1, axes=(0, 1), overwrite_x=True).reshape(b.shape)
+    k = b.shape[1]
+    coef = Sx @ b.T.reshape(k, *eig.shape) @ Sy
+    coef /= sigma + eig
+    x = (Sx @ coef @ Sy).reshape(k, -1).T
     nonneg = np.array([c.min() >= 0 for c in b.T])
     return np.where((x < 0) & nonneg, 0.0, x)
 
@@ -396,8 +423,9 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     raises ValueError on every route.  Nothing is factorised: radial
     operators solve the tridiagonal system sigma*W + K with LAPACK ``ptsv``,
     bound once per operator; the Dirichlet rectangle applies DST-I along
-    both axes and divides by the shifted eigenvalues.  One step of iterative
-    refinement follows if the first solve misses the contract.
+    both axes, as products with its orthonormal sine matrices, and divides
+    by the shifted eigenvalues.  One step of iterative refinement follows
+    if the first solve misses the contract.
 
     The residual contract is the normwise backward error in the weighted L2
     norm, ||rhs - (sigma I + A) x|| / (||rhs|| + ||sigma I + A|| * ||x||),

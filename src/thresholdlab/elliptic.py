@@ -218,19 +218,40 @@ def _residual_parts(A, pair, bu, bv) -> tuple[FieldPair, float, float]:
 def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
     """Lowest eigenvector of A by inverse power iteration, sup-normalised.
 
-    At most ``iters`` solves; the iteration stops early at its floating-point
-    fixed point, the first iterate bitwise equal to its predecessor.  The
-    map is deterministic, so every later iterate would be that same vector
-    and the result is bitwise the ``iters``-step one.  Callers use the
-    operator's cached copy, ``A.principal_vector``.
+    At most ``iters`` solves.  The map is deterministic, so once an iterate
+    repeats bitwise the iterates cycle, and the iteration stops at the
+    first repeat with the ``iters``-step vector, bitwise.  A repeat is
+    either the floating-point fixed point, an iterate equal to its
+    predecessor, or a longer cycle that rounding settles into on some
+    grids: an iterate whose bytes hash like an earlier one's is kept, and
+    when the iterate one period later equals it, (iters - step) mod period
+    more solves end on the vector the full run would return.  Besides the
+    hashes, at most three vectors are held.  Callers use the operator's
+    cached copy, ``A.principal_vector``.
     """
-    x = np.ones(A.grid.size)
-    for _ in range(iters):
-        prev = x
+    def inverse_step(x):
         x = solve_shifted(A, 0.0, x)
         x /= np.max(np.abs(x))
+        return x
+
+    x = np.ones(A.grid.size)
+    latest = {}                 # hash of an iterate's bytes -> the last step that gave it
+    due = period = kept = None  # a suspected cycle: ``kept`` should recur at step ``due``
+    for step in range(1, iters + 1):
+        prev, x = x, inverse_step(x)
         if np.array_equal(x, prev):
-            break
+            return x
+        if step == due:
+            if np.array_equal(x, kept):
+                for _ in range((iters - step) % period):
+                    x = inverse_step(x)
+                return x
+            due = None
+        key = hash(x.tobytes())
+        if due is None and key in latest:
+            period = step - latest[key]
+            due, kept = step + period, x
+        latest[key] = step
     return x
 
 

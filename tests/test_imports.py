@@ -1,11 +1,12 @@
 """Which scipy subpackages a command loads.
 
-scipy.integrate (which loads scipy.optimize), scipy.fft (which loads
-scipy.special) and scipy.sparse.linalg are imported only where they are
-used: the shooting oracle (which, of the commands, only verify calls),
-Kaplan's bound for p != q, the Dirichlet rectangle's sine transforms and
-its GMRES Newton steps.  The suite itself imports scipy.optimize, so each
-check runs in a fresh interpreter.
+scipy.integrate (which loads scipy.optimize) and scipy.sparse.linalg are
+imported only where they are used: the shooting oracle (which, of the
+commands, only verify calls), Kaplan's bound for p != q and the Dirichlet
+rectangle's GMRES Newton steps.  scipy.fft and scipy.special are used
+nowhere: the rectangle's sine transforms are products with dense sine
+matrices.  The suite itself imports scipy.optimize, so each check runs in
+a fresh interpreter.
 """
 
 import json
@@ -51,10 +52,15 @@ def test_radial_robin_run_with_p_equal_q_loads_no_integrate(tmp_path):
     assert "scipy.integrate" not in _loaded_after(code)
 
 
+def test_rectangle_evolve_loads_neither_fft_nor_special(tmp_path):
+    code = ("from thresholdlab.lab.cli import main\n"
+            f"assert main(['evolve', '--geometry', 'rect', '--resolution', '8', "
+            f"'--out', {str(tmp_path)!r}]) == 0")
+    loaded = _loaded_after(code)
+    assert "scipy.fft" not in loaded and "scipy.special" not in loaded
+
+
 @pytest.mark.parametrize("code, module", [
-    ("from thresholdlab import BoundarySpec, Rectangle, build_grid, build_laplacian\n"
-     "build_laplacian(build_grid(Rectangle(1.0, 1.0), BoundarySpec.dirichlet(), 8))",
-     "scipy.fft"),
     ("from thresholdlab import BoundarySpec, ExponentPair, shooting_oracle\n"
      "shooting_oracle(ExponentPair(3.0, 3.0), 2, BoundarySpec.dirichlet())",
      "scipy.integrate"),

@@ -258,20 +258,33 @@ def _replay(spec, A, initial, config, upper, certs):
         return outcome, rows, (increase, decrease, low, high)
 
 
+#: The replay's grids: the 64-node disk's banded route and the 16^2 square's sine-matrix route.
+_REPLAY_GRIDS = {
+    "disk": (RadialBall(2, 1.0), 64),
+    "square": (Rectangle(1.0, 1.0), 16),
+}
+
+
 @pytest.mark.parametrize("certified", [False, True])
-@pytest.mark.parametrize("alpha, kind", [(0.9, "decay"), (1.1, "blowup")])
-def test_evolve_replays_bitwise(spec3, alpha, kind, certified):
+@pytest.mark.parametrize("alpha, kind, geometry", [
+    pytest.param(alpha, kind, geometry, id=f"{alpha}-{kind}" if geometry == "disk"
+                 else f"{geometry}-{alpha}-{kind}")
+    for geometry in sorted(_REPLAY_GRIDS) for alpha, kind in [(0.9, "decay"), (1.1, "blowup")]
+])
+def test_evolve_replays_bitwise(alpha, kind, geometry, certified):
     # every value evolve records or classifies by equals, bit for bit, the
     # plain per-step computation it stands for: the sup-norms it takes once
     # per step, the extrema and the steady change from fewer reductions.
     # u and v differ, so a swapped column shows; the runs take 20-350 steps
-    A = disk_operator(64)
-    eq = solve_newton(spec3, A)
+    domain, n = _REPLAY_GRIDS[geometry]
+    spec = ProblemSpec(ExponentPair(3.0, 3.0), domain)
+    A = build_laplacian(build_grid(domain, spec.boundary, n))
+    eq = solve_newton(spec, A)
     config = IntegratorConfig(dt0=1e-2)
-    certs = certificates(spec3, A) if certified else None
+    certs = certificates(spec, A) if certified else None
     initial = FieldPair(alpha * eq.pair.u, alpha**2 * eq.pair.v, A.grid)
-    outcome, record = evolve(spec3, A, initial, config, squeeze_upper=eq.pair, certs=certs)
-    expected, rows, extrema = _replay(spec3, A, initial, config, eq.pair, certs)
+    outcome, record = evolve(spec, A, initial, config, squeeze_upper=eq.pair, certs=certs)
+    expected, rows, extrema = _replay(spec, A, initial, config, eq.pair, certs)
     assert outcome.kind == kind and outcome.rule == ("sup" if not certified else
                                                      "cone" if kind == "decay" else "kaplan")
     assert outcome == expected
