@@ -139,6 +139,13 @@ class TrajectoryRecord:
     with C from :func:`blowup_bound_constant` at the discrete volume.
     Auxiliary per-step extrema (largest nodewise increase/decrease, squeeze
     violations) support the monotonicity assertions without storing states.
+
+    A lean record, from ``evolve(..., diagnostics=False)``, holds t, dt, the
+    sup-norms and the two power integrals of every row and the auxiliary
+    extrema; its phi and energy columns stay empty.  :meth:`finalize` leaves
+    its derivative columns None, and :meth:`arrays`,
+    :func:`dphi_identity_residual` and :func:`energy_monotonicity_violation`
+    raise ValueError naming the missing columns.
     """
 
     exponents: ExponentPair
@@ -161,35 +168,33 @@ class TrajectoryRecord:
     final_state: FieldPair | None = None
 
     def append(self, t, dt, phi, energy_val, int_u_q1, int_v_p1, sup_u, sup_v):
+        """Add one row; a lean row passes None for ``phi`` and ``energy_val``."""
         self.t.append(t)
         self.dt.append(dt)
-        self.phi.append(phi)
-        self.energy.append(energy_val)
+        if phi is not None:
+            self.phi.append(phi)
+            self.energy.append(energy_val)
         self.int_u_q1.append(int_u_q1)
         self.int_v_p1.append(int_v_p1)
         self.sup_u.append(sup_u)
         self.sup_v.append(sup_v)
 
     def observe(self, A: DiscreteLaplacian, pair: FieldPair, t: float, dt: float,
-                sup_u: float, sup_v: float) -> None:
+                sup_u: float, sup_v: float, diagnostics: bool = True) -> None:
         """Append the row of ``pair``, the state at time t reached by a step dt.
 
         ``sup_u`` and ``sup_v`` are the pair's sup-norms, which the stepping
-        loop has already taken.
+        loop has already taken.  Without ``diagnostics`` the row is lean: no
+        phi and no E.
         """
         grid = A.grid
-        cross = A.quadratic_form(pair.u, pair.v)
         int_u_q1, int_v_p1 = _power_halves(grid, pair, self.exponents)
-        self.append(
-            t,
-            dt,
-            product_integral(grid, pair),
-            _energy(cross, int_u_q1, int_v_p1, self.exponents),
-            int_u_q1,
-            int_v_p1,
-            sup_u,
-            sup_v,
-        )
+        phi = energy_val = None
+        if diagnostics:
+            phi = product_integral(grid, pair)
+            energy_val = _energy(A.quadratic_form(pair.u, pair.v), int_u_q1, int_v_p1,
+                                 self.exponents)
+        self.append(t, dt, phi, energy_val, int_u_q1, int_v_p1, sup_u, sup_v)
 
     @property
     def bigT(self) -> np.ndarray:
@@ -199,7 +204,17 @@ class TrajectoryRecord:
     def __len__(self) -> int:
         return len(self.t)
 
+    def _is_lean(self) -> bool:
+        return len(self.phi) < len(self.t)
+
+    def _require_full(self) -> None:
+        if self._is_lean():
+            raise ValueError("lean record has no phi or energy column: "
+                             "evolve it with diagnostics=True")
+
     def finalize(self) -> "TrajectoryRecord":
+        if self._is_lean():
+            return self     # a lean record has no derivative columns
         p, q = self.exponents.p, self.exponents.q
         t = np.asarray(self.t)
         phi = np.asarray(self.phi)
@@ -222,6 +237,7 @@ class TrajectoryRecord:
         return self
 
     def arrays(self) -> dict[str, np.ndarray]:
+        self._require_full()
         if self.dphi_lhs is None:
             self.finalize()
         return {
@@ -240,6 +256,7 @@ class TrajectoryRecord:
 
 def dphi_identity_residual(record: TrajectoryRecord, index: int) -> float:
     """|dphi_lhs - dphi_rhs| at a recorded row; O(dt) under refinement."""
+    record._require_full()
     if record.dphi_lhs is None:
         record.finalize()
     if not 0 <= index < len(record):
@@ -254,6 +271,7 @@ def energy_monotonicity_violation(record: TrajectoryRecord) -> float:
     exact rate -2 * integral(u_t v_t) is nonpositive; forced runs only log
     the energy without this guarantee.
     """
+    record._require_full()
     if len(record) < 2:
         raise ValueError("need at least two rows")
     return float(np.max(np.diff(np.asarray(record.energy))))

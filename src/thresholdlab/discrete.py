@@ -137,11 +137,11 @@ class FieldPair:
 
     @property
     def sup_u(self) -> float:
-        return float(np.max(np.abs(self.u))) if len(self.u) else 0.0
+        return float(np.abs(self.u).max()) if len(self.u) else 0.0
 
     @property
     def sup_v(self) -> float:
-        return float(np.max(np.abs(self.v))) if len(self.v) else 0.0
+        return float(np.abs(self.v).max()) if len(self.v) else 0.0
 
 
 @dataclass

@@ -10,6 +10,9 @@ The threshold bisection classifies a probe by the certificates of
 the decay cone and blows up as soon as its mass passes Kaplan's bound.  The
 lambda* and Robin experiments run their decays down to EPS_DECAY and their
 blow-ups up to M_BLOW.
+
+The drivers read only each run's outcome, so they evolve with
+``diagnostics=False``: no step pays for phi or E.
 """
 
 from __future__ import annotations
@@ -129,7 +132,8 @@ def threshold_experiment(
     outcomes: dict[float, str] = {}
 
     def run(alpha: float) -> str:
-        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config, certs=certs)
+        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config, certs=certs,
+                            diagnostics=False)
         outcomes[alpha] = outcome.kind
         entry = _run_entry("alpha", alpha, outcome)
         if outcome.kind in ("decay", "blowup"):
@@ -199,7 +203,7 @@ def lambda_star_experiment(
     lam_low = 0.5 * lo
     spec_low = spec_template.with_lam(lam_low)
     minimal = solve_monotone(spec_low, A).equilibrium(spec_low)
-    outcome, _ = evolve(spec_low, A, FieldPair.zeros(A.grid), config)
+    outcome, _ = evolve(spec_low, A, FieldPair.zeros(A.grid), config, diagnostics=False)
     result.runs.append(_run_entry("lambda", lam_low, outcome))
     if outcome.kind == "steady":
         gap = max(
@@ -212,7 +216,8 @@ def lambda_star_experiment(
         result.derived["steady_gap_rel"] = None
 
     lam_high = 2.0 * hi
-    outcome_hi, _ = evolve(spec_template.with_lam(lam_high), A, FieldPair.zeros(A.grid), config)
+    outcome_hi, _ = evolve(spec_template.with_lam(lam_high), A, FieldPair.zeros(A.grid), config,
+                           diagnostics=False)
     result.runs.append(_run_entry("lambda", lam_high, outcome_hi))
     result.derived["dynamics_consistent"] = bool(
         outcome.kind == "steady"
@@ -251,6 +256,6 @@ def robin_experiment(
     result.derived["sup_u"] = equilibrium.pair.sup_u
 
     for alpha in alphas:
-        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config)
+        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config, diagnostics=False)
         result.runs.append(_run_entry("alpha", alpha, outcome))
     return result

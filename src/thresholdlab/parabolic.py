@@ -15,7 +15,8 @@ One stepping loop serves every driver: it advances k states under a shared
 dt sequence (the smallest reaction-limited step among them), and one
 classifier decides per state between blow-up, decay, steady convergence
 and undecided.  :func:`evolve` runs it with k = 1 and records the
-diagnostics; :func:`evolve_ordered` runs it with k = 2 and watches the
+diagnostics, or, for callers that read only the outcome, lean rows that
+skip phi and E; :func:`evolve_ordered` runs it with k = 2 and watches the
 ordering of the pair.
 
 Decay is declared when the sup-norm falls to EPS_DECAY of its start, and
@@ -310,7 +311,7 @@ def _classify(spec, config, s0, prev_sup, state, sup, change, t, dt, certs=None
         return Outcome.decay(t)
     if spec.lam == 0.0 and certs is not None:
         cone = certs.cone
-        if np.all(state.u <= cone.u) and np.all(state.v <= cone.v):
+        if (state.u <= cone.u).all() and (state.v <= cone.v).all():
             return Outcome.decay(t, "cone")
         rest = certs.kaplan_time(state)
         if rest is not None:
@@ -340,6 +341,7 @@ def evolve(
     config: IntegratorConfig = IntegratorConfig(),
     squeeze_upper: Optional[FieldPair] = None,
     certs: Optional[Certificates] = None,
+    diagnostics: bool = True,
 ) -> tuple[Outcome, TrajectoryRecord]:
     """Evolve nonnegative initial data and classify the run.
 
@@ -355,6 +357,13 @@ def evolve(
     Initial data whose diagnostic row or reaction is not finite raises
     NumericalFailureError at t = 0, before any step; a later row that is not
     finite raises it at its time, before that step is classified.
+
+    Callers that read only the outcome pass ``diagnostics=False``.  Each row
+    is then lean: t, dt, the sup-norms and the two power integrals, without
+    phi or E.  The outcome, the columns kept and the auxiliary extrema are
+    bitwise those of a full run, a lean row's finiteness check reads its
+    power integrals, and the record refuses by name what it lacks (see
+    :class:`TrajectoryRecord`).
     """
     _check_nonnegative(initial)
     record = TrajectoryRecord(exponents=spec.exponents, volume=A.grid.volume)
@@ -363,10 +372,12 @@ def evolve(
     s0 = prev_sup = max(sup_u, sup_v)
 
     def observe(pair, t, dt, *sups):
-        record.observe(A, pair, t, dt, *sups)
+        record.observe(A, pair, t, dt, *sups, diagnostics=diagnostics)
         # a sum of the row's terms is finite only if all of them are
-        if not math.isfinite(record.phi[-1] + record.energy[-1]
-                             + (record.int_u_q1[-1] + record.int_v_p1[-1])):
+        row = record.int_u_q1[-1] + record.int_v_p1[-1]
+        if diagnostics:
+            row = record.phi[-1] + record.energy[-1] + row
+        if not math.isfinite(row):
             raise NumericalFailureError(t, "diagnostic row")
 
     # overflow while stepping is caught by the finiteness checks, not warned

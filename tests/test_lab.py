@@ -220,6 +220,8 @@ class TestThresholdExperiment:
 
         Each certified run stops earlier, and Kaplan's bound on a blow-up
         time is no earlier than the time at which the plain run stopped.
+        Replaying every probe with full diagnostic rows instead of the lean
+        rows the driver asks for gives the same result.json.
         """
         import thresholdlab.lab.experiments as experiments
         from thresholdlab import ProblemSpec, Rectangle, build_grid, build_laplacian, solve_newton
@@ -234,9 +236,18 @@ class TestThresholdExperiment:
         eq = solve_newton(spec, A)
         certified = threshold_experiment(spec, A, eq, IntegratorConfig())
         plain_evolve = experiments.evolve
-        monkeypatch.setattr(experiments, "evolve",
-                            lambda *args, certs=None, **kwargs: plain_evolve(*args, **kwargs))
-        plain = threshold_experiment(spec, A, eq, IntegratorConfig())
+        replays = {
+            "plain": lambda *args, certs=None, **kwargs: plain_evolve(*args, **kwargs),
+            # diagnostics is required here, so the driver must pass it
+            "full rows": lambda *args, diagnostics, **kwargs: plain_evolve(*args, **kwargs),
+        }
+        results = {}
+        for name, replay in replays.items():
+            monkeypatch.setattr(experiments, "evolve", replay)
+            results[name] = threshold_experiment(spec, A, eq, IntegratorConfig())
+        assert (result_json_text(results["full rows"].to_payload())
+                == result_json_text(certified.to_payload()))
+        plain = results["plain"]
 
         kinds = lambda result: [(run["value"], run["outcome"]) for run in result.runs]
         assert kinds(certified) == kinds(plain)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,13 @@ from thresholdlab import (
     solve_newton,
     step,
 )
-from thresholdlab.analysis import energy, product_integral
+from thresholdlab import parabolic
+from thresholdlab.analysis import (
+    dphi_identity_residual,
+    energy,
+    energy_monotonicity_violation,
+    product_integral,
+)
 from thresholdlab.discrete import LinearSolveError, integrate
 from thresholdlab.elliptic import AmplitudeOverflowError
 from thresholdlab.parabolic import (
@@ -294,6 +301,67 @@ def test_evolve_replays_bitwise(alpha, kind, geometry, certified):
     kept = (record.max_step_increase, record.max_step_decrease, record.squeeze_low,
             record.squeeze_high)
     assert np.asarray(kept).tobytes() == np.asarray(extrema).tobytes()
+
+
+#: The lean-row problems: the 64-node disk, the 3-ball, the 16^2 square and p != q.
+_LEAN_PROBLEMS = {
+    "disk": (ExponentPair(3.0, 3.0), RadialBall(2, 1.0), 64),
+    "ball": (ExponentPair(3.0, 3.0), RadialBall(3, 1.0), 64),
+    "square": (ExponentPair(3.0, 3.0), Rectangle(1.0, 1.0), 16),
+    "p-ne-q": (ExponentPair(3.0, 2.0), RadialBall(2, 1.0), 64),
+}
+
+
+def _outcome_bytes(outcome):
+    """Every field of an Outcome, floats and limit state as bytes."""
+    times = np.asarray([outcome.t_end, outcome.t_est, outcome.sup_at_stop], dtype=float)
+    limit = None if outcome.limit is None else outcome.limit.u.tobytes() + outcome.limit.v.tobytes()
+    return outcome.kind, outcome.rule, times.tobytes(), limit
+
+
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("problem", sorted(_LEAN_PROBLEMS))
+def test_lean_rows_match_full_rows(problem, certified, monkeypatch):
+    # a run without diagnostics classifies bit for bit as the full run does
+    # and keeps its t, dt, sup-norm and power-integral columns and the step
+    # and squeeze extrema; either way a record has one row per step plus the
+    # initial one, the count the benchmark reads as len(record) - 1.  alpha
+    # 0.9 decays, 1.0 is steady at its first step, 1.1 blows up; u and v
+    # differ, so a swapped column shows
+    exponents, domain, n = _LEAN_PROBLEMS[problem]
+    spec = ProblemSpec(exponents, domain)
+    A = build_laplacian(build_grid(domain, spec.boundary, n))
+    eq = solve_newton(spec, A)
+    certs = certificates(spec, A) if certified else None
+    steps = []
+
+    def counted_step(*args):
+        steps.append(args[-1])
+        return step(*args)
+
+    monkeypatch.setattr(parabolic, "step", counted_step)
+    kept = ("t", "dt", "sup_u", "sup_v", "int_u_q1", "int_v_p1")
+    extrema = ("max_step_increase", "max_step_decrease", "squeeze_low", "squeeze_high")
+    for alpha, kind in ((0.9, "decay"), (1.0, "steady"), (1.1, "blowup")):
+        initial = FieldPair(alpha * eq.pair.u, alpha**2 * eq.pair.v, A.grid)
+        runs = []
+        for diagnostics in (True, False):
+            steps.clear()
+            outcome, record = evolve(spec, A, initial, IntegratorConfig(dt0=1e-2), certs=certs,
+                                     diagnostics=diagnostics)
+            assert len(record) - 1 == len(steps) > 0
+            runs.append((outcome, record))
+        (full, full_record), (lean, lean_record) = runs
+        assert full.kind == kind
+        assert _outcome_bytes(lean) == _outcome_bytes(full)
+        for name in kept + extrema:
+            assert (np.asarray(getattr(lean_record, name)).tobytes()
+                    == np.asarray(getattr(full_record, name)).tobytes()), name
+        assert lean_record.phi == lean_record.energy == []
+        for refuses in (lean_record.arrays, partial(dphi_identity_residual, lean_record, 0),
+                        partial(energy_monotonicity_violation, lean_record)):
+            with pytest.raises(ValueError, match="lean record has no phi or energy column"):
+                refuses()
 
 
 class TestEvolveOrdered:
