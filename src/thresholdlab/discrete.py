@@ -14,7 +14,8 @@ Supported grids:
     closes the stencil one-sidedly; Dirichlet eliminates the boundary node,
     Robin keeps it and encodes du/dn + beta*u = 0 through the boundary flux.
   * rectangle: uniform tensor grid, interior nodes, 5-point stencil,
-    Dirichlet only.
+    Dirichlet only.  Its eigenvectors are products of sine modes, known in
+    closed form, so the principal vector costs no solve.
 
 Shifted solves (sigma I + A) x = b never factorise a matrix: each operator
 sets up a solve once that takes sigma as an argument.  Radial operators
@@ -182,15 +183,22 @@ class DiscreteLaplacian:
 
     @cached_property
     def principal_vector(self) -> np.ndarray:
-        """Sup-normalised lowest eigenvector of A, from elliptic._principal_eigenvector.
+        """Sup-normalised lowest eigenvector of A, positive at every node.
 
-        Inverse iteration up to its first bitwise repeat, a fixed point or
-        a short cycle, at most 60 solves.  Computed once per operator and
-        read-only: the Newton seed and the threshold certificates share it.
+        On the Dirichlet rectangle it is the lowest 5-point mode in closed
+        form: the product of each axis's first sine mode sin(pi j/n), with
+        no solve.  On radial grids it is elliptic._principal_eigenvector,
+        inverse iteration to its fixed point.  Computed once per operator
+        and read-only: the Newton seed and the threshold certificates share
+        it.
         """
-        from .elliptic import _principal_eigenvector   # elliptic imports this module
+        if self.grid.geometry == "rectangle":
+            x = np.outer(*(np.sin(np.arange(1, n) * (np.pi / n)) for n in self.grid.resolution))
+            x = x.ravel() / x.max()
+        else:
+            from .elliptic import _principal_eigenvector   # elliptic imports this module
 
-        x = _principal_eigenvector(self)
+            x = _principal_eigenvector(self)
         x.flags.writeable = False
         return x
 

@@ -177,11 +177,19 @@ class Equilibrium:
             raise NonPositiveSolutionError(self.pair, self.residual_norm)
 
 
+def _reaction(spec: ProblemSpec, pair: FieldPair, forcing) -> tuple[np.ndarray, np.ndarray]:
+    """(|v|^(p-1) v + lam f, |u|^(q-1) u + lam g) at ``pair``; ``forcing`` is forcing_arrays'.
+
+    The right-hand side of the steady system and the explicit terms of a
+    parabolic step.
+    """
+    fu, gv = forcing
+    return signed_power(pair.v, spec.p) + fu, signed_power(pair.u, spec.q) + gv
+
+
 def _steady_residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair):
-    """_residual_parts at (bu, bv) = (|v|^(p-1)v + lam f, |u|^(q-1)u + lam g), the steady system."""
-    fu, gv = forcing_arrays(spec, A.grid)
-    return _residual_parts(A, pair, signed_power(pair.v, spec.p) + fu,
-                           signed_power(pair.u, spec.q) + gv)
+    """_residual_parts at (bu, bv) = _reaction(pair), the steady system."""
+    return _residual_parts(A, pair, *_reaction(spec, pair, forcing_arrays(spec, A.grid)))
 
 
 def residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> FieldPair:
@@ -218,40 +226,18 @@ def _residual_parts(A, pair, bu, bv) -> tuple[FieldPair, float, float]:
 def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
     """Lowest eigenvector of A by inverse power iteration, sup-normalised.
 
-    At most ``iters`` solves.  The map is deterministic, so once an iterate
-    repeats bitwise the iterates cycle, and the iteration stops at the
-    first repeat with the ``iters``-step vector, bitwise.  A repeat is
-    either the floating-point fixed point, an iterate equal to its
-    predecessor, or a longer cycle that rounding settles into on some
-    grids: an iterate whose bytes hash like an earlier one's is kept, and
-    when the iterate one period later equals it, (iters - step) mod period
-    more solves end on the vector the full run would return.  Besides the
-    hashes, at most three vectors are held.  Callers use the operator's
-    cached copy, ``A.principal_vector``.
+    Stops at the floating-point fixed point, the first iterate bitwise
+    equal to its predecessor, or after ``iters`` solves; either way the
+    result is the ``iters``-step vector, bitwise.  Callers use the
+    operator's cached copy, ``A.principal_vector``, which takes the
+    rectangle's in closed form.
     """
-    def inverse_step(x):
-        x = solve_shifted(A, 0.0, x)
-        x /= np.max(np.abs(x))
-        return x
-
     x = np.ones(A.grid.size)
-    latest = {}                 # hash of an iterate's bytes -> the last step that gave it
-    due = period = kept = None  # a suspected cycle: ``kept`` should recur at step ``due``
-    for step in range(1, iters + 1):
-        prev, x = x, inverse_step(x)
+    for _ in range(iters):
+        prev, x = x, solve_shifted(A, 0.0, x)
+        x /= np.max(np.abs(x))
         if np.array_equal(x, prev):
-            return x
-        if step == due:
-            if np.array_equal(x, kept):
-                for _ in range((iters - step) % period):
-                    x = inverse_step(x)
-                return x
-            due = None
-        key = hash(x.tobytes())
-        if due is None and key in latest:
-            period = step - latest[key]
-            due, kept = step + period, x
-        latest[key] = step
+            break
     return x
 
 
@@ -495,10 +481,9 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
     run ends in one of MonotoneResult's three states.
     """
     grid = A.grid
-    p, q = spec.p, spec.q
-    fu, gv = forcing_arrays(spec, grid)
+    forcing = forcing_arrays(spec, grid)
     pair = FieldPair.zeros(grid)
-    bu, bv = fu, gv
+    bu, bv = forcing
     rn = relative_residual(A, pair, bu, bv)
     if rn <= DEFAULT_STEADY_TOL:
         return MonotoneResult("converged", pair, rn, 0)
@@ -512,7 +497,7 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
         pair = FieldPair(u_new, v_new, grid)
         if pair.sup > M_BIG:
             return MonotoneResult("diverged", pair, math.inf, k)
-        bu, bv = signed_power(pair.v, p) + fu, signed_power(pair.u, q) + gv
+        bu, bv = _reaction(spec, pair, forcing)
         rn = relative_residual(A, pair, bu, bv)
         if rn <= DEFAULT_STEADY_TOL:
             return MonotoneResult("converged", pair, rn, k)

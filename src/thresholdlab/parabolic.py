@@ -42,7 +42,7 @@ import numpy as np
 
 from .analysis import TrajectoryRecord
 from .discrete import DiscreteLaplacian, FieldPair, solve_shifted
-from .elliptic import _amplitudes, forcing_arrays, signed_power
+from .elliptic import _amplitudes, _reaction, forcing_arrays
 from .problem import ExponentPair, ProblemSpec
 
 __all__ = [
@@ -260,12 +260,6 @@ def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float) -
     # (I + dt A) x = b  <=>  (1/dt I + A) x = b/dt
     new = solve_shifted(A, 1.0 / dt, rhs / dt)
     return FieldPair(new[:, 0], new[:, 1], A.grid)
-
-
-def _reaction(spec, state, forcing) -> tuple[np.ndarray, np.ndarray]:
-    """The explicit terms (|v|^(p-1) v + lam f, |u|^(q-1) u + lam g) of a step."""
-    fu, gv = forcing
-    return signed_power(state.v, spec.p) + fu, signed_power(state.u, spec.q) + gv
 
 
 def _march(spec, A, states, config):

@@ -17,7 +17,13 @@ from thresholdlab import (
     integrate,
     solve_shifted,
 )
-from thresholdlab.discrete import DiscreteLaplacian, GridError, LinearSolveError, _sine_matrix
+from thresholdlab.discrete import (
+    DiscreteLaplacian,
+    GridError,
+    LinearSolveError,
+    _rectangle_eigenvalues,
+    _sine_matrix,
+)
 from thresholdlab.lab.verify import duality_check
 
 from conftest import assert_passed
@@ -363,6 +369,29 @@ def test_rectangle_solve_property(lx, ly, nx, ny, sigma, seed, sparse):
     for j in range(2):
         assert backward_error(A, sigma, x[:, j], rhs[:, j]) <= 1e-12
     assert x.min() >= 0.0
+    # the closed-form principal vector is the eigenvector of the smallest eigenvalue
+    phi = A.principal_vector
+    scale = 2.0 * np.max(A.K.diagonal() / grid.weights)
+    lam = _rectangle_eigenvalues(grid).min()
+    assert np.max(np.abs(A.apply(phi) - lam * phi)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("lx, ly, resolution",
+                         [(2.0, 1.0, (24, 12)), (1.0, 1.0, (48, 48)), (1.0, 1.0, (17, 33)),
+                          (1.0, 1.0, (256, 256))])
+def test_rectangle_principal_vector_is_the_first_sine_mode(lx, ly, resolution, monkeypatch):
+    import thresholdlab.discrete as discrete
+    import thresholdlab.elliptic as elliptic
+
+    grid, A = rect_operator(lx, ly, resolution)
+    calls = []
+    counted = lambda *a: calls.append(1) or solve_shifted(*a)
+    for module in (discrete, elliptic):
+        monkeypatch.setattr(module, "solve_shifted", counted)
+    phi = A.principal_vector
+    assert calls == []
+    assert phi.min() > 0 and phi.max() == 1.0
+    assert not phi.flags.writeable
 
 
 @st.composite

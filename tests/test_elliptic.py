@@ -626,8 +626,8 @@ def _loop_prescan(spec, A, shape, lam1):
     return FieldPair(best_t * c_u * shape, best_t * c_v * shape, A.grid)
 
 
-#: Grids of the seed tests; the 16-node disk's inverse iteration reaches no fixed point but a
-#: period-3 cycle, whose first repeat is at step 26.
+#: Grids of the seed tests; the 16-node disk's inverse iteration reaches no fixed point within
+#: 60 solves (rounding settles it into a period-3 cycle), so it runs to the cap.
 _SEED_GRIDS = {
     "disk": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 512),
     "ball": (RadialBall(3, 1.0), BoundarySpec.dirichlet(), 64),
@@ -655,52 +655,10 @@ class TestNewtonSeed:
         monkeypatch.setattr(el, "solve_shifted", lambda *a: calls.append(1) or solve_shifted(*a))
         x = el._principal_eigenvector(A)
         np.testing.assert_array_equal(x, _forced_principal_vector(A))
-        if name == "disk-16":   # repeat at 26, confirmed at 29, then (60 - 29) mod 3 solves
-            assert len(calls) == 30
+        if name == "disk-16":   # no fixed point: the iteration runs to its cap
+            assert len(calls) == 60
         else:
             assert len(calls) < 60
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(0, 30), st.integers(1, 8), st.integers(1, 60), st.booleans())
-    def test_inverse_iteration_stops_at_a_cycle(self, tail, period, iters, colliding):
-        """A map whose orbit runs `tail` values and then cycles: the iters-step vector, early.
-
-        With ``colliding``, every iterate hashes alike, so only the bitwise
-        confirmation one period later tells a cycle from a collision.
-        """
-        import thresholdlab.elliptic as el
-
-        orbit = np.linspace(0.1, 0.9, tail + period)    # second components, all distinct
-        calls = []
-
-        def orbit_map(A, sigma, x):
-            # (1, orbit[i]) -> 2 (1, orbit[i + 1]); the last value maps back to orbit[tail]
-            hits = np.flatnonzero(orbit == x[1])
-            i = hits[0] + 1 if len(hits) else 0
-            calls.append(1)
-            return 2.0 * np.array([1.0, orbit[i if i < len(orbit) else tail]])
-
-        ref = np.ones(2)
-        for _ in range(iters):
-            ref = orbit_map(None, 0.0, ref) / 2.0
-        calls.clear()
-        A = types.SimpleNamespace(grid=types.SimpleNamespace(size=2))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(el, "solve_shifted", orbit_map)
-            if colliding:
-                mp.setattr(el, "hash", lambda data: 0, raising=False)
-            x = el._principal_eigenvector(A, iters)
-        np.testing.assert_array_equal(x, ref)
-        if colliding:
-            return
-        repeat = tail + period + 1      # the first step whose iterate came before
-        if period == 1:                 # equal to its predecessor: stops there
-            expected = repeat
-        elif repeat + period <= iters:  # confirmed one period later, then the remainder
-            expected = repeat + period + (iters - repeat - period) % period
-        else:
-            expected = iters
-        assert len(calls) == min(expected, iters)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.floats(1.2, 8.0), st.floats(1.2, 8.0), st.sampled_from([0.0, 0.5, 2.0]),
