@@ -30,6 +30,12 @@ nodes a side (the 48^2 square among them) that costs half or less of an
 FFT-based DST-I with its Python dispatch; from about 128 nodes a side on,
 the products' O(n^3) work costs more, about twice as much at 512.
 Non-finite input is refused on every route.
+
+Several right-hand sides are solved as the columns of one (m, k) array,
+kept column-major from end to end: a column-major rhs reaches LAPACK and the
+transform stack with no copy, every answer comes back column-major, and the
+backward-error check multiplies K into one contiguous column at a time.
+Other layouts give the same bits, after a copy.
 """
 
 from __future__ import annotations
@@ -157,7 +163,7 @@ class DiscreteLaplacian:
 
     grid: Grid
     K: sp.csr_matrix
-    # _solve(sigma, b) solves (sigma I + A) x = b for b of shape (m, k)
+    # _solve(sigma, b) solves (sigma I + A) x = b for b of shape (m, k); x is column-major
     _solve: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
     _op_scale: float = field(init=False, repr=False, compare=False)  # 2 max(K_ii / w_i)
 
@@ -355,8 +361,9 @@ def _tridiagonal_solve(ptsv: Callable, diag: np.ndarray, off: np.ndarray, w: np.
     This is the call scipy's solveh_banded makes for a two-row band, so the
     answer is bitwise the same, without its validation: solve_shifted has
     already refused non-finite data.  The shifted diagonal and the weighted
-    right-hand side are fresh arrays that ptsv may overwrite; the
-    off-diagonal is K's and is copied.
+    right-hand side are fresh arrays that ptsv may overwrite; the weighted
+    right-hand side keeps b's layout, so a column-major b reaches ptsv with
+    no copy.  The off-diagonal is K's and is copied.
     """
     _, _, x, info = ptsv(sigma * w + diag, off, w[:, None] * b, overwrite_d=True, overwrite_b=True)
     if info > 0:   # e.g. a Robin beta near 0 with sigma = 0
@@ -402,33 +409,36 @@ def _sine_transform_solve(Sx: np.ndarray, Sy: np.ndarray, eig: np.ndarray, sigma
 
     Each column of b is laid out as an (mx, my) array, so with the columns
     stacked first the transform is ``Sx @ B @ Sy`` and so is its inverse:
-    four BLAS products for any number of columns.  The answer is that
-    (k, m) stack transposed, so each column is contiguous, as the callers
-    read them (a step's u and v).
+    four BLAS products for any number of columns.  For a column-major b the
+    stack is a view of it, with no copy.  The answer is the (k, m) stack
+    transposed, so it is column-major too.
 
     Where the solution of a nonnegative column is tiny, the transforms leave
     rounding-level negatives (a few 1e-16 of its maximum); those are set to
-    zero, so the rectangle keeps the discrete maximum principle exactly, as
-    the banded route does.  A column is nonnegative when its minimum is >= 0,
-    so a column holding a NaN is never clipped.  The test takes one minimum
-    per column rather than a boolean reduction over axis 0, which costs
-    several times more; this clip runs in every rectangle step and every
-    GMRES preconditioner application.
+    zero in place in that column's contiguous row of the stack, so the
+    rectangle keeps the discrete maximum principle exactly, as the banded
+    route does.  A column is nonnegative when its minimum is >= 0, so a
+    column holding a NaN is never clipped.  This clip runs in every
+    rectangle step and every GMRES preconditioner application.
     """
     k = b.shape[1]
     coef = Sx @ b.T.reshape(k, *eig.shape) @ Sy
     coef /= sigma + eig
-    x = (Sx @ coef @ Sy).reshape(k, -1).T
-    nonneg = np.array([c.min() >= 0 for c in b.T])
-    return np.where((x < 0) & nonneg, 0.0, x)
+    x = (Sx @ coef @ Sy).reshape(k, -1)
+    for row, col in zip(x, b.T):
+        if col.min() >= 0:
+            np.copyto(row, 0.0, where=row < 0)
+    return x.T
 
 
 def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (sigma*I + A) x = rhs to relative residual <= 1e-12.
 
     sigma >= 0 keeps the system positive definite.  rhs may be (m,) or
-    (m, k) for multiple right-hand sides.  A sigma or rhs that is not finite
-    raises ValueError on every route.  Nothing is factorised: radial
+    (m, k) for multiple right-hand sides; an (m, k) answer is column-major,
+    and a column-major rhs, as parabolic.step builds, is solved and checked
+    without a copy.  A sigma or rhs that is not finite raises ValueError on
+    every route.  Nothing is factorised: radial
     operators solve the tridiagonal system sigma*W + K with LAPACK ``ptsv``,
     bound once per operator; the Dirichlet rectangle applies DST-I along
     both axes, as products with its orthonormal sine matrices, and divides
@@ -472,11 +482,15 @@ def _backward_error(A: DiscreteLaplacian, sigma: float, b: np.ndarray, x: np.nda
                     ) -> tuple[float, np.ndarray]:
     """(largest backward error over the columns of x, residual b - (sigma I + A) x).
 
-    One product with A.K, the rest in place; the norms are taken per term
-    as the contract states them, so the error is bitwise the plain formula's.
+    Column-major like the answers: one product with A.K per contiguous
+    column of x, stacked as the rows of the transposed residual, the rest in
+    place.  scipy sums each row of a CSR product with one vector in the same
+    order as with a block, so the residual is bitwise the block product's,
+    without the block product's copy of x and its slower multi-vector loop.  The norms are taken per term as the contract states
+    them, so the error is bitwise the plain formula's.
     """
     w = A.grid.weights
-    res = A.K @ x
+    res = np.array([A.K @ c for c in x.T]).T
     res /= w[:, None]
     res += sigma * x
     np.subtract(b, res, out=res)

@@ -489,7 +489,7 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
         return MonotoneResult("converged", pair, rn, 0)
 
     for k in range(1, MONOTONE_CAP + 1):
-        new = solve_shifted(A, 0.0, np.column_stack([bu, bv]))
+        new = solve_shifted(A, 0.0, np.array([bu, bv]).T)   # column-major, as solves take it
         u_new, v_new = new[:, 0], new[:, 1]
         slack = 1e-12 * max(1.0, pair.sup)
         if np.min(u_new - pair.u) < -slack or np.min(v_new - pair.v) < -slack:

@@ -21,6 +21,7 @@ from thresholdlab.discrete import (
     DiscreteLaplacian,
     GridError,
     LinearSolveError,
+    _backward_error,
     _rectangle_eigenvalues,
     _sine_matrix,
 )
@@ -337,6 +338,51 @@ def test_radial_route_is_solveh_banded(name, cols, rng):
     np.testing.assert_array_equal(A.K.toarray(), K)
     for kept, now in zip(band, (a for a in A._solve.args if isinstance(a, np.ndarray))):
         np.testing.assert_array_equal(now, kept)
+
+
+_LAYOUT_GRIDS = {
+    **{name: lambda d=d, bc=bc: build_grid(d, bc, 64) for name, (d, bc) in _RADIAL.items()},
+    "rectangle": lambda: build_grid(Rectangle(2.0, 1.0), DIRICHLET, (24, 12)),
+}
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_LAYOUT_GRIDS))
+def test_shifted_solves_are_column_major(name, cols, rng):
+    # every route answers column-major whatever the rhs layout, with the same
+    # bits, and the contract's residual is the one-block formula's
+    grid = _LAYOUT_GRIDS[name]()
+    A = build_laplacian(grid)
+    w = grid.weights
+    b = rng.standard_normal((grid.size, cols))
+    for sigma in (0.0, 1.0, 1e3):
+        x = solve_shifted(A, sigma, np.ascontiguousarray(b))
+        assert x.flags.f_contiguous
+        assert solve_shifted(A, sigma, np.asfortranarray(b)).tobytes() == x.tobytes()
+        if cols == 1:
+            assert solve_shifted(A, sigma, b[:, 0]).tobytes() == x[:, 0].tobytes()
+        _, res = _backward_error(A, sigma, b, x)
+        assert res.tobytes() == (b - ((A.K @ x) / w[:, None] + sigma * x)).tobytes()
+
+
+def test_rectangle_clip_in_place_per_column(rng):
+    # at sigma = 1e6 a point source's solution is rounding-level far from the
+    # point and the transforms leave negatives there: they are zeroed in the
+    # nonnegative column only.  The point's negation is never clipped, so its
+    # answer is the unclipped solution negated.
+    grid, A = rect_operator(2.0, 1.0, (24, 12))
+    point = np.zeros(grid.size)
+    point[grid.size // 3] = 1.0
+    signed = rng.standard_normal(grid.size)
+    rhs = np.array([point, signed, -point]).T
+    x = solve_shifted(A, 1e6, rhs)
+    raw = -x[:, 2]
+    assert raw.min() < 0.0
+    assert x[:, 0].min() >= 0.0
+    np.testing.assert_array_equal(x[:, 0], np.where(raw < 0, 0.0, raw))
+    assert x[:, 1].min() < 0.0
+    for j in range(3):
+        assert x[:, j].tobytes() == solve_shifted(A, 1e6, rhs[:, j]).tobytes()
 
 
 def test_singular_robin_operator_raises_by_name():
