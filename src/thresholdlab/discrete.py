@@ -438,12 +438,12 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     (m, k) for multiple right-hand sides; an (m, k) answer is column-major,
     and a column-major rhs, as parabolic.step builds, is solved and checked
     without a copy.  A sigma or rhs that is not finite raises ValueError on
-    every route.  Nothing is factorised: radial
-    operators solve the tridiagonal system sigma*W + K with LAPACK ``ptsv``,
-    bound once per operator; the Dirichlet rectangle applies DST-I along
-    both axes, as products with its orthonormal sine matrices, and divides
-    by the shifted eigenvalues.  One step of iterative refinement follows
-    if the first solve misses the contract.
+    every route.  Nothing is factorised: radial operators solve the
+    tridiagonal system sigma*W + K with LAPACK ``ptsv``, bound once per
+    operator; the Dirichlet rectangle applies DST-I along both axes, as
+    products with its orthonormal sine matrices, and divides by the
+    shifted eigenvalues.  One step of iterative refinement follows if the
+    first solve misses the contract.
 
     The residual contract is the normwise backward error in the weighted L2
     norm, ||rhs - (sigma I + A) x|| / (||rhs|| + ||sigma I + A|| * ||x||),
@@ -486,8 +486,9 @@ def _backward_error(A: DiscreteLaplacian, sigma: float, b: np.ndarray, x: np.nda
     column of x, stacked as the rows of the transposed residual, the rest in
     place.  scipy sums each row of a CSR product with one vector in the same
     order as with a block, so the residual is bitwise the block product's,
-    without the block product's copy of x and its slower multi-vector loop.  The norms are taken per term as the contract states
-    them, so the error is bitwise the plain formula's.
+    without the block product's copy of x and its slower multi-vector loop.
+    The norms are taken per term as the contract states them, so the error
+    is bitwise the plain formula's.
     """
     w = A.grid.weights
     res = np.array([A.K @ c for c in x.T]).T
