@@ -26,7 +26,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -589,31 +588,44 @@ def _solvable_probe(spec_template, A, lam) -> bool:
 class ShootingResult:
     """High-accuracy radial equilibrium from the two-point shooting solve.
 
-    ``profile(r)`` evaluates (U, V) at radii in [0, ``radius``] from the
-    dense output of the final ``solve_ivp`` integration (the compiled
-    integrator behind the Newton iterates keeps no continuous extension);
-    radii outside that interval, beyond rounding at its end, raise
-    ValueError instead of extrapolating.  ``bc_residual`` is the achieved
-    boundary-condition defect.  ``dimension`` and ``radius`` are the ball's
-    it was shot in, and :meth:`to_pair` refuses a grid on another ball.  The
-    problem solved is the caller's, not stored here.
+    ``profile(r)`` evaluates (U, V) at radii in [0, ``radius``], in any order
+    and with repeats, by stepping the radial system from the centre values
+    through the sorted distinct radii on the shared compiled integrator
+    (_CompiledDOP853), at the tolerances of the shooting runs.  Radii at or
+    below the series start r0 = 1e-8 ``radius`` take the centre values;
+    radii outside [0, ``radius``], beyond rounding at its end, raise
+    ValueError instead of extrapolating, and a radius the run does not reach
+    raises RootFindFailure.  ``bc_residual`` is the boundary-condition defect
+    of a run at exactly ``center``.  ``exponents``, ``dimension`` and
+    ``radius`` are the problem and the ball it was shot in, and
+    :meth:`to_pair` refuses a grid on another ball.
     """
 
     center: tuple[float, float]
     bc_residual: float
     dimension: int
     radius: float
-    _dense: Callable
+    exponents: ExponentPair
 
     def profile(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r = np.asarray(r, dtype=float)
-        r0 = 1e-8 * self.radius
         if not np.all((r >= 0) & (r <= self.radius * (1 + 4 * np.finfo(float).eps))):
             raise ValueError(f"shooting profile is defined on [0, {self.radius:g}] only")
-        y = self._dense(np.maximum(r, r0))
-        u = np.where(r < r0, self.center[0], y[0])
-        v = np.where(r < r0, self.center[1], y[2])
-        return u, v
+        r0 = 1e-8 * self.radius
+        (a, b), n_dim = self.center, self.dimension
+        p, q = self.exponents.p, self.exponents.q
+        # integrating again to the radius just reached would fail the run
+        nodes, at = np.unique(r, return_inverse=True)
+        ahead = nodes > r0
+        uv = np.tile(self.center, (nodes.size, 1))
+        if ahead.any():
+            sol = _dop853().run(_radial_rhs(n_dim, p, q), _series_start(a, b, n_dim, p, q, r0),
+                                r0, nodes[ahead])
+            if _escaped(sol, nodes[-1]):
+                raise RootFindFailure(math.inf)
+            uv[ahead] = sol[1][:, [0, 2]]
+        uv = uv[at]
+        return uv[..., 0], uv[..., 1]
 
     def to_pair(self, grid: Grid) -> FieldPair:
         if grid.geometry != "radial":
@@ -664,28 +676,16 @@ def _too_large(r, y) -> float:
     return max(abs(y[0]), abs(y[2])) - 1e6
 
 
-_too_large.terminal = True
+def _series_start(a: float, b: float, n_dim: int, p: float, q: float, r0: float,
+                  variational: bool = False) -> list:
+    """The state at r0 << R from the centre values (a, b) with u'(0) = v'(0) = 0.
 
-
-def _integrate_radial(
-    a: float, b: float, n_dim: int, p: float, q: float, radius: float,
-    variational: bool = False,
-):
-    """Integrate outward from the centre values (a, b) with u'(0) = v'(0) = 0.
-
-    Starts at r0 << R from the even-symmetry series u = a - phi_p(b) r^2/(2N)
-    to clear the coordinate singularity.  Both routes run DOP853 at rtol =
-    atol = 1e-12 with the size event _too_large.  With ``variational`` the
-    solution also carries d(u, u', v, v')/da and d/db, started from the
-    derivative of that series, so the boundary Jacobian is exact; only its
-    endpoint is read, so it runs on scipy's compiled DOP853 (_CompiledDOP853),
-    whose per-step driver is not Python.  Without it the solution has the
-    dense output behind ``ShootingResult.profile``, which the compiled
-    integrator lacks, so that run stays on ``solve_ivp``.  Overflow is not
-    warned about: a trajectory that leaves the float range stops short of
-    the radius or ends non-finite, and _bc_values counts it as escaping.
+    The even-symmetry series u = a - phi_p(b) r^2/(2N), v = b - phi_q(a)
+    r^2/(2N) clears the coordinate singularity at r = 0.  With
+    ``variational`` the state also carries d(u, u', v, v')/da and d/db, the
+    derivative of that series.  Entries that leave the float range are not
+    warned about: they come back non-finite.
     """
-    r0 = 1e-8 * radius
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = np.float64(a), np.float64(b)
         fa, fb = signed_power(b, p), signed_power(a, q)
@@ -695,33 +695,38 @@ def _integrate_radial(
             sa, sb = q * abs(a) ** (q - 1), p * abs(b) ** (p - 1)
             y0 += [1.0, 0.0, -sa * r0**2 / (2 * n_dim), -sa * r0 / n_dim,
                    -sb * r0**2 / (2 * n_dim), -sb * r0 / n_dim, 1.0, 0.0]
-    # what _escaped and _bc_values read of a solve_ivp result
-    escaped = SimpleNamespace(t=np.array([r0]), y=np.array(y0)[:, None], status=-1)
-    if not np.all(np.isfinite(y0)):     # out of the float range at r0 already
-        return escaped
-    rhs = _radial_rhs(n_dim, p, q)
-    if variational:
-        return _dop853().endpoint(rhs, y0, r0, radius)
-    from scipy.integrate import solve_ivp   # loaded by shooting only, not on import
+    return y0
 
-    try:
-        return solve_ivp(rhs, (r0, radius), y0, method="DOP853", rtol=1e-12, atol=1e-12,
-                         dense_output=True, events=_too_large)
-    except OverflowError:               # a float power left the range mid-step
-        return escaped
+
+def _integrate_radial(
+    a: float, b: float, n_dim: int, p: float, q: float, radius: float,
+    variational: bool = False,
+) -> tuple[float, np.ndarray]:
+    """Integrate outward from the centre values (a, b) to ``radius``.
+
+    Starts at r0 = 1e-8 ``radius`` from _series_start and runs on the
+    shared compiled DOP853 (_CompiledDOP853) at rtol = atol = 1e-12 with
+    the size event _too_large.  With ``variational`` the state also carries
+    the derivatives in a and b, so the boundary Jacobian is exact.  Returns
+    the end radius and the end state.  Overflow is not warned about: a
+    trajectory that leaves the float range stops short of the radius or
+    ends non-finite, and _bc_values counts it as escaping.
+    """
+    r0 = 1e-8 * radius
+    r_end, states = _dop853().run(_radial_rhs(n_dim, p, q),
+                                  _series_start(a, b, n_dim, p, q, r0, variational), r0, [radius])
+    return r_end, states[-1]
 
 
 class _CompiledDOP853:
-    """scipy's compiled DOP853 for endpoint-only runs; one instance serves the process.
+    """scipy's compiled DOP853 for every shooting run; one instance serves the process.
 
-    The same method and tolerances as the ``solve_ivp`` route, and the same
-    size event: a run stops at the first accepted step across which
-    _too_large changes sign, as ``solve_ivp``'s event does (it then refines
-    the crossing, which the endpoint's escaping sign does not need).  A start
+    rtol = atol = 1e-12, no step limit, and the size event: a run stops at
+    the first accepted step across which _too_large changes sign.  A start
     above the level therefore runs on until it comes back down.  A float
     power that overflows inside the compiled callback cannot propagate (it
     would surface as an unrelated error), so the callback returns NaN
-    instead: the step is rejected, and the run ends short of the radius with
+    instead: the step is rejected, and the run ends short of its radius with
     "step size becomes too small", whose warning is silenced here.  Any
     other exception in the callback (an interrupt, say) is held, every later
     call returns NaN so the run ends within a few dozen steps, and the
@@ -741,7 +746,6 @@ class _CompiledDOP853:
         self.rhs: Optional[Callable] = None
         self.last: Optional[float] = None   # _too_large at the last accepted step
         self.error: Optional[BaseException] = None
-        # no step limit, as in solve_ivp
         self.solver = ode(self._f).set_integrator("dop853", rtol=1e-12, atol=1e-12,
                                                    nsteps=10**9)
         self.solver.set_solout(self._stop_on_crossing)
@@ -752,7 +756,7 @@ class _CompiledDOP853:
                 return self.rhs(r, y)
             except OverflowError:           # the step fails; the trajectory escapes
                 pass
-            except BaseException as exc:    # raised again by endpoint
+            except BaseException as exc:    # raised again by run
                 self.error = exc
         return [math.nan] * len(y)
 
@@ -762,18 +766,29 @@ class _CompiledDOP853:
         self.last = g
         return -1 if crossed else 0
 
-    def endpoint(self, rhs: Callable, y0: list, r0: float, radius: float) -> SimpleNamespace:
-        """Endpoint of ``rhs`` from (r0, y0) toward ``radius``: what _escaped
-        and _bc_values read of a ``solve_ivp`` result, with its status codes."""
+    def run(self, rhs: Callable, y0: list, r0: float,
+            radii: Sequence[float]) -> tuple[float, np.ndarray]:
+        """Run ``rhs`` from (r0, y0) through the increasing ``radii`` > r0.
+
+        Returns the radius where the run ended and the states at the radii
+        it passed, one row each, the last row the end state.  The run ends
+        at the last radius or, escaped (see _escaped), at the first one it
+        misses; a start outside the float range ends at once, at (r0, y0).
+        """
+        if not np.all(np.isfinite(y0)):
+            return r0, np.array([y0])
         self.rhs, self.last, self.error = rhs, None, None
         self.solver.set_initial_value(y0, r0)
+        states = []
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "dop853", UserWarning)
-            y = self.solver.integrate(radius)
+            for r in radii:
+                states.append(self.solver.integrate(r))
+                if _escaped((self.solver.t, states[-1]), r):
+                    break
         if self.error is not None:
             raise self.error
-        status = {1: 0, 2: 1}.get(self.solver.get_return_code(), -1)
-        return SimpleNamespace(t=np.array([self.solver.t]), y=y[:, None], status=status)
+        return self.solver.t, np.array(states)
 
 
 @functools.cache
@@ -781,9 +796,11 @@ def _dop853() -> _CompiledDOP853:
     return _CompiledDOP853()
 
 
-def _escaped(sol, radius: float) -> bool:
-    """Stopped early (size event or float range) or ended non-finite."""
-    return sol.t[-1] < radius or not np.all(np.isfinite(sol.y[:, -1]))
+def _escaped(sol: tuple[float, np.ndarray], radius: float) -> bool:
+    """The run (end radius, end state) stopped short of ``radius`` (size
+    event or float range) or ended non-finite."""
+    r_end, end = sol
+    return r_end < radius or not np.all(np.isfinite(end))
 
 
 def _bc_rows(state, boundary: BoundarySpec) -> tuple[float, float]:
@@ -795,8 +812,10 @@ def _bc_rows(state, boundary: BoundarySpec) -> tuple[float, float]:
     return du + beta * u, dv + beta * v
 
 
-def _bc_values(sol, boundary: BoundarySpec, radius: float) -> tuple[float, float]:
-    end = sol.y[:, -1]
+def _bc_values(sol: tuple[float, np.ndarray], boundary: BoundarySpec,
+               radius: float) -> tuple[float, float]:
+    """The boundary defect of the run (end radius, end state)."""
+    end = sol[1]
     if _escaped(sol, radius):
         # escaping: keep the escaping sign with a huge magnitude
         return math.copysign(1e12, end[0]), math.copysign(1e12, end[2])
@@ -823,12 +842,12 @@ def shooting_oracle(
     equations, so the 2x2 boundary Jacobian is exact.  An iterate whose
     trajectory escapes halves its step, at most NEWTON_HALVINGS times.
     Newton stops when the boundary defect or the relative step is at most
-    SHOOTING_TOL; a final integration at tolerance 1e-12 must then leave a
-    defect of at most BC_TOL at positive centre values.  Every failure,
-    the seed's included, raises RootFindFailure.  The seed shot, the Newton
-    iterates and the halving trials read only endpoints and run on scipy's
-    compiled DOP853; the final integration runs on ``solve_ivp``, whose
-    dense output backs ``ShootingResult.profile`` (see _integrate_radial).
+    SHOOTING_TOL.  The run at exactly the returned centre (the last Newton
+    shot, or one more when Newton stopped on its step) must then leave a
+    defect of at most BC_TOL at positive centre values.  Every failure, the
+    seed's included, raises RootFindFailure.  Every run is variational and
+    on the shared compiled DOP853 (see _integrate_radial);
+    ``ShootingResult.profile`` steps the same integrator afterwards.
     """
     p, q = exponents.p, exponents.q
     shoot = lambda x: _integrate_radial(x[0], x[1], n_dim, p, q, radius, variational=True)
@@ -837,7 +856,7 @@ def shooting_oracle(
     if _escaped(sol, radius):
         raise RootFindFailure(abs(_bc_values(sol, boundary, radius)[0]))
     for _ in range(NEWTON_CAP):
-        end = sol.y[:, -1]
+        end = sol[1]
         defect = np.array(_bc_rows(end[:4], boundary))
         resid = float(np.max(np.abs(defect)))
         if resid <= SHOOTING_TOL:
@@ -854,6 +873,7 @@ def shooting_oracle(
             raise RootFindFailure(resid)
         if np.max(np.abs(delta)) <= SHOOTING_TOL * np.max(np.abs(x)):
             x = x + delta
+            sol = shoot(x)
             break
         step = 1.0
         for _ in range(NEWTON_HALVINGS):
@@ -869,14 +889,12 @@ def shooting_oracle(
         raise RootFindFailure(resid)
     if min(x) <= 0:
         raise RootFindFailure(resid)
-    center = (float(x[0]), float(x[1]))
 
-    sol = _integrate_radial(center[0], center[1], n_dim, p, q, radius)
     bc_res = float(np.max(np.abs(_bc_values(sol, boundary, radius))))
     if bc_res > BC_TOL:
         raise RootFindFailure(bc_res)
-    return ShootingResult(center=center, bc_residual=bc_res, dimension=n_dim, radius=radius,
-                          _dense=sol.sol)
+    return ShootingResult(center=(float(x[0]), float(x[1])), bc_residual=bc_res,
+                          dimension=n_dim, radius=radius, exponents=exponents)
 
 
 def _coarse_center(exponents, n_dim, boundary, radius) -> tuple[float, float]:

@@ -43,6 +43,8 @@ from thresholdlab.elliptic import (
     _bc_values,
     _escaped,
     _integrate_radial,
+    _radial_rhs,
+    _series_start,
     _too_large,
     forcing_arrays,
     lambda_star,
@@ -352,7 +354,7 @@ class TestShooting:
     def test_robin_boundary_condition(self, robin3):
         oracle = robin3["oracle"]
         assert oracle.bc_residual <= 1e-10
-        # U'(R) + beta U(R) = 0 checked from the dense profile
+        # U'(R) + beta U(R) = 0 checked from the profile
         r = np.array([1.0 - 1e-7, 1.0])
         u, _ = oracle.profile(r)
         du = (u[1] - u[0]) / 1e-7
@@ -381,10 +383,10 @@ class TestShooting:
     @pytest.mark.parametrize("variational", [False, True])
     @pytest.mark.parametrize("center, sign", [(1e200, -1.0), (-1e200, 1.0)])
     def test_start_outside_float_range_is_escaped(self, center, sign, variational):
-        # the trajectory never starts: the result stands in for solve_ivp's,
-        # with the escaping sign of the series start at r0
+        # the trajectory never starts: it ends at r0 with the series start,
+        # whose escaping sign the defect keeps
         sol = _integrate_radial(center, center, 2, 3.0, 3.0, 1.0, variational=variational)
-        assert sol.status == -1 and _escaped(sol, 1.0)
+        assert sol[0] == 1e-8 and _escaped(sol, 1.0)
         for boundary in (BoundarySpec.dirichlet(), BoundarySpec.robin(1.0)):
             assert _bc_values(sol, boundary, 1.0) == (sign * 1e12, sign * 1e12)
 
@@ -433,16 +435,24 @@ class TestShooting:
 
     @pytest.mark.parametrize("n_dim, p, q", SWEEP_PAIRS)
     def test_few_integrations_per_call(self, monkeypatch, n_dim, p, q):
-        # seed, two or three Newton iterations and the final integration
+        # the seed shot and two or three Newton iterations, all variational;
+        # the boundary defect is read from the run at the returned centre:
+        # the last of them, or one more shot when Newton stops on its step
         import thresholdlab.elliptic as el
 
         calls = []
         integrate = el._integrate_radial
-        monkeypatch.setattr(el, "_integrate_radial",
-                            lambda *a, **k: calls.append(1) or integrate(*a, **k))
+
+        def counted(a, b, *args, variational=False):
+            calls.append(((float(a), float(b)), variational))
+            return integrate(a, b, *args, variational=variational)
+
+        monkeypatch.setattr(el, "_integrate_radial", counted)
         oracle = shooting_oracle(ExponentPair(p, q), n_dim, BoundarySpec.dirichlet())
         assert oracle.bc_residual <= BC_TOL
         assert len(calls) <= 6
+        assert all(variational for _, variational in calls)
+        assert [center for center, _ in calls].count(oracle.center) == 1
 
     @pytest.mark.parametrize("n_dim, p, q", SWEEP_PAIRS)
     def test_compiled_route_matches_solve_ivp(self, monkeypatch, n_dim, p, q):
@@ -451,14 +461,64 @@ class TestShooting:
         exponents, boundary = ExponentPair(p, q), BoundarySpec.dirichlet()
         oracle = shooting_oracle(exponents, n_dim, boundary)
         a, b = oracle.center
-        compiled = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=True).y[:4, -1]
-        dense = _integrate_radial(a, b, n_dim, p, q, 1.0).y[:, -1]
-        assert np.max(np.abs(compiled - dense)) <= 1e-11 * max(a, b)
+        r0 = 1e-8
+        reference = _solve_ivp_endpoint(_radial_rhs(n_dim, p, q),
+                                        _series_start(a, b, n_dim, p, q, r0), r0, 1.0).y[:, -1]
+        for variational in (True, False):
+            compiled = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=variational)[1]
+            assert np.max(np.abs(compiled[:4] - reference)) <= 1e-11 * max(a, b)
 
-        monkeypatch.setattr(el._CompiledDOP853, "endpoint",
-                            lambda self, *args: _solve_ivp_endpoint(*args))
+        def solve_ivp_run(self, rhs, y0, r0, radii):
+            (radius,) = radii           # the oracle reads endpoints only
+            sol = _solve_ivp_endpoint(rhs, y0, r0, radius)
+            return sol.t[-1], sol.y[:, -1:].T
+
+        monkeypatch.setattr(el._CompiledDOP853, "run", solve_ivp_run)
         reference = shooting_oracle(exponents, n_dim, boundary)
         np.testing.assert_allclose(oracle.center, reference.center, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("resolution", [128, 512])
+    @pytest.mark.parametrize("n_dim, p, q, beta",
+                             [(*pair, None) for pair in SWEEP_PAIRS] + [(2, 3.0, 3.0, 1.0)])
+    def test_profile_matches_the_dense_reference(self, n_dim, p, q, beta, resolution):
+        boundary = BoundarySpec.dirichlet() if beta is None else BoundarySpec.robin(beta)
+        oracle = shooting_oracle(ExponentPair(p, q), n_dim, boundary)
+        r = build_grid(RadialBall(n_dim, 1.0), boundary, resolution).coords
+        u, v = oracle.profile(r)
+        ref_u, ref_v = _dense_profile(oracle, r)
+        tol = 1e-11 * max(oracle.center)
+        assert np.max(np.abs(u - ref_u)) <= tol and np.max(np.abs(v - ref_v)) <= tol
+        if p == q:
+            _assert_symmetric(oracle)
+
+    def test_profile_takes_radii_in_any_order(self, oracle3, rng):
+        # steps over the sorted distinct radii and scatters back: repeats
+        # and radii at or below r0 neither stall nor fail the run
+        r = np.concatenate([[0.0, 0.0, 1e-8, 5e-9, 1.0, 1.0], np.linspace(0, 1, 33)])
+        shuffled = rng.permutation(r)
+        u, v = oracle3.profile(shuffled)
+        order = np.argsort(shuffled, kind="stable")
+        su, sv = oracle3.profile(shuffled[order])
+        np.testing.assert_array_equal(u[order], su)
+        np.testing.assert_array_equal(v[order], sv)
+        at_zero = shuffled == 0.0
+        assert np.all(u[at_zero] == oracle3.center[0]) and np.all(v[at_zero] == oracle3.center[1])
+        u, v = oracle3.profile(np.array([0.0]))
+        assert (u[0], v[0]) == oracle3.center
+
+    def test_profile_node_out_of_reach_fails_by_name(self):
+        # a centre whose trajectory stops at the size event reaches no node
+        # past it; the profile raises instead of reusing a state
+        import thresholdlab.elliptic as el
+
+        far = el.ShootingResult((1e7, 1e7), 0.0, 2, 1.0, ExponentPair(3.0, 3.0))
+        with pytest.raises(RootFindFailure):
+            far.profile(np.linspace(0, 1, 9))
+        far = el.ShootingResult((1e200, 1e200), 0.0, 2, 1.0, ExponentPair(3.0, 3.0))
+        with pytest.raises(RootFindFailure):
+            far.profile(np.array([0.5]))
+        u, _ = far.profile(np.array([0.0, 1e-9]))       # no node past r0: no run
+        assert np.all(u == 1e200)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("center, n_dim, p, radius", [
@@ -488,7 +548,7 @@ class TestShooting:
         a = sign * center
         sol = _integrate_radial(a, a, n_dim, p, p, radius, variational=True)
         assert overflows                    # the callback's overflow path ran
-        assert sol.status == -1 and _escaped(sol, radius)
+        assert _escaped(sol, radius)
         escaping = (-sign * 1e12, -sign * 1e12)
         for boundary in (BoundarySpec.dirichlet(), BoundarySpec.robin(1.0)):
             assert _bc_values(sol, boundary, radius) == escaping
@@ -496,17 +556,25 @@ class TestShooting:
 
     @pytest.mark.filterwarnings("error")
     def test_size_event_is_a_crossing(self):
-        # a start above 1e6 that stays above runs to the radius on both routes
+        # a start above 1e6 that stays above runs to the radius, as on the
+        # solve_ivp reference
+        r0 = 1e-13
+        reference = _solve_ivp_endpoint(_radial_rhs(2, 1.5, 1.5),
+                                        _series_start(2e6, 2e6, 2, 1.5, 1.5, r0), r0, 1e-5)
+        assert reference.status == 0 and reference.t[-1] == 1e-5
         for variational in (True, False):
             sol = _integrate_radial(2e6, 2e6, 2, 1.5, 1.5, 1e-5, variational=variational)
-            assert sol.status == 0 and sol.t[-1] == 1e-5 and not _escaped(sol, 1e-5)
+            assert sol[0] == 1e-5 and not _escaped(sol, 1e-5)
         # one that falls through the level stops at the step that crosses it,
-        # at or just past solve_ivp's refined crossing
-        dense = _integrate_radial(1e7, 1e7, 2, 3.0, 3.0, 1.0)
-        compiled = _integrate_radial(1e7, 1e7, 2, 3.0, 3.0, 1.0, variational=True)
-        assert dense.status == compiled.status == 1
-        assert dense.t[-1] <= compiled.t[-1] < 1.0
-        assert compiled.y[0, -1] < 1e6 < dense.y[0, 0]
+        # at or just past the reference's refined crossing
+        r0 = 1e-8
+        reference = _solve_ivp_endpoint(_radial_rhs(2, 3.0, 3.0),
+                                        _series_start(1e7, 1e7, 2, 3.0, 3.0, r0), r0, 1.0)
+        assert reference.status == 1
+        for variational in (True, False):
+            sol = _integrate_radial(1e7, 1e7, 2, 3.0, 3.0, 1.0, variational=variational)
+            assert reference.t[-1] <= sol[0] < 1.0 and _escaped(sol, 1.0)
+            assert sol[1][0] < 1e6 < reference.y[0, 0]
 
     def test_callback_exception_is_raised_after_the_run(self, monkeypatch, oracle3):
         # an exception other than overflow cannot cross the compiled callback;
@@ -527,31 +595,41 @@ class TestShooting:
             return f
 
         a, b = oracle3.center
-        expected = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True).y[:, -1]
+        r = np.linspace(0, 1, 64)
+        expected = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)[1]
+        expected_profile = oracle3.profile(r)
         monkeypatch.setattr(el, "_radial_rhs", failing_rhs)
         with pytest.raises(ZeroDivisionError, match="in the callback"):
             _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)
         assert len(calls) == 50
+        calls.clear()
+        with pytest.raises(ZeroDivisionError, match="in the callback"):
+            oracle3.profile(r)
+        assert len(calls) == 50
         monkeypatch.undo()
         # the shared integrator runs on as before
-        again = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True).y[:, -1]
+        again = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)[1]
         np.testing.assert_array_equal(again, expected)
+        np.testing.assert_array_equal(oracle3.profile(r), expected_profile)
 
     def test_compiled_runs_hold_no_memory(self, oracle3):
         # scipy's wrapper keeps every run's callbacks alive; a fresh integrator
-        # per run held about 3 kB each, the shared one well under 0.3 kB
+        # per run held about 3 kB each, the shared one well under 0.3 kB, for
+        # a shot and for a profile alike
         a, b = oracle3.center
-        shoot = lambda: _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)
-        shoot()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(100):
-                shoot()
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held <= 100 * 300
+        r = np.linspace(0, 1, 16)
+        for run in (lambda: _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True),
+                    lambda: oracle3.profile(r)):
+            run()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(100):
+                    run()
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert held <= 100 * 300
 
     def test_profile_is_defined_on_the_radius_only(self, oracle3):
         for r in ([1.5, 3.0], [-0.5], [0.5, math.nan]):
@@ -574,10 +652,29 @@ class TestShooting:
             oracle3.to_pair(grid)
 
 
-def _solve_ivp_endpoint(rhs, y0, r0, radius):
-    """The variational integration on solve_ivp: the reference for the compiled route."""
+def _size_event(r, y):
+    """_too_large as a terminal solve_ivp event; the compiled route needs no such flag."""
+    return _too_large(r, y)
+
+
+_size_event.terminal = True
+
+
+def _solve_ivp_endpoint(rhs, y0, r0, radius, dense_output=False):
+    """A shooting run on solve_ivp's DOP853: the reference for the compiled route."""
     return solve_ivp(rhs, (r0, radius), y0, method="DOP853", rtol=1e-12, atol=1e-12,
-                     events=_too_large)
+                     dense_output=dense_output, events=_size_event)
+
+
+def _dense_profile(oracle, r):
+    """(U, V) at ``r`` from the dense output of one solve_ivp run at the oracle's centre."""
+    (a, b), n_dim = oracle.center, oracle.dimension
+    p, q = oracle.exponents.p, oracle.exponents.q
+    r0 = 1e-8 * oracle.radius
+    sol = _solve_ivp_endpoint(_radial_rhs(n_dim, p, q), _series_start(a, b, n_dim, p, q, r0),
+                              r0, oracle.radius, dense_output=True)
+    y = sol.sol(np.maximum(r, r0))
+    return np.where(r < r0, a, y[0]), np.where(r < r0, b, y[2])
 
 
 _NEWTON_DOMAINS = {
@@ -821,7 +918,7 @@ def test_shooting_newton_property(problem):
     a, b = oracle.center
     assert a > 0 and b > 0
 
-    end = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=True).y[:, -1]
+    end = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=True)[1]
     jac = np.column_stack([_bc_rows(end[4:8], boundary), _bc_rows(end[8:], boundary)])
     defect = lambda a, b: np.array(_bc_values(_integrate_radial(a, b, n_dim, p, q, 1.0),
                                               boundary, 1.0))
