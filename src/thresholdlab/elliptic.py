@@ -76,6 +76,9 @@ M_BIG = 1e8
 MONOTONE_CAP = 10_000
 BC_TOL = 1e-10
 SHOOTING_TOL = 1e-13
+#: Where every radial run starts from the series at the centre, as a
+#: fraction of the ball radius.
+SERIES_R0 = 1e-8
 #: Relative true residual each GMRES Newton step on the rectangle must meet,
 #: within KRYLOV_CYCLES cycles of GMRES(20).  A cycle ends once the
 #: preconditioned residual meets it; the next one starts if the true one
@@ -590,15 +593,18 @@ class ShootingResult:
 
     ``profile(r)`` evaluates (U, V) at radii in [0, ``radius``], in any order
     and with repeats, by stepping the radial system from the centre values
-    through the sorted distinct radii on the shared compiled integrator
-    (_CompiledDOP853), at the tolerances of the shooting runs.  Radii at or
-    below the series start r0 = 1e-8 ``radius`` take the centre values;
-    radii outside [0, ``radius``], beyond rounding at its end, raise
-    ValueError instead of extrapolating, and a radius the run does not reach
-    raises RootFindFailure.  ``bc_residual`` is the boundary-condition defect
-    of a run at exactly ``center``.  ``exponents``, ``dimension`` and
-    ``radius`` are the problem and the ball it was shot in, and
-    :meth:`to_pair` refuses a grid on another ball.
+    through the sorted distinct radii (_integrate_radial, at the tolerances
+    of the shooting runs).  Radii at or below the series start
+    r0 = SERIES_R0 ``radius`` take the centre values; radii outside
+    [0, ``radius``], beyond rounding at its end, raise ValueError instead of
+    extrapolating, and a radius the run does not reach raises
+    RootFindFailure.  ``bc_residual`` is the boundary-condition defect of
+    the shot at exactly ``center`` on the same integrator: Newton's own
+    final defect, at most SHOOTING_TOL, when Newton stopped on the defect,
+    and that of one fresh shot when it stopped on its step (see
+    shooting_oracle).  It is no cross-check against a second integrator.
+    ``exponents``, ``dimension`` and ``radius`` are the problem and the
+    ball it was shot in, and :meth:`to_pair` refuses a grid on another ball.
     """
 
     center: tuple[float, float]
@@ -611,16 +617,14 @@ class ShootingResult:
         r = np.asarray(r, dtype=float)
         if not np.all((r >= 0) & (r <= self.radius * (1 + 4 * np.finfo(float).eps))):
             raise ValueError(f"shooting profile is defined on [0, {self.radius:g}] only")
-        r0 = 1e-8 * self.radius
         (a, b), n_dim = self.center, self.dimension
         p, q = self.exponents.p, self.exponents.q
         # integrating again to the radius just reached would fail the run
         nodes, at = np.unique(r, return_inverse=True)
-        ahead = nodes > r0
+        ahead = nodes > SERIES_R0 * self.radius
         uv = np.tile(self.center, (nodes.size, 1))
         if ahead.any():
-            sol = _dop853().run(_radial_rhs(n_dim, p, q), _series_start(a, b, n_dim, p, q, r0),
-                                r0, nodes[ahead])
+            sol = _integrate_radial(a, b, n_dim, p, q, self.radius, nodes[ahead])
             if _escaped(sol, nodes[-1]):
                 raise RootFindFailure(math.inf)
             uv[ahead] = sol[1][:, [0, 2]]
@@ -700,22 +704,24 @@ def _series_start(a: float, b: float, n_dim: int, p: float, q: float, r0: float,
 
 def _integrate_radial(
     a: float, b: float, n_dim: int, p: float, q: float, radius: float,
-    variational: bool = False,
+    radii: Sequence[float], variational: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Integrate outward from the centre values (a, b) to ``radius``.
+    """Integrate outward from the centre values (a, b) through the increasing
+    ``radii`` in (r0, ``radius``].
 
-    Starts at r0 = 1e-8 ``radius`` from _series_start and runs on the
-    shared compiled DOP853 (_CompiledDOP853) at rtol = atol = 1e-12 with
-    the size event _too_large.  With ``variational`` the state also carries
-    the derivatives in a and b, so the boundary Jacobian is exact.  Returns
-    the end radius and the end state.  Overflow is not warned about: a
-    trajectory that leaves the float range stops short of the radius or
-    ends non-finite, and _bc_values counts it as escaping.
+    Every radial run, the oracle's shots (``radii`` = [radius]) and
+    ShootingResult.profile alike, starts here: at r0 = SERIES_R0 ``radius``
+    from _series_start, on the shared compiled DOP853 (_CompiledDOP853) at
+    rtol = atol = 1e-12 with the size event _too_large.  With
+    ``variational`` the state also carries the derivatives in a and b, so
+    the boundary Jacobian is exact.  Returns the run as _CompiledDOP853.run
+    does: the end radius and the states at the radii passed.  Overflow is
+    not warned about: a trajectory that leaves the float range stops short
+    of its radius or ends non-finite, and _escaped says so.
     """
-    r0 = 1e-8 * radius
-    r_end, states = _dop853().run(_radial_rhs(n_dim, p, q),
-                                  _series_start(a, b, n_dim, p, q, r0, variational), r0, [radius])
-    return r_end, states[-1]
+    r0 = SERIES_R0 * radius
+    return _dop853().run(_radial_rhs(n_dim, p, q),
+                         _series_start(a, b, n_dim, p, q, r0, variational), r0, radii)
 
 
 class _CompiledDOP853:
@@ -784,7 +790,7 @@ class _CompiledDOP853:
             warnings.filterwarnings("ignore", "dop853", UserWarning)
             for r in radii:
                 states.append(self.solver.integrate(r))
-                if _escaped((self.solver.t, states[-1]), r):
+                if _escaped((self.solver.t, states), r):
                     break
         if self.error is not None:
             raise self.error
@@ -797,10 +803,10 @@ def _dop853() -> _CompiledDOP853:
 
 
 def _escaped(sol: tuple[float, np.ndarray], radius: float) -> bool:
-    """The run (end radius, end state) stopped short of ``radius`` (size
-    event or float range) or ended non-finite."""
-    r_end, end = sol
-    return r_end < radius or not np.all(np.isfinite(end))
+    """The run (end radius, states) stopped short of ``radius`` (size event
+    or float range) or ended non-finite."""
+    r_end, states = sol
+    return r_end < radius or not np.all(np.isfinite(states[-1]))
 
 
 def _bc_rows(state, boundary: BoundarySpec) -> tuple[float, float]:
@@ -814,8 +820,8 @@ def _bc_rows(state, boundary: BoundarySpec) -> tuple[float, float]:
 
 def _bc_values(sol: tuple[float, np.ndarray], boundary: BoundarySpec,
                radius: float) -> tuple[float, float]:
-    """The boundary defect of the run (end radius, end state)."""
-    end = sol[1]
+    """The boundary defect at the end of the run (end radius, states)."""
+    end = sol[1][-1]
     if _escaped(sol, radius):
         # escaping: keep the escaping sign with a huge magnitude
         return math.copysign(1e12, end[0]), math.copysign(1e12, end[2])
@@ -842,21 +848,28 @@ def shooting_oracle(
     equations, so the 2x2 boundary Jacobian is exact.  An iterate whose
     trajectory escapes halves its step, at most NEWTON_HALVINGS times.
     Newton stops when the boundary defect or the relative step is at most
-    SHOOTING_TOL.  The run at exactly the returned centre (the last Newton
-    shot, or one more when Newton stopped on its step) must then leave a
-    defect of at most BC_TOL at positive centre values.  Every failure, the
-    seed's included, raises RootFindFailure.  Every run is variational and
-    on the shared compiled DOP853 (see _integrate_radial);
-    ``ShootingResult.profile`` steps the same integrator afterwards.
+    SHOOTING_TOL.  The centre values must then be positive, and the shot at
+    exactly the returned centre must leave a defect (``bc_residual``) of at
+    most BC_TOL.  After a stop on the defect that shot is the last Newton
+    shot, whose defect is already at most SHOOTING_TOL < BC_TOL, so the
+    gate cannot fail there; it is live only after a stop on the step, where
+    one more shot measures the defect.  Every failure, the seed's included,
+    raises RootFindFailure.  Every run is variational and on the shared
+    compiled DOP853 (see _integrate_radial); ``ShootingResult.profile``
+    steps the same integrator afterwards.  The comparison with a second,
+    independent integrator is kept in the test suite, where scipy's
+    Python-level DOP853 is the reference for the shots' endpoints and for
+    the profile, not in this call.
     """
     p, q = exponents.p, exponents.q
-    shoot = lambda x: _integrate_radial(x[0], x[1], n_dim, p, q, radius, variational=True)
+    shoot = lambda x: _integrate_radial(x[0], x[1], n_dim, p, q, radius, [radius],
+                                        variational=True)
     x = np.array(_coarse_center(exponents, n_dim, boundary, radius))
     sol = shoot(x)
     if _escaped(sol, radius):
         raise RootFindFailure(abs(_bc_values(sol, boundary, radius)[0]))
     for _ in range(NEWTON_CAP):
-        end = sol[1]
+        end = sol[1][-1]
         defect = np.array(_bc_rows(end[:4], boundary))
         resid = float(np.max(np.abs(defect)))
         if resid <= SHOOTING_TOL:

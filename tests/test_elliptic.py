@@ -375,9 +375,9 @@ class TestShooting:
         # a 342-dimensional ball of radius 6 builds a grid, but its shooting
         # trajectories leave the float range: under the suite's
         # error::RuntimeWarning filter this call used to raise
-        sol = _integrate_radial(1e50, 1e50, 342, 3.0, 3.0, 6.0)
+        sol = _integrate_radial(1e50, 1e50, 342, 3.0, 3.0, 6.0, [6.0])
         assert _bc_values(sol, BoundarySpec.dirichlet(), 6.0) == (-1e12, -1e12)
-        sol = _integrate_radial(1e200, 1e200, 2, 3.0, 3.0, 1.0)    # non-finite start
+        sol = _integrate_radial(1e200, 1e200, 2, 3.0, 3.0, 1.0, [1.0])   # non-finite start
         assert _bc_values(sol, BoundarySpec.dirichlet(), 1.0) == (-1e12, -1e12)
 
     @pytest.mark.parametrize("variational", [False, True])
@@ -385,7 +385,7 @@ class TestShooting:
     def test_start_outside_float_range_is_escaped(self, center, sign, variational):
         # the trajectory never starts: it ends at r0 with the series start,
         # whose escaping sign the defect keeps
-        sol = _integrate_radial(center, center, 2, 3.0, 3.0, 1.0, variational=variational)
+        sol = _integrate_radial(center, center, 2, 3.0, 3.0, 1.0, [1.0], variational=variational)
         assert sol[0] == 1e-8 and _escaped(sol, 1.0)
         for boundary in (BoundarySpec.dirichlet(), BoundarySpec.robin(1.0)):
             assert _bc_values(sol, boundary, 1.0) == (sign * 1e12, sign * 1e12)
@@ -465,7 +465,8 @@ class TestShooting:
         reference = _solve_ivp_endpoint(_radial_rhs(n_dim, p, q),
                                         _series_start(a, b, n_dim, p, q, r0), r0, 1.0).y[:, -1]
         for variational in (True, False):
-            compiled = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=variational)[1]
+            compiled = _integrate_radial(a, b, n_dim, p, q, 1.0, [1.0],
+                                         variational=variational)[1][-1]
             assert np.max(np.abs(compiled[:4] - reference)) <= 1e-11 * max(a, b)
 
         def solve_ivp_run(self, rhs, y0, r0, radii):
@@ -546,7 +547,7 @@ class TestShooting:
 
         monkeypatch.setattr(el, "_radial_rhs", spied_rhs)
         a = sign * center
-        sol = _integrate_radial(a, a, n_dim, p, p, radius, variational=True)
+        sol = _integrate_radial(a, a, n_dim, p, p, radius, [radius], variational=True)
         assert overflows                    # the callback's overflow path ran
         assert _escaped(sol, radius)
         escaping = (-sign * 1e12, -sign * 1e12)
@@ -563,7 +564,7 @@ class TestShooting:
                                         _series_start(2e6, 2e6, 2, 1.5, 1.5, r0), r0, 1e-5)
         assert reference.status == 0 and reference.t[-1] == 1e-5
         for variational in (True, False):
-            sol = _integrate_radial(2e6, 2e6, 2, 1.5, 1.5, 1e-5, variational=variational)
+            sol = _integrate_radial(2e6, 2e6, 2, 1.5, 1.5, 1e-5, [1e-5], variational=variational)
             assert sol[0] == 1e-5 and not _escaped(sol, 1e-5)
         # one that falls through the level stops at the step that crosses it,
         # at or just past the reference's refined crossing
@@ -572,9 +573,9 @@ class TestShooting:
                                         _series_start(1e7, 1e7, 2, 3.0, 3.0, r0), r0, 1.0)
         assert reference.status == 1
         for variational in (True, False):
-            sol = _integrate_radial(1e7, 1e7, 2, 3.0, 3.0, 1.0, variational=variational)
+            sol = _integrate_radial(1e7, 1e7, 2, 3.0, 3.0, 1.0, [1.0], variational=variational)
             assert reference.t[-1] <= sol[0] < 1.0 and _escaped(sol, 1.0)
-            assert sol[1][0] < 1e6 < reference.y[0, 0]
+            assert sol[1][-1][0] < 1e6 < reference.y[0, 0]
 
     def test_callback_exception_is_raised_after_the_run(self, monkeypatch, oracle3):
         # an exception other than overflow cannot cross the compiled callback;
@@ -596,11 +597,11 @@ class TestShooting:
 
         a, b = oracle3.center
         r = np.linspace(0, 1, 64)
-        expected = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)[1]
+        expected = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, [1.0], variational=True)[1]
         expected_profile = oracle3.profile(r)
         monkeypatch.setattr(el, "_radial_rhs", failing_rhs)
         with pytest.raises(ZeroDivisionError, match="in the callback"):
-            _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)
+            _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, [1.0], variational=True)
         assert len(calls) == 50
         calls.clear()
         with pytest.raises(ZeroDivisionError, match="in the callback"):
@@ -608,7 +609,7 @@ class TestShooting:
         assert len(calls) == 50
         monkeypatch.undo()
         # the shared integrator runs on as before
-        again = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True)[1]
+        again = _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, [1.0], variational=True)[1]
         np.testing.assert_array_equal(again, expected)
         np.testing.assert_array_equal(oracle3.profile(r), expected_profile)
 
@@ -618,7 +619,7 @@ class TestShooting:
         # a shot and for a profile alike
         a, b = oracle3.center
         r = np.linspace(0, 1, 16)
-        for run in (lambda: _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, variational=True),
+        for run in (lambda: _integrate_radial(a, b, 2, 3.0, 3.0, 1.0, [1.0], variational=True),
                     lambda: oracle3.profile(r)):
             run()
             tracemalloc.start()
@@ -918,9 +919,9 @@ def test_shooting_newton_property(problem):
     a, b = oracle.center
     assert a > 0 and b > 0
 
-    end = _integrate_radial(a, b, n_dim, p, q, 1.0, variational=True)[1]
+    end = _integrate_radial(a, b, n_dim, p, q, 1.0, [1.0], variational=True)[1][-1]
     jac = np.column_stack([_bc_rows(end[4:8], boundary), _bc_rows(end[8:], boundary)])
-    defect = lambda a, b: np.array(_bc_values(_integrate_radial(a, b, n_dim, p, q, 1.0),
+    defect = lambda a, b: np.array(_bc_values(_integrate_radial(a, b, n_dim, p, q, 1.0, [1.0]),
                                               boundary, 1.0))
     h = 1e-5 * max(a, b)
     fd = np.column_stack([(defect(a + h, b) - defect(a - h, b)) / (2 * h),
