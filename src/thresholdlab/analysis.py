@@ -22,14 +22,18 @@ only gap in a recorded trajectory is the O(dt) time-stepping error.
 
 E and T have one definition each: :func:`energy`, :func:`power_integral`
 and the per-step rows of :meth:`TrajectoryRecord.observe` share the two
-halves of T and the formula for E.  Steady residuals come from
-:func:`thresholdlab.elliptic.relative_residual`.
+halves of T and the formula for E.  E's cross term <A u, v>_w is always
+:meth:`DiscreteLaplacian.quadratic_form`; a row reached by a step passes it
+the K u and K v that the step's solve formed for its 1e-12 check, so the
+row forms no product of its own and its E is bitwise :func:`energy`.
+Steady residuals come from :func:`thresholdlab.elliptic.relative_residual`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -180,19 +184,24 @@ class TrajectoryRecord:
         self.sup_v.append(sup_v)
 
     def observe(self, A: DiscreteLaplacian, pair: FieldPair, t: float, dt: float,
-                sup_u: float, sup_v: float, diagnostics: bool = True) -> None:
+                sup_u: float, sup_v: float, diagnostics: bool = True,
+                products: Sequence[np.ndarray] | None = None) -> None:
         """Append the row of ``pair``, the state at time t reached by a step dt.
 
         ``sup_u`` and ``sup_v`` are the pair's sup-norms, which the stepping
-        loop has already taken.  Without ``diagnostics`` the row is lean: no
-        phi and no E.
+        loop has already taken.  ``products`` is (K u, K v) of the pair when
+        the step's solve has formed them (see :func:`parabolic.step`); E's
+        cross term is then :meth:`DiscreteLaplacian.quadratic_form` of those
+        products, bitwise the value it computes without them, as for the
+        initial row.  Without ``diagnostics`` the row is lean: no phi and
+        no E, and the products go unread.
         """
         grid = A.grid
         int_u_q1, int_v_p1 = _power_halves(grid, pair, self.exponents)
         phi = energy_val = None
         if diagnostics:
             phi = product_integral(grid, pair)
-            energy_val = _energy(A.quadratic_form(pair.u, pair.v), int_u_q1, int_v_p1,
+            energy_val = _energy(A.quadratic_form(pair.u, pair.v, products), int_u_q1, int_v_p1,
                                  self.exponents)
         self.append(t, dt, phi, energy_val, int_u_q1, int_v_p1, sup_u, sup_v)
 

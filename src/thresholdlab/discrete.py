@@ -35,7 +35,11 @@ Several right-hand sides are solved as the columns of one (m, k) array,
 kept column-major from end to end: a column-major rhs reaches LAPACK and the
 transform stack with no copy, every answer comes back column-major, and the
 backward-error check multiplies K into one contiguous column at a time.
-Other layouts give the same bits, after a copy.
+Other layouts give the same bits, after a copy.  Those products K x_j of
+the accepted answer leave solve_shifted through its ``products`` list when
+a caller asks: a parabolic step hands on K u and K v, and the full
+diagnostic row takes the cross term <A u, v>_w of the energy from them
+through quadratic_form, with no second product.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -208,13 +212,18 @@ class DiscreteLaplacian:
         x.flags.writeable = False
         return x
 
-    def quadratic_form(self, x: np.ndarray, y: np.ndarray) -> float:
+    def quadratic_form(self, x: np.ndarray, y: np.ndarray,
+                       products: Sequence[np.ndarray] | None = None) -> float:
         """<A x, y>_w = x^T K y, the discrete grad-grad integral.
 
         Bitwise symmetric in (x, y); on Robin operators it includes the
         boundary term beta * integral of x*y over the boundary.
+        ``products`` is (K x, K y) when the caller holds them already, as
+        solve_shifted hands them out for its answer's columns; the form is
+        then bitwise the one it computes from x and y.
         """
-        return float(0.5 * ((self.K @ y) @ x + (self.K @ x) @ y))
+        Kx, Ky = (self.K @ x, self.K @ y) if products is None else products
+        return float(0.5 * (Ky @ x + Kx @ y))
 
 
 def build_grid(domain: DomainSpec, boundary: BoundarySpec, resolution) -> Grid:
@@ -431,7 +440,8 @@ def _sine_transform_solve(Sx: np.ndarray, Sy: np.ndarray, eig: np.ndarray, sigma
     return x.T
 
 
-def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.ndarray:
+def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray, *,
+                  products: list | None = None) -> np.ndarray:
     """Solve (sigma*I + A) x = rhs to relative residual <= 1e-12.
 
     sigma >= 0 keeps the system positive definite.  rhs may be (m,) or
@@ -456,6 +466,13 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     whose norms overflow, since its backward error cannot be evaluated;
     numpy warns about that overflow unless the caller's error state, as in
     parabolic.evolve, ignores it.
+
+    The check multiplies K into each column of x.  A caller that wants
+    those products passes a list as ``products``: it is filled with K x_j
+    for each column j of the returned x, the answer the check accepted
+    (after a refinement step, the refined one).  parabolic.step hands them
+    on, so a full diagnostic row reads K u and K v without forming them
+    again.
     """
     if sigma < 0:
         raise ValueError("solve_shifted requires sigma >= 0")
@@ -467,31 +484,37 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray) -> np.nda
     x = A._solve(sigma, b)
 
     # written so that a NaN error, from norms that overflowed, fails the contract
-    rel, res = _backward_error(A, sigma, b, x)
+    rel, res, kx = _backward_error(A, sigma, b, x)
     if not rel <= 1e-12:
         if not math.isfinite(rel):
             raise LinearSolveError("norms overflow on data near the float range", rel)
         x = x + A._solve(sigma, res)
-        rel, _ = _backward_error(A, sigma, b, x)
+        rel, _, kx = _backward_error(A, sigma, b, x)
         if not rel <= 1e-12:
             raise LinearSolveError("shifted solve failed to converge", rel)
+    if products is not None:
+        products[:] = kx
     return x[:, 0] if single else x
 
 
 def _backward_error(A: DiscreteLaplacian, sigma: float, b: np.ndarray, x: np.ndarray
-                    ) -> tuple[float, np.ndarray]:
-    """(largest backward error over the columns of x, residual b - (sigma I + A) x).
+                    ) -> tuple[float, np.ndarray, list[np.ndarray]]:
+    """(largest backward error over the columns of x, residual b - (sigma I + A) x,
+    the products K x_j per column).
 
     Column-major like the answers: one product with A.K per contiguous
     column of x, stacked as the rows of the transposed residual, the rest in
     place.  scipy sums each row of a CSR product with one vector in the same
     order as with a block, so the residual is bitwise the block product's,
     without the block product's copy of x and its slower multi-vector loop.
-    The norms are taken per term as the contract states them, so the error
-    is bitwise the plain formula's.
+    The stack is a copy, so the products themselves are returned untouched:
+    K x_j is bitwise what ``A.K @ x[:, j]`` gives anywhere else.  The norms
+    are taken per term as the contract states them, so the error is bitwise
+    the plain formula's.
     """
     w = A.grid.weights
-    res = np.array([A.K @ c for c in x.T]).T
+    kx = [A.K @ c for c in x.T]
+    res = np.array(kx).T
     res /= w[:, None]
     res += sigma * x
     np.subtract(b, res, out=res)
@@ -499,9 +522,9 @@ def _backward_error(A: DiscreteLaplacian, sigma: float, b: np.ndarray, x: np.nda
     denom += (sigma + A._op_scale) * _wnorm(w, x)
     norm_res = _wnorm(w, res)
     if denom.all():         # no empty column: the common case, without masking
-        return (norm_res / denom).max(), res
+        return (norm_res / denom).max(), res, kx
     live = denom != 0
-    return ((norm_res[live] / denom[live]).max() if live.any() else 0.0), res
+    return ((norm_res[live] / denom[live]).max() if live.any() else 0.0), res, kx
 
 
 def _wnorm(w: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -23,11 +23,15 @@ def fmt17(x: float) -> str:
 
 
 def trajectory_csv_text(record: TrajectoryRecord) -> str:
+    """The header and one line per row, each row formatted from Python floats.
+
+    ``tolist`` one row at a time: formatting Python floats is cheaper than
+    formatting numpy scalars, and only one row's floats are alive at once.
+    """
     cols = record.arrays()
     lines = [",".join(CSV_COLUMNS)]
-    n = len(cols["t"])
-    for i in range(n):
-        lines.append(",".join(fmt17(cols[name][i]) for name in CSV_COLUMNS))
+    for row in np.column_stack([cols[name] for name in CSV_COLUMNS]):
+        lines.append(",".join(map(fmt17, row.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -253,29 +253,39 @@ def certificates(spec: ProblemSpec, A: DiscreteLaplacian) -> Certificates:
     )
 
 
-def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float) -> FieldPair:
+def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float, *,
+         products: Optional[list] = None) -> FieldPair:
     """One semi-implicit step of length dt; the forcing is evaluated on A's grid.
 
     The right-hand side is built column-major, the layout every shifted-solve
     route and its backward-error check work in, so none of them copies it;
-    the new u and v are the answer's contiguous columns.
+    the new u and v are the answer's contiguous columns.  A ``products``
+    list is passed on to solve_shifted and comes back holding [K u, K v] of
+    the new state, the products its 1e-12 check formed; the full diagnostic
+    row reads its energy's cross term from them.
     """
     ru, rv = _reaction(spec, state, forcing_arrays(spec, A.grid))
     rhs = np.array([state.u + dt * ru, state.v + dt * rv]).T
     # (I + dt A) x = b  <=>  (1/dt I + A) x = b/dt
-    new = solve_shifted(A, 1.0 / dt, rhs / dt)
+    new = solve_shifted(A, 1.0 / dt, rhs / dt, products=products)
     return FieldPair(new[:, 0], new[:, 1], A.grid)
 
 
-def _march(spec, A, states, config):
-    """Step every state under one shared dt sequence; yield (t, dt, new_states, sups).
+def _march(spec, A, states, config, keep_products=False):
+    """Step every state under one shared dt sequence; yield (t, dt, new, sups, products).
 
     ``sups`` holds each new state's (||u||_inf, ||v||_inf), taken once per
     step: the next step size, the caller's rows and its classification all
-    read them.  The step is the smallest reaction-limited step over the
-    states, capped at dt0.  Non-finite data, whether a reaction of the
-    initial states, rejected by the solver or produced by the step, raises
-    NumericalFailureError.  The caller decides when to stop.
+    read them.  With ``keep_products``, ``products`` holds each new state's
+    [K u, K v], formed by its step's solve, in lists made fresh every step;
+    a full row reads its energy from them, passed explicitly rather than
+    kept on the FieldPair, where a copy or an in-place edit would leave them
+    stale.  Without it, as for lean rows and ordered pairs, which read no
+    energy, each entry is None and the solves hand out nothing.  The step is
+    the smallest reaction-limited step over the states, capped at dt0.
+    Non-finite data, whether a reaction of the initial states, rejected by
+    the solver or produced by the step, raises NumericalFailureError.  The
+    caller decides when to stop.
     """
     forcing = forcing_arrays(spec, A.grid)
     # checked at the initial states only: a guard in every step would cost every step
@@ -287,8 +297,9 @@ def _march(spec, A, states, config):
     t = 0.0
     while True:
         dt = min(*(adapt_dt(s, spec.exponents, m) for s, m in zip(states, sups)), config.dt0)
+        products = [[] if keep_products else None for _ in states]
         try:
-            new = [step(spec, A, s, dt) for s in states]
+            new = [step(spec, A, s, dt, products=kx) for s, kx in zip(states, products)]
         except ValueError as exc:          # non-finite data rejected by the solver
             raise NumericalFailureError(t + dt) from exc
         sups = [(s.sup_u, s.sup_v) for s in new]
@@ -296,7 +307,7 @@ def _march(spec, A, states, config):
         if not all(math.isfinite(su) and math.isfinite(sv) for su, sv in sups):
             raise NumericalFailureError(t + dt)
         t += dt
-        yield t, dt, new, sups
+        yield t, dt, new, sups, products
         states = new
 
 
@@ -370,8 +381,8 @@ def evolve(
     sup_u, sup_v = state.sup_u, state.sup_v
     s0 = prev_sup = max(sup_u, sup_v)
 
-    def observe(pair, t, dt, *sups):
-        record.observe(A, pair, t, dt, *sups, diagnostics=diagnostics)
+    def observe(pair, t, dt, *sups, products=None):
+        record.observe(A, pair, t, dt, *sups, diagnostics=diagnostics, products=products)
         # a sum of the row's terms is finite only if all of them are
         row = record.int_u_q1[-1] + record.int_v_p1[-1]
         if diagnostics:
@@ -385,7 +396,8 @@ def evolve(
         observe(state, 0.0, 0.0, sup_u, sup_v)
         outcome = Outcome.decay(0.0) if spec.lam == 0.0 and s0 == 0.0 else None
         if outcome is None:
-            for t, dt, (new,), ((sup_u, sup_v),) in _march(spec, A, [state], config):
+            march = _march(spec, A, [state], config, keep_products=diagnostics)
+            for t, dt, (new,), ((sup_u, sup_v),), (kx,) in march:
                 du = new.u - state.u
                 dv = new.v - state.v
                 increase = max(du.max(), dv.max())
@@ -400,7 +412,7 @@ def evolve(
                         float(np.max(new.u - squeeze_upper.u)),
                         float(np.max(new.v - squeeze_upper.v)),
                     )
-                observe(new, t, dt, sup_u, sup_v)
+                observe(new, t, dt, sup_u, sup_v, products=kx)
                 sup = max(sup_u, sup_v)
                 # abs is exact, so max(increase, -decrease) is the largest
                 # |du| or |dv|, the change the steady rule reads
@@ -458,7 +470,7 @@ def evolve_ordered(
     ok, max_gap = True, -math.inf
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, dt, new, sups in _march(spec, A, states, config):
+        for t, dt, new, sups, _ in _march(spec, A, states, config):
             a, b = new
             new_sup = [max(m) for m in sups]
             gap = max(float(np.max(a.u - b.u)), float(np.max(a.v - b.v)))

@@ -361,7 +361,7 @@ def test_shifted_solves_are_column_major(name, cols, rng):
         assert solve_shifted(A, sigma, np.asfortranarray(b)).tobytes() == x.tobytes()
         if cols == 1:
             assert solve_shifted(A, sigma, b[:, 0]).tobytes() == x[:, 0].tobytes()
-        _, res = _backward_error(A, sigma, b, x)
+        _, res, _ = _backward_error(A, sigma, b, x)
         assert res.tobytes() == (b - ((A.K @ x) / w[:, None] + sigma * x)).tobytes()
 
 

@@ -12,6 +12,7 @@ from thresholdlab import (
     BoundarySpec,
     ExponentPair,
     FieldPair,
+    ForcingSpec,
     IntegratorConfig,
     ProblemSpec,
     RadialBall,
@@ -335,9 +336,9 @@ def test_lean_rows_match_full_rows(problem, certified, monkeypatch):
     certs = certificates(spec, A) if certified else None
     steps = []
 
-    def counted_step(*args):
+    def counted_step(*args, **kwargs):
         steps.append(args[-1])
-        return step(*args)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(parabolic, "step", counted_step)
     kept = ("t", "dt", "sup_u", "sup_v", "int_u_q1", "int_v_p1")
@@ -362,6 +363,83 @@ def test_lean_rows_match_full_rows(problem, certified, monkeypatch):
                         partial(energy_monotonicity_violation, lean_record)):
             with pytest.raises(ValueError, match="lean record has no phi or energy column"):
                 refuses()
+
+
+#: The full-row problems: the 64-node disk, 3-ball and Robin disk, the 16^2
+#: square and the disk forced by lam f = lam g = 0.5.
+_ROW_PROBLEMS = {
+    "disk": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 0.0, 64),
+    "ball": (RadialBall(3, 1.0), BoundarySpec.dirichlet(), 0.0, 64),
+    "robin-disk": (RadialBall(2, 1.0), BoundarySpec.robin(1.0), 0.0, 64),
+    "square": (Rectangle(1.0, 1.0), BoundarySpec.dirichlet(), 0.0, 16),
+    "forced": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 0.5, 64),
+}
+
+
+def _row_problem(name):
+    """(spec, A, initial) of a full-row problem; u and v differ, so a swapped column shows."""
+    domain, boundary, lam, n = _ROW_PROBLEMS[name]
+    forcing = ForcingSpec.constant(lam) if lam else ForcingSpec.none()
+    spec = ProblemSpec(ExponentPair(3.0, 3.0), domain, boundary, forcing)
+    A = build_laplacian(build_grid(domain, boundary, n))
+    eq = solve_newton(spec.with_lam(0.0), A)
+    return spec, A, FieldPair(0.9 * eq.pair.u, 0.81 * eq.pair.v, A.grid)
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["first-solve", "refined"])
+@pytest.mark.parametrize("problem", sorted(_ROW_PROBLEMS))
+def test_full_row_energy_is_the_energy_of_its_state(problem, refined, monkeypatch):
+    # a row reached by a step takes E's cross term from the K u and K v its
+    # solve formed; E is bitwise analysis.energy of the state the step
+    # returned.  With ``refined``, every step's first solve is perturbed to
+    # miss the 1e-12 contract, so the products must be the refined answer's
+    spec, A, initial = _row_problem(problem)
+    states = [initial]
+
+    def kept_step(*args, **kwargs):
+        new = step(*args, **kwargs)
+        states.append(new.copy())
+        return new
+
+    solves = []
+    if refined:
+        real = A._solve
+
+        def perturbed(sigma, b):
+            solves.append(sigma)
+            x = real(sigma, b)
+            return x * (1.0 + 1e-6) if len(solves) % 2 else x
+
+        monkeypatch.setattr(A, "_solve", perturbed)
+    monkeypatch.setattr(parabolic, "step", kept_step)
+    _, record = evolve(spec, A, initial, IntegratorConfig(dt0=1e-2, t_max=0.3))
+    assert len(states) == len(record) > 1
+    if refined:         # one perturbed solve and one refinement per step
+        assert len(solves) == 2 * (len(record) - 1)
+    expected = [energy(A.grid, A, state, spec.exponents) for state in states]
+    assert np.asarray(record.energy).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("problem", ["disk", "square"])
+def test_full_rows_form_two_stiffness_products_per_step(problem, monkeypatch):
+    # a step's solve multiplies K into u and v once each for its 1e-12
+    # check, and a full row reuses them: two products per step, plus the
+    # initial row's two.  A lean row forms none of its own
+    spec, A, initial = _row_problem(problem)
+    products = []
+
+    class CountedK(type(A.K)):
+        def __matmul__(self, other):
+            products.append(np.ndim(other))
+            return super().__matmul__(other)
+
+    monkeypatch.setattr(A, "K", CountedK(A.K))
+    for diagnostics, initial_row in ((True, 2), (False, 0)):
+        products.clear()
+        _, record = evolve(spec, A, initial, IntegratorConfig(dt0=1e-2, t_max=0.3),
+                           diagnostics=diagnostics)
+        assert len(record) > 1
+        assert products == [1] * (2 * (len(record) - 1) + initial_row)
 
 
 class TestEvolveOrdered:
