@@ -8,38 +8,36 @@ summation by parts carries no quadrature error.  K is an M-matrix
 (positive diagonal, nonpositive off-diagonal) which gives the discrete
 comparison principle used throughout the solver layers.
 
-Supported grids:
-  * radial ball in R^N (N >= 2): conservative finite-volume rows on nodes
-    r_i = i*h including the origin, where the symmetry condition u'(0) = 0
-    closes the stencil one-sidedly; Dirichlet eliminates the boundary node,
-    Robin keeps it and encodes du/dn + beta*u = 0 through the boundary flux.
-  * rectangle: uniform tensor grid, interior nodes, 5-point stencil,
-    Dirichlet only.  Its eigenvectors are products of sine modes, known in
-    closed form, so the principal vector costs no solve.
+Every operator is built from conservative 1-D axes.  An axis's stiffness
+is tridiagonal, assembled by one function from its face conductances and
+its two end closures; it stays a symmetric M-matrix for any face
+positions.
+  * radial ball in R^N (N >= 2): one axis of nodes r_i = i*h including the
+    origin, shell-volume weights and face conductances sigma r^(N-1) / h.
+    Symmetry u'(0) = 0 closes the origin end; Dirichlet eliminates the
+    boundary node, Robin keeps it and adds beta times the boundary area.
+  * rectangle: the weighted Kronecker sum of two uniform Dirichlet axes on
+    the interior nodes, which is the 5-point stencil.
 
 Shifted solves (sigma I + A) x = b never factorise a matrix: each operator
 sets up a solve once that takes sigma as an argument.  Radial operators
-are tridiagonal and call LAPACK ``ptsv``, bound once per operator; the
-Dirichlet rectangle is diagonalised by the type-I discrete sine transform
-along each axis (the fast Poisson solver of Buzbee, Golub & Nielson, 1970),
-so sigma only shifts the known eigenvalues.  The transform is a dense
-product with each axis's orthonormal DST-I matrix, built once per
-operator; the matrix is symmetric and its own inverse, so one solve is
-four BLAS matrix products, and no scipy.fft is needed.  Below about 100
-nodes a side (the 48^2 square among them) that costs half or less of an
-FFT-based DST-I with its Python dispatch; from about 128 nodes a side on,
-the products' O(n^3) work costs more, about twice as much at 512.
-Non-finite input is refused on every route.
+are tridiagonal and call LAPACK ``ptsv``, bound once per operator.  The
+rectangle is diagonalised axis by axis, the fast Poisson solver of
+Buzbee, Golub & Nielson (1970) with each axis's eigenbasis computed by
+``eigh_tridiagonal`` rather than written out, so sigma only shifts the
+eigenvalue sums; one solve is four BLAS products with the axes' maps,
+built once per operator.  Non-finite input is refused on every route.
 
 Several right-hand sides are solved as the columns of one (m, k) array,
-kept column-major from end to end: a column-major rhs reaches LAPACK and the
-transform stack with no copy, every answer comes back column-major, and the
-backward-error check multiplies K into one contiguous column at a time.
-Other layouts give the same bits, after a copy.  Those products K x_j of
-the accepted answer leave solve_shifted through its ``products`` list when
-a caller asks: a parabolic step hands on K u and K v, and the full
-diagnostic row takes the cross term <A u, v>_w of the energy from them
-through quadratic_form, with no second product.
+kept column-major from end to end: a column-major rhs reaches LAPACK and
+the rectangle's product stack with no copy, every answer comes back
+column-major, and the backward-error check multiplies K into one
+contiguous column at a time.  Other layouts give the same bits, after a
+copy.  Those products K x_j of the accepted answer leave solve_shifted
+through its ``products`` list when a caller asks: a parabolic step hands
+on K u and K v, and the full diagnostic row takes the cross term
+<A u, v>_w of the energy from them through quadratic_form, with no second
+product.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .problem import BoundarySpec, DomainSpec, RadialBall, Rectangle
 
@@ -170,14 +168,20 @@ class DiscreteLaplacian:
     # _solve(sigma, b) solves (sigma I + A) x = b for b of shape (m, k); x is column-major
     _solve: Callable[[float, np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
     _op_scale: float = field(init=False, repr=False, compare=False)  # 2 max(K_ii / w_i)
+    # the rectangle's (lam, G, F) per axis, shared by _solve and principal_vector
+    _axes: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.grid.weights
         self._op_scale = 2.0 * float(np.max(self.K.diagonal() / w))
         if self.grid.geometry == "rectangle":
-            mx, my = (n - 1 for n in self.grid.resolution)
-            self._solve = partial(_sine_transform_solve, _sine_matrix(mx), _sine_matrix(my),
-                                  _rectangle_eigenvalues(self.grid))
+            self._axes = tuple(_axis_eigenbasis(*axis) for axis in _rectangle_axes(self.grid))
+            (lx, Gx, Fx), (ly, Gy, Fy) = self._axes
+            maps = [Fx, np.ascontiguousarray(Fy.T), Gx, np.ascontiguousarray(Gy.T),
+                    lx[:, None] + ly[None, :]]
+            for a in maps:
+                a.flags.writeable = False
+            self._solve = partial(_eigenbasis_solve, *maps)
         else:
             off = self.K.diagonal(-1)
             off.flags.writeable = False     # ptsv gets a copy; the band stays K's
@@ -195,16 +199,16 @@ class DiscreteLaplacian:
     def principal_vector(self) -> np.ndarray:
         """Sup-normalised lowest eigenvector of A, positive at every node.
 
-        On the Dirichlet rectangle it is the lowest 5-point mode in closed
-        form: the product of each axis's first sine mode sin(pi j/n), with
-        no solve.  On radial grids it is elliptic._principal_eigenvector,
-        inverse iteration to its fixed point.  Computed once per operator
-        and read-only: the Newton seed and the threshold certificates share
-        it.
+        On the rectangle it is the product of each axis's lowest
+        eigenvector, from the eigenbases the solve uses, with no solve.  On
+        radial grids it is elliptic._principal_eigenvector, inverse
+        iteration to its fixed point.  Computed once per operator and
+        read-only: the Newton seed and the threshold certificates share it.
         """
-        if self.grid.geometry == "rectangle":
-            x = np.outer(*(np.sin(np.arange(1, n) * (np.pi / n)) for n in self.grid.resolution))
-            x = x.ravel() / x.max()
+        if self._axes:
+            (_, Gx, _), (_, Gy, _) = self._axes
+            x = np.abs(np.outer(Gx[:, 0], Gy[:, 0])).ravel()
+            x /= x.max()
         else:
             from .elliptic import _principal_eigenvector   # elliptic imports this module
 
@@ -325,42 +329,61 @@ def build_laplacian(grid: Grid) -> DiscreteLaplacian:
     sigma * r^(N-1) evaluated at cell faces; the origin row uses the zero
     flux forced by symmetry.  Robin adds beta times the boundary area to the
     boundary diagonal, which is exactly the boundary term produced by
-    integration by parts.  All variants are symmetric M-matrices.
+    integration by parts.  The rectangle's K is kron(K_x, W_y) +
+    kron(W_x, K_y) of its two axes.  All variants are symmetric M-matrices.
     """
-    K = _rectangle_stiffness(grid) if grid.geometry == "rectangle" else _radial_stiffness(grid)
+    if grid.geometry == "rectangle":
+        (Kx, wx), (Ky, wy) = _rectangle_axes(grid)
+        K = (sp.kron(Kx, sp.diags(wy)) + sp.kron(sp.diags(wx), Ky)).tocsr()
+    else:
+        K = _radial_stiffness(grid)
     return DiscreteLaplacian(grid=grid, K=K)
+
+
+def _axis_stiffness(face: np.ndarray, left: float, right: float) -> sp.csr_matrix:
+    """Tridiagonal stiffness of a conservative 1-D axis, a symmetric M-matrix.
+
+    ``face`` holds the conductances of the faces between neighbouring nodes,
+    and row i is the flux difference across node i's two faces.  At each end
+    a closure stands in for the missing face: 0 for symmetry at the origin,
+    the face conductance to an eliminated Dirichlet value, or the Robin term
+    beta times the boundary area.
+    """
+    diag = np.concatenate(([left], face)) + np.concatenate((face, [right]))
+    return sp.diags([-face, diag, -face], [-1, 0, 1], format="csr")
 
 
 def _radial_stiffness(grid: Grid) -> sp.csr_matrix:
     domain = grid.domain
     N, R = domain.dimension, domain.radius
-    (n,) = grid.resolution
     (h,) = grid.h
     sigma = domain.sphere_area
-    robin = grid.boundary.kind == "robin"
-    m = grid.size
-    face = (np.arange(m - 1) + 0.5) * h
-    a = sigma * face ** (N - 1) / h
-    diag = np.zeros(m)
-    diag[:-1] += a
-    diag[1:] += a
-    if robin:
+    face = (np.arange(grid.size - 1) + 0.5) * h
+    if grid.boundary.kind == "robin":
         # flux through r = R:  sigma * R^(N-1) * u'(R) = -beta * sigma * R^(N-1) * u(R)
-        diag[-1] = a[-1] + sigma * R ** (N - 1) * grid.boundary.beta
+        right = sigma * R ** (N - 1) * grid.boundary.beta
     else:
         # coupling to the eliminated boundary value through the face at R - h/2
-        diag[-1] += sigma * ((n - 0.5) * h) ** (N - 1) / h
-    return sp.diags([-a, diag, -a], [-1, 0, 1], format="csr")
+        right = sigma * ((grid.size - 0.5) * h) ** (N - 1) / h
+    return _axis_stiffness(sigma * face ** (N - 1) / h, 0.0, right)
 
 
-def _rectangle_stiffness(grid: Grid) -> sp.csr_matrix:
-    nx, ny = grid.resolution
-    hx, hy = grid.h
-    mx, my = nx - 1, ny - 1
-    Dx = sp.diags([-np.ones(mx - 1), 2 * np.ones(mx), -np.ones(mx - 1)], [-1, 0, 1])
-    Dy = sp.diags([-np.ones(my - 1), 2 * np.ones(my), -np.ones(my - 1)], [-1, 0, 1])
-    L = sp.kron(Dx, sp.eye(my)) / hx**2 + sp.kron(sp.eye(mx), Dy) / hy**2
-    return (hx * hy * L).tocsr()
+def _rectangle_axes(grid: Grid) -> list[tuple[sp.csr_matrix, np.ndarray]]:
+    """(K, w) of each uniform Dirichlet axis on its n - 1 interior nodes: node
+    weights h, and conductance 1/h on every face, those to the boundary too."""
+    return [(_axis_stiffness(np.full(n - 2, 1.0 / h), 1.0 / h, 1.0 / h), np.full(n - 1, h))
+            for n, h in zip(grid.resolution, grid.h)]
+
+
+def _axis_eigenbasis(K: sp.csr_matrix, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, G, F) of one axis: W^-1 K = G diag(lam) F and F G = I, lam ascending.
+
+    M = W^-1/2 K W^-1/2 is symmetric tridiagonal; eigh_tridiagonal gives
+    M = Q diag(lam) Q^T, so G = W^-1/2 Q and F = Q^T W^1/2.
+    """
+    s = np.sqrt(w)
+    lam, Q = eigh_tridiagonal(K.diagonal() / w, K.diagonal(1) / (s[:-1] * s[1:]))
+    return lam, Q / s[:, None], Q.T * s
 
 
 def _tridiagonal_solve(ptsv: Callable, diag: np.ndarray, off: np.ndarray, w: np.ndarray,
@@ -381,48 +404,19 @@ def _tridiagonal_solve(ptsv: Callable, diag: np.ndarray, off: np.ndarray, w: np.
     return x
 
 
-def _rectangle_eigenvalues(grid: Grid) -> np.ndarray:
-    """Eigenvalues of A on the Dirichlet rectangle, shaped (mx, my), read-only.
+def _eigenbasis_solve(Fx: np.ndarray, FyT: np.ndarray, Gx: np.ndarray, GyT: np.ndarray,
+                      eig: np.ndarray, sigma: float, b: np.ndarray) -> np.ndarray:
+    """Rectangle route: each axis's forward map, division by sigma + eig, inverse maps.
 
-    The 1D stencil (-1, 2, -1)/h^2 on m interior nodes has the DST-I
-    eigenvectors (the columns of ``_sine_matrix(m)``) and eigenvalues
-    (2/h sin(j pi / (2(m+1))))^2, j = 1..m; the 5-point eigenvalues are
-    their sums over the two axes.
-    """
-    mx, my = (n - 1 for n in grid.resolution)
-    hx, hy = grid.h
-    axis = lambda m, h: (2.0 / h * np.sin(np.arange(1, m + 1) * np.pi / (2 * (m + 1)))) ** 2
-    eig = axis(mx, hx)[:, None] + axis(my, hy)[None, :]
-    eig.flags.writeable = False
-    return eig
+    Each column of b is laid out as an (mx, my) array B, so with the columns
+    stacked first the forward map is ``Fx @ B @ Fy^T`` and the inverse
+    ``Gx @ C @ Gy^T``: four BLAS products for any number of columns.  The
+    y maps are held transposed and contiguous, and eig holds the sums
+    lam_x[i] + lam_y[j].  For a column-major b the stack is a view of it,
+    with no copy.  The answer is the (k, m) stack transposed, so it is
+    column-major too.
 
-
-def _sine_matrix(m: int) -> np.ndarray:
-    """Orthonormal DST-I matrix on m interior nodes, read-only.
-
-    S_jk = sqrt(2/n) sin(pi jk/n) for j, k = 1..m with n = m + 1.  The
-    argument is reduced exactly, as (jk mod 2n) pi/n, so S is bitwise
-    symmetric and S S = I to rounding: one matrix is both the transform
-    and its inverse.
-    """
-    n = m + 1
-    j = np.arange(1, n)
-    S = math.sqrt(2.0 / n) * np.sin(np.outer(j, j) % (2 * n) * (np.pi / n))
-    S.flags.writeable = False
-    return S
-
-
-def _sine_transform_solve(Sx: np.ndarray, Sy: np.ndarray, eig: np.ndarray, sigma: float,
-                          b: np.ndarray) -> np.ndarray:
-    """Rectangle route: DST-I, division by sigma + eig, inverse DST-I.
-
-    Each column of b is laid out as an (mx, my) array, so with the columns
-    stacked first the transform is ``Sx @ B @ Sy`` and so is its inverse:
-    four BLAS products for any number of columns.  For a column-major b the
-    stack is a view of it, with no copy.  The answer is the (k, m) stack
-    transposed, so it is column-major too.
-
-    Where the solution of a nonnegative column is tiny, the transforms leave
+    Where the solution of a nonnegative column is tiny, the maps leave
     rounding-level negatives (a few 1e-16 of its maximum); those are set to
     zero in place in that column's contiguous row of the stack, so the
     rectangle keeps the discrete maximum principle exactly, as the banded
@@ -431,9 +425,9 @@ def _sine_transform_solve(Sx: np.ndarray, Sy: np.ndarray, eig: np.ndarray, sigma
     rectangle step and every GMRES preconditioner application.
     """
     k = b.shape[1]
-    coef = Sx @ b.T.reshape(k, *eig.shape) @ Sy
+    coef = Fx @ b.T.reshape(k, *eig.shape) @ FyT
     coef /= sigma + eig
-    x = (Sx @ coef @ Sy).reshape(k, -1)
+    x = (Gx @ coef @ GyT).reshape(k, -1)
     for row, col in zip(x, b.T):
         if col.min() >= 0:
             np.copyto(row, 0.0, where=row < 0)
@@ -450,10 +444,10 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray, *,
     without a copy.  A sigma or rhs that is not finite raises ValueError on
     every route.  Nothing is factorised: radial operators solve the
     tridiagonal system sigma*W + K with LAPACK ``ptsv``, bound once per
-    operator; the Dirichlet rectangle applies DST-I along both axes, as
-    products with its orthonormal sine matrices, and divides by the
-    shifted eigenvalues.  One step of iterative refinement follows if the
-    first solve misses the contract.
+    operator; the rectangle maps b into the product of its axes'
+    eigenbases, divides by the shifted eigenvalue sums and maps back.  One
+    step of iterative refinement follows if the first solve misses the
+    contract.
 
     The residual contract is the normwise backward error in the weighted L2
     norm, ||rhs - (sigma I + A) x|| / (||rhs|| + ||sigma I + A|| * ||x||),

@@ -231,8 +231,8 @@ def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
     Stops at the floating-point fixed point, the first iterate bitwise
     equal to its predecessor, or after ``iters`` solves; either way the
     result is the ``iters``-step vector, bitwise.  Callers use the
-    operator's cached copy, ``A.principal_vector``, which takes the
-    rectangle's in closed form.
+    operator's cached copy, ``A.principal_vector``, which runs this on
+    radial grids only; the rectangle's comes from its axes' eigenbases.
     """
     x = np.ones(A.grid.size)
     for _ in range(iters):
@@ -384,7 +384,7 @@ def _newton_step(A: DiscreteLaplacian, sv: np.ndarray, su: np.ndarray,
     the unknowns interleaved as (u_0, v_0, u_1, v_1, ...) J has two sub- and
     two super-diagonals, and one banded solve is exact.  On the Dirichlet
     rectangle GMRES applies J matrix-free, preconditioned block-diagonally by
-    A^-1 through the sine-transform solve; its true residual ||J delta + r||
+    A^-1 through the eigenbasis solve; its true residual ||J delta + r||
     must be at most KRYLOV_TOL ||r||.  A singular band, a non-finite step or a
     missed Krylov tolerance raises SingularJacobianError.
     """
@@ -408,9 +408,12 @@ def _newton_step(A: DiscreteLaplacian, sv: np.ndarray, su: np.ndarray,
                          maxiter=KRYLOV_CYCLES, M=LinearOperator(shape, precond))
         miss = np.linalg.norm(jac(delta) - rhs) / np.linalg.norm(rhs)
         if not miss <= KRYLOV_TOL:
+            nx, ny = grid.resolution
             raise SingularJacobianError(
                 f"GMRES Newton step missed its tolerance: true relative residual {miss:.3e} "
-                f"> {KRYLOV_TOL:.0e} after {KRYLOV_CYCLES} cycles")
+                f"> {KRYLOV_TOL:.0e} after {KRYLOV_CYCLES} cycles on the {nx}x{ny} grid; "
+                "large exponents on a coarse rectangle may be under-resolved, and a finer "
+                "--resolution may help")
     else:
         band = np.zeros((5, 2 * m))         # rows: offsets +2, +1, 0, -1, -2
         band[0, 2:] = np.repeat(A.K.diagonal(1) / w[:-1], 2)

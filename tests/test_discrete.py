@@ -21,9 +21,9 @@ from thresholdlab.discrete import (
     DiscreteLaplacian,
     GridError,
     LinearSolveError,
+    _axis_eigenbasis,
     _backward_error,
-    _rectangle_eigenvalues,
-    _sine_matrix,
+    _rectangle_axes,
 )
 from thresholdlab.lab.verify import duality_check
 
@@ -279,14 +279,76 @@ class TestSolveShifted:
             solve_shifted(A, 1.0, ones)
 
 
+def dirichlet_axis_eigenvalues(n, h):
+    """Eigenvalues (2/h sin(j pi/(2n)))^2, j = 1..n-1, of the stencil (-1, 2, -1)/h^2
+    on the n - 1 interior nodes of a uniform Dirichlet axis, ascending."""
+    return (2.0 / h * np.sin(np.arange(1, n) * np.pi / (2 * n))) ** 2
+
+
 @pytest.mark.parametrize("m", [3, 11, 16, 23, 47, 127, 255])
-def test_sine_matrix_is_symmetric_and_its_own_inverse(m):
-    # with the argument reduced exactly S S = I holds to 9e-16 here; the
-    # unreduced pi jk/n drifts to 3e-15 at m = 23 and 1.1e-14 at m = 255
-    S = _sine_matrix(m)
-    assert S.tobytes() == S.T.tobytes()
-    np.testing.assert_allclose(S @ S, np.eye(m), rtol=0, atol=2e-15)
-    assert not S.flags.writeable
+def test_axis_eigenbasis_diagonalises_the_axis(m):
+    # F G = I and G diag(lam) F = W^-1 K_axis to rounding (measured at most
+    # 2.3e-15 and 3.7e-15 of the scale), and lam is the closed form above
+    grid = build_grid(Rectangle(2.0, 1.0), DIRICHLET, (m + 1, 4))
+    (K, w), _ = _rectangle_axes(grid)
+    lam, G, F = _axis_eigenbasis(K, w)
+    A = K.toarray() / w[:, None]
+    scale = np.max(np.abs(A))
+    np.testing.assert_allclose(F @ G, np.eye(m), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(G @ np.diag(lam) @ F, A, rtol=0, atol=1e-14 * scale)
+    expected = dirichlet_axis_eigenvalues(m + 1, grid.h[0])
+    np.testing.assert_allclose(lam, expected, rtol=0, atol=2e-15 * expected.max())
+
+
+def radial_stiffness_reference(grid):
+    """The radial K written out row by row: face coefficients sigma r^(N-1)/h,
+    zero flux at the origin, and on the last row the face to the eliminated
+    boundary value (Dirichlet) or beta times the boundary area (Robin)."""
+    N, R = grid.domain.dimension, grid.domain.radius
+    (n,), (h,) = grid.resolution, grid.h
+    sigma = grid.domain.sphere_area
+    m = grid.size
+    a = sigma * ((np.arange(m - 1) + 0.5) * h) ** (N - 1) / h
+    diag = np.zeros(m)
+    diag[:-1] += a
+    diag[1:] += a
+    if grid.boundary.kind == "robin":
+        diag[-1] = a[-1] + sigma * R ** (N - 1) * grid.boundary.beta
+    else:
+        diag[-1] += sigma * ((n - 0.5) * h) ** (N - 1) / h
+    return sp.diags([-a, diag, -a], [-1, 0, 1], format="csr")
+
+
+def same_csr_bytes(K, ref):
+    return all(getattr(K, a).tobytes() == getattr(ref, a).tobytes()
+               for a in ("data", "indices", "indptr"))
+
+
+@pytest.mark.parametrize("boundary", [DIRICHLET, BoundarySpec.robin(2.5)], ids=["dirichlet", "robin"])
+@pytest.mark.parametrize("dim", [2, 3, 10])
+def test_radial_axis_is_the_written_out_stiffness(dim, boundary):
+    for n in (4, 17, 512):
+        grid = build_grid(RadialBall(dim, 1.3), boundary, n)
+        assert same_csr_bytes(build_laplacian(grid).K, radial_stiffness_reference(grid))
+
+
+@pytest.mark.parametrize("lx, ly, resolution",
+                         [(3.0, 1.0, (48, 20)), (1.0, 1.7, (17, 33)), (1.0, 1.0, (24, 24)),
+                          (2.0, 2.0, (16, 16))])
+def test_rectangle_axes_are_the_five_point_stiffness(lx, ly, resolution):
+    # the weighted Kronecker sum of the two axes against hx*hy times the
+    # 5-point stencil: the same pattern, entries within 1 ulp (2.2e-16
+    # relative where hx != hy), bytewise equal on squares
+    grid, A = rect_operator(lx, ly, resolution)
+    (nx, ny), (hx, hy) = grid.resolution, grid.h
+    D = lambda m: sp.diags([-np.ones(m - 1), 2 * np.ones(m), -np.ones(m - 1)], [-1, 0, 1])
+    L = sp.kron(D(nx - 1), sp.eye(ny - 1)) / hx**2 + sp.kron(sp.eye(nx - 1), D(ny - 1)) / hy**2
+    ref = (hx * hy * L).tocsr()
+    np.testing.assert_array_equal(A.K.indptr, ref.indptr)
+    np.testing.assert_array_equal(A.K.indices, ref.indices)
+    np.testing.assert_array_max_ulp(A.K.data, ref.data, maxulp=1)
+    if hx == hy:
+        assert same_csr_bytes(A.K, ref)
 
 
 @pytest.mark.parametrize("cols", [1, 2])
@@ -415,10 +477,10 @@ def test_rectangle_solve_property(lx, ly, nx, ny, sigma, seed, sparse):
     for j in range(2):
         assert backward_error(A, sigma, x[:, j], rhs[:, j]) <= 1e-12
     assert x.min() >= 0.0
-    # the closed-form principal vector is the eigenvector of the smallest eigenvalue
+    # the principal vector is the eigenvector of the smallest 5-point eigenvalue
     phi = A.principal_vector
     scale = 2.0 * np.max(A.K.diagonal() / grid.weights)
-    lam = _rectangle_eigenvalues(grid).min()
+    lam = sum(dirichlet_axis_eigenvalues(n, h)[0] for n, h in zip(grid.resolution, grid.h))
     assert np.max(np.abs(A.apply(phi) - lam * phi)) <= 1e-14 * scale
 
 

@@ -744,7 +744,8 @@ def _seed_operator(name):
 
 
 class TestNewtonSeed:
-    @pytest.mark.parametrize("name", sorted(_SEED_GRIDS))
+    # radial only: the rectangle's principal vector comes from its axes' eigenbases
+    @pytest.mark.parametrize("name", sorted(n for n in _SEED_GRIDS if n != "rectangle"))
     def test_inverse_iteration_stops_at_its_fixed_point(self, name, monkeypatch):
         import thresholdlab.elliptic as el
 

@@ -4,9 +4,9 @@ scipy.integrate (which loads scipy.optimize) and scipy.sparse.linalg are
 imported only where they are used: the shooting oracle (which, of the
 commands, only verify calls), Kaplan's bound for p != q and the Dirichlet
 rectangle's GMRES Newton steps.  scipy.fft and scipy.special are used
-nowhere: the rectangle's sine transforms are products with dense sine
-matrices.  The suite itself imports scipy.optimize, so each check runs in
-a fresh interpreter.
+nowhere: the rectangle's solve is products with its axes' dense
+eigenbasis maps.  The suite itself imports scipy.optimize, so each check
+runs in a fresh interpreter.
 """
 
 import json

@@ -336,6 +336,17 @@ class TestCli:
         payload = json.loads((tmp_path / "result.json").read_text())
         assert payload["residual_norm"] <= 1e-10
 
+    def test_steady_large_exponents_on_a_coarse_square_name_the_grid(self, tmp_path, capsys):
+        # GMRES stalls just above its tolerance here, where the solution is
+        # under-resolved; the 48^2 square solves the same problem
+        code = main(["steady", "--geometry", "rect", "--resolution", "24", "--p", "8", "--q", "8",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "24x24 grid" in err
+        assert "under-resolved" in err and "--resolution" in err
+        assert "Traceback" not in err
+
     def test_evolve_decay(self, tmp_path, capsys):
         code = main([
             "evolve", "--alpha", "0.5", "--resolution", "64",

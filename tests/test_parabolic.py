@@ -266,7 +266,7 @@ def _replay(spec, A, initial, config, upper, certs):
         return outcome, rows, (increase, decrease, low, high)
 
 
-#: The replay's grids: the 64-node disk's banded route and the 16^2 square's sine-matrix route.
+#: The replay's grids: the 64-node disk's banded route and the 16^2 square's eigenbasis route.
 _REPLAY_GRIDS = {
     "disk": (RadialBall(2, 1.0), 64),
     "square": (Rectangle(1.0, 1.0), 16),
