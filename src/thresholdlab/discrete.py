@@ -10,8 +10,9 @@ comparison principle used throughout the solver layers.
 
 Every operator is built from conservative 1-D axes.  An axis's stiffness
 is tridiagonal, assembled by one function from its face conductances and
-its two end closures; it stays a symmetric M-matrix for any face
-positions.
+its two end closures as two bands (diagonal, off-diagonal); it stays a
+symmetric M-matrix for any face positions.  build_laplacian wraps the
+bands into K, and the rectangle's eigenbases are read from them directly.
   * radial ball in R^N (N >= 2): one axis of nodes r_i = i*h including the
     origin, shell-volume weights and face conductances sigma r^(N-1) / h.
     Symmetry u'(0) = 0 closes the origin end; Dirichlet eliminates the
@@ -333,15 +334,17 @@ def build_laplacian(grid: Grid) -> DiscreteLaplacian:
     kron(W_x, K_y) of its two axes.  All variants are symmetric M-matrices.
     """
     if grid.geometry == "rectangle":
-        (Kx, wx), (Ky, wy) = _rectangle_axes(grid)
+        (dx, ox, wx), (dy, oy, wy) = _rectangle_axes(grid)
+        Kx, Ky = _band_matrix(dx, ox), _band_matrix(dy, oy)
         K = (sp.kron(Kx, sp.diags(wy)) + sp.kron(sp.diags(wx), Ky)).tocsr()
     else:
         K = _radial_stiffness(grid)
     return DiscreteLaplacian(grid=grid, K=K)
 
 
-def _axis_stiffness(face: np.ndarray, left: float, right: float) -> sp.csr_matrix:
-    """Tridiagonal stiffness of a conservative 1-D axis, a symmetric M-matrix.
+def _axis_stiffness(face: np.ndarray, left: float, right: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal stiffness of a conservative 1-D axis, a symmetric M-matrix,
+    as its bands (diagonal, off-diagonal).
 
     ``face`` holds the conductances of the faces between neighbouring nodes,
     and row i is the flux difference across node i's two faces.  At each end
@@ -350,7 +353,12 @@ def _axis_stiffness(face: np.ndarray, left: float, right: float) -> sp.csr_matri
     beta times the boundary area.
     """
     diag = np.concatenate(([left], face)) + np.concatenate((face, [right]))
-    return sp.diags([-face, diag, -face], [-1, 0, 1], format="csr")
+    return diag, -face
+
+
+def _band_matrix(diag: np.ndarray, off: np.ndarray) -> sp.csr_matrix:
+    """The symmetric tridiagonal CSR matrix with these bands."""
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csr")
 
 
 def _radial_stiffness(grid: Grid) -> sp.csr_matrix:
@@ -365,24 +373,27 @@ def _radial_stiffness(grid: Grid) -> sp.csr_matrix:
     else:
         # coupling to the eliminated boundary value through the face at R - h/2
         right = sigma * ((grid.size - 0.5) * h) ** (N - 1) / h
-    return _axis_stiffness(sigma * face ** (N - 1) / h, 0.0, right)
+    return _band_matrix(*_axis_stiffness(sigma * face ** (N - 1) / h, 0.0, right))
 
 
-def _rectangle_axes(grid: Grid) -> list[tuple[sp.csr_matrix, np.ndarray]]:
-    """(K, w) of each uniform Dirichlet axis on its n - 1 interior nodes: node
-    weights h, and conductance 1/h on every face, those to the boundary too."""
-    return [(_axis_stiffness(np.full(n - 2, 1.0 / h), 1.0 / h, 1.0 / h), np.full(n - 1, h))
+def _rectangle_axes(grid: Grid) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(diag, off, w) of each uniform Dirichlet axis on its n - 1 interior
+    nodes: the stiffness bands for conductance 1/h on every face, those to
+    the boundary too, and node weights h."""
+    return [(*_axis_stiffness(np.full(n - 2, 1.0 / h), 1.0 / h, 1.0 / h), np.full(n - 1, h))
             for n, h in zip(grid.resolution, grid.h)]
 
 
-def _axis_eigenbasis(K: sp.csr_matrix, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lam, G, F) of one axis: W^-1 K = G diag(lam) F and F G = I, lam ascending.
+def _axis_eigenbasis(diag: np.ndarray, off: np.ndarray,
+                     w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, G, F) of one axis with stiffness bands (diag, off) and weights w:
+    W^-1 K = G diag(lam) F and F G = I, lam ascending.
 
     M = W^-1/2 K W^-1/2 is symmetric tridiagonal; eigh_tridiagonal gives
     M = Q diag(lam) Q^T, so G = W^-1/2 Q and F = Q^T W^1/2.
     """
     s = np.sqrt(w)
-    lam, Q = eigh_tridiagonal(K.diagonal() / w, K.diagonal(1) / (s[:-1] * s[1:]))
+    lam, Q = eigh_tridiagonal(diag / w, off / (s[:-1] * s[1:]))
     return lam, Q / s[:, None], Q.T * s
 
 

@@ -655,27 +655,39 @@ class ShootingResult:
         return self.center[1]
 
 
-def _radial_rhs(n_dim: int, p: float, q: float) -> Callable:
+def _radial_rhs(n_dim: int, p: float, q: float, variational: bool = False) -> Callable:
     """Right-hand side of the radial system, on Python floats.
 
-    The state is (u, u', v, v'), optionally followed by its derivatives with
-    respect to the centre values a and b (four components each, same
-    layout), which obey the variational equations along the trajectory.
+    The state is (u, u', v, v'); with ``variational`` it is followed by its
+    derivatives with respect to the centre values a and b (four components
+    each, same layout), which obey the variational equations along the
+    trajectory.  The compiled integrator calls this thousands of times per
+    shot, so each closure is straight-line code: the state unpacked into
+    names, k / r formed once, and the result one list literal.  Each entry
+    is the written-out formula's expression, evaluated in its order (u'' and
+    v'' before the powers of the Jacobian), so the runs are bitwise those of
+    the formula and a power that leaves the float range raises OverflowError
+    at the same place.
     """
     k = n_dim - 1
 
     def rhs(r, y):
-        u, du, v, dv, *tangents = y.tolist()
-        out = [du, -math.copysign(abs(v) ** p, v) - k / r * du,
-               dv, -math.copysign(abs(u) ** q, u) - k / r * dv]
-        if tangents:
-            sv, su = p * abs(v) ** (p - 1), q * abs(u) ** (q - 1)
-            for j in (0, 4):
-                tu, tdu, tv, tdv = tangents[j:j + 4]
-                out += [tdu, -sv * tv - k / r * tdu, tdv, -su * tu - k / r * tdv]
-        return out
+        u, du, v, dv = y.tolist()
+        kr = k / r
+        return [du, -math.copysign(abs(v) ** p, v) - kr * du,
+                dv, -math.copysign(abs(u) ** q, u) - kr * dv]
 
-    return rhs
+    def rhs_variational(r, y):
+        u, du, v, dv, au, adu, av, adv, bu, bdu, bv, bdv = y.tolist()
+        kr = k / r
+        fu = -math.copysign(abs(v) ** p, v) - kr * du
+        fv = -math.copysign(abs(u) ** q, u) - kr * dv
+        sv, su = p * abs(v) ** (p - 1), q * abs(u) ** (q - 1)
+        return [du, fu, dv, fv,
+                adu, -sv * av - kr * adu, adv, -su * au - kr * adv,
+                bdu, -sv * bv - kr * bdu, bdv, -su * bu - kr * bdv]
+
+    return rhs_variational if variational else rhs
 
 
 def _too_large(r, y) -> float:
@@ -723,7 +735,7 @@ def _integrate_radial(
     of its radius or ends non-finite, and _escaped says so.
     """
     r0 = SERIES_R0 * radius
-    return _dop853().run(_radial_rhs(n_dim, p, q),
+    return _dop853().run(_radial_rhs(n_dim, p, q, variational),
                          _series_start(a, b, n_dim, p, q, r0, variational), r0, radii)
 
 

@@ -678,6 +678,62 @@ def _dense_profile(oracle, r):
     return np.where(r < r0, a, y[0]), np.where(r < r0, b, y[2])
 
 
+def _radial_rhs_reference(n_dim, p, q, r, y):
+    """The radial system and its variational equations written out one
+    component at a time, on Python floats: the reference for _radial_rhs."""
+    y = y.tolist()
+    k = n_dim - 1
+    u, du, v, dv = y[:4]
+    out = [du, -math.copysign(abs(v) ** p, v) - k / r * du,
+           dv, -math.copysign(abs(u) ** q, u) - k / r * dv]
+    for j in range(4, len(y), 4):
+        tu, tdu, tv, tdv = y[j:j + 4]
+        out.append(tdu)
+        out.append(-(p * abs(v) ** (p - 1)) * tv - k / r * tdu)
+        out.append(tdv)
+        out.append(-(q * abs(u) ** (q - 1)) * tu - k / r * tdv)
+    return out
+
+
+_RHS_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-10.0, 10.0), st.floats(-1e80, 1e80))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 10]), st.floats(1.1, 4.0), st.floats(1.1, 4.0), st.booleans(),
+       st.floats(1e-8, 1.0), st.lists(_RHS_ENTRIES, min_size=12, max_size=12))
+@example(3, 3.0, 3.0, True, 0.5, [0.0] * 12)
+@example(2, 3.0, 2.0, False, 1e-8, [-1.0, 0.0, -0.0, 1e80] + [1e80, -1e80] * 4)
+def test_radial_rhs_is_the_written_out_system(n_dim, p, q, same, r, state):
+    # both closures equal the reference list for list, bitwise; a state
+    # whose power leaves the float range raises OverflowError in both
+    q = p if same else q
+    y = np.array(state)
+    for variational, y in ((False, y[:4]), (True, y)):
+        rhs = _radial_rhs(n_dim, p, q, variational)
+        try:
+            expected = _radial_rhs_reference(n_dim, p, q, r, y)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                rhs(r, y)
+        else:
+            assert rhs(r, y) == expected
+            assert len(expected) == y.size
+
+
+@pytest.mark.parametrize("variational", [False, True])
+@pytest.mark.parametrize("n_dim, p, q", [(2, 3.0, 3.0), (10, 2.0, 3.5)])
+def test_radial_rhs_overflow_raises(n_dim, p, q, variational):
+    # abs(v) ** p leaves the float range: the closure raises as the
+    # reference does, which _CompiledDOP853 turns into a failed step
+    y = np.array([1.0, 0.0, -1e200, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+    y = y if variational else y[:4]
+    with pytest.raises(OverflowError):
+        _radial_rhs_reference(n_dim, p, q, 0.5, y)
+    with pytest.raises(OverflowError):
+        _radial_rhs(n_dim, p, q, variational)(0.5, y)
+
+
 _NEWTON_DOMAINS = {
     "disk": (RadialBall(2, 1.0), BoundarySpec.dirichlet(), 32),
     "ball": (RadialBall(3, 1.0), BoundarySpec.dirichlet(), 32),

@@ -36,6 +36,7 @@ from thresholdlab.lab.io import (
     load_snapshot,
     result_json_text,
     save_snapshot,
+    snapshot_text,
     trajectory_csv_text,
 )
 from thresholdlab.lab.verify import (
@@ -145,6 +146,31 @@ class TestSerialisation:
         text = trajectory_csv_text(record)
         assert "0.33333333333333331" in text
         assert "3.1415926535897931" in text
+
+    def test_csv_and_snapshot_render_each_value_at_17_digits(self):
+        # each line is one formatting operation; the text is that of
+        # f"{x:.17g}" value by value, for signed zeros, subnormals, the
+        # float range's ends, infinities and nan too
+        specials = [0.0, -0.0, 5e-324, -2.2e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                    math.inf, -math.inf, math.nan, 1 / 3, -math.pi]
+        record = TrajectoryRecord(exponents=ExponentPair(3.0, 3.0), volume=math.pi)
+        for i in range(len(specials)):
+            record.append(*np.roll(specials, i)[:8].tolist())
+        with np.errstate(all="ignore"):     # the derived columns of inf and nan rows
+            text = trajectory_csv_text(record)
+            cols = record.arrays()
+        rows = zip(*(cols[name].tolist() for name in text.splitlines()[0].split(",")))
+        expected = [",".join(f"{x:.17g}" for x in row) for row in rows]
+        assert text.splitlines()[1:] == expected
+        assert {"0", "-0", "4.9406564584124654e-324", "1e+308", "inf", "-inf", "nan"} <= \
+            set(text.replace("\n", ",").split(","))
+
+        grid = build_grid(RadialBall(2, 1.0), BoundarySpec.dirichlet(), 16)
+        u = np.resize(specials, grid.size)
+        pair = FieldPair(u, -u[::-1], grid)
+        lines = snapshot_text(pair, {"p": 3.0}).splitlines()
+        assert lines[:2] == ["# p 3.0", f"# nodes {grid.size}"]
+        assert lines[2:] == [f"{x:.17g} {y:.17g}" for x, y in zip(pair.u.tolist(), pair.v.tolist())]
 
     def test_json_deterministic(self):
         payload = {"b": 1.0 / 3.0, "a": [1, 2], "nested": {"z": 0.1, "y": math.pi}}
