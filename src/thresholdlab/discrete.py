@@ -20,14 +20,17 @@ bands into K, and the rectangle's eigenbases are read from them directly.
   * rectangle: the weighted Kronecker sum of two uniform Dirichlet axes on
     the interior nodes, which is the 5-point stencil.
 
-Shifted solves (sigma I + A) x = b never factorise a matrix: each operator
-sets up a solve once that takes sigma as an argument.  Radial operators
-are tridiagonal and call LAPACK ``ptsv``, bound once per operator.  The
-rectangle is diagonalised axis by axis, the fast Poisson solver of
-Buzbee, Golub & Nielson (1970) with each axis's eigenbasis computed by
-``eigh_tridiagonal`` rather than written out, so sigma only shifts the
-eigenvalue sums; one solve is four BLAS products with the axes' maps,
-built once per operator.  Non-finite input is refused on every route.
+Shifted solves (sigma I + A) x = b use no sparse LU: each operator sets
+up a solve once that takes sigma as an argument.  Radial operators are
+tridiagonal: LAPACK ``pttrf`` and ``pttrs``, bound once per operator,
+factorise sigma*W + K as LDL^T and solve with the factors, which the
+operator keeps for the last sigma, so a run of solves at one sigma
+factorises once.  The rectangle is diagonalised axis by axis, the fast
+Poisson solver of Buzbee, Golub & Nielson (1970) with each axis's
+eigenbasis computed by ``eigh_tridiagonal`` rather than written out, so
+sigma only shifts the eigenvalue sums; one solve is four BLAS products
+with the axes' maps, built once per operator.  Non-finite input is
+refused on every route.
 
 Several right-hand sides are solved as the columns of one (m, k) array,
 kept column-major from end to end: a column-major rhs reaches LAPACK and
@@ -120,11 +123,19 @@ class Grid:
 
 @dataclass
 class FieldPair:
-    """Nodal values of the two solution components on a grid."""
+    """Nodal values of the two solution components on a grid.
+
+    A pair built by :meth:`from_columns` has u and v as the two columns of
+    one (m, 2) array, as a shifted solve answers a parabolic step, and
+    :meth:`columns` hands that array out, so the stepping loop takes
+    extrema and comparisons of both components in one call each.
+    """
 
     u: np.ndarray
     v: np.ndarray
     grid: Grid
+    # (block, u, v) as from_columns built them; None for a pair built from two arrays
+    _columns = None
 
     def __post_init__(self):
         m = self.grid.size
@@ -134,6 +145,25 @@ class FieldPair:
     @classmethod
     def zeros(cls, grid: Grid) -> "FieldPair":
         return cls(np.zeros(grid.size), np.zeros(grid.size), grid)
+
+    @classmethod
+    def from_columns(cls, block: np.ndarray, grid: Grid) -> "FieldPair":
+        """The pair whose u and v are the columns of the (m, 2) ``block``, views of it."""
+        pair = cls(block[:, 0], block[:, 1], grid)
+        pair._columns = (block, pair.u, pair.v)
+        return pair
+
+    def columns(self) -> np.ndarray:
+        """[u v] as one (m, 2) array.
+
+        For a pair built by :meth:`from_columns` whose u and v have not been
+        replaced since, it is that block itself, so it sees in-place edits of
+        u and v; otherwise a fresh column-major copy.
+        """
+        kept = self._columns
+        if kept is not None and kept[1] is self.u and kept[2] is self.v:
+            return kept[0]
+        return np.array([self.u, self.v]).T
 
     def copy(self) -> "FieldPair":
         return FieldPair(self.u.copy(), self.v.copy(), self.grid)
@@ -185,9 +215,10 @@ class DiscreteLaplacian:
             self._solve = partial(_eigenbasis_solve, *maps)
         else:
             off = self.K.diagonal(-1)
-            off.flags.writeable = False     # ptsv gets a copy; the band stays K's
-            ptsv, = get_lapack_funcs(("ptsv",), (w,))
-            self._solve = partial(_tridiagonal_solve, ptsv, self.K.diagonal(), off, w)
+            off.flags.writeable = False     # pttrf gets a copy; the band stays K's
+            pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (w,))
+            self._solve = partial(_tridiagonal_solve, pttrf, pttrs, self.K.diagonal(), off, w,
+                                  _KeptFactors())
 
     @property
     def boundary(self) -> BoundarySpec:
@@ -397,22 +428,42 @@ def _axis_eigenbasis(diag: np.ndarray, off: np.ndarray,
     return lam, Q / s[:, None], Q.T * s
 
 
-def _tridiagonal_solve(ptsv: Callable, diag: np.ndarray, off: np.ndarray, w: np.ndarray,
-                       sigma: float, b: np.ndarray) -> np.ndarray:
-    """Radial route: LAPACK ptsv on sigma*W + K, given K's diagonal and off-diagonal.
+class _KeptFactors:
+    """(sigma, d, e): pttrf's LDL^T factors (d, e) of sigma*W + K for the last
+    sigma factorised, one tuple so that it is read and replaced whole; None
+    before the first solve."""
 
-    This is the call scipy's solveh_banded makes for a two-row band, so the
-    answer is bitwise the same, without its validation: solve_shifted has
-    already refused non-finite data.  The shifted diagonal and the weighted
-    right-hand side are fresh arrays that ptsv may overwrite; the weighted
-    right-hand side keeps b's layout, so a column-major b reaches ptsv with
-    no copy.  The off-diagonal is K's and is copied.
+    __slots__ = ("last",)
+
+    def __init__(self):
+        self.last = None
+
+
+def _tridiagonal_solve(pttrf: Callable, pttrs: Callable, diag: np.ndarray, off: np.ndarray,
+                       w: np.ndarray, kept: _KeptFactors, sigma: float, b: np.ndarray
+                       ) -> np.ndarray:
+    """Radial route: LAPACK pttrf's LDL^T of sigma*W + K, kept for the last sigma, and pttrs.
+
+    K's diagonal and off-diagonal are given.  ptsv is pttrf followed by
+    pttrs, and ptsv is the call scipy's solveh_banded makes for a two-row
+    band, so the answer is bitwise the same, without its validation:
+    solve_shifted has already refused non-finite data.  The factors of the
+    last sigma are kept in ``kept``, and sigma*W + K is factorised again only
+    when sigma changes: a run of steps at one step size, and a refinement
+    step, reuse them.  A failed factorisation raises and is never kept.
+    The shifted diagonal is a fresh array that pttrf may overwrite, and the
+    off-diagonal, K's, is copied.  The weighted right-hand side is a fresh
+    array that keeps b's layout, so a column-major b reaches pttrs with no
+    copy.
     """
-    _, _, x, info = ptsv(sigma * w + diag, off, w[:, None] * b, overwrite_d=True, overwrite_b=True)
-    if info > 0:   # e.g. a Robin beta near 0 with sigma = 0
-        raise LinearSolveError("operator singular to float precision: "
-                               f"{info}th leading minor not positive definite", np.inf)
-    return x
+    last = kept.last
+    if last is None or last[0] != sigma:
+        d, e, info = pttrf(sigma * w + diag, off, overwrite_d=True)
+        if info > 0:   # e.g. a Robin beta near 0 with sigma = 0
+            raise LinearSolveError("operator singular to float precision: "
+                                   f"{info}th leading minor not positive definite", np.inf)
+        kept.last = last = (sigma, d, e)
+    return pttrs(last[1], last[2], w[:, None] * b, overwrite_b=True)[0]
 
 
 def _eigenbasis_solve(Fx: np.ndarray, FyT: np.ndarray, Gx: np.ndarray, GyT: np.ndarray,
@@ -453,12 +504,13 @@ def solve_shifted(A: DiscreteLaplacian, sigma: float, rhs: np.ndarray, *,
     (m, k) for multiple right-hand sides; an (m, k) answer is column-major,
     and a column-major rhs, as parabolic.step builds, is solved and checked
     without a copy.  A sigma or rhs that is not finite raises ValueError on
-    every route.  Nothing is factorised: radial operators solve the
-    tridiagonal system sigma*W + K with LAPACK ``ptsv``, bound once per
-    operator; the rectangle maps b into the product of its axes'
-    eigenbases, divides by the shifted eigenvalue sums and maps back.  One
-    step of iterative refinement follows if the first solve misses the
-    contract.
+    every route.  Radial operators solve the tridiagonal system
+    sigma*W + K with LAPACK ``pttrs`` from ``pttrf``'s LDL^T factors, which
+    the operator keeps for the last sigma and computes again only when
+    sigma changes; the rectangle factorises nothing: it maps b into the
+    product of its axes' eigenbases, divides by the shifted eigenvalue sums
+    and maps back.  One step of iterative refinement follows if the first
+    solve misses the contract; it reuses the kept factors.
 
     The residual contract is the normwise backward error in the weighted L2
     norm, ||rhs - (sigma I + A) x|| / (||rhs|| + ||sigma I + A|| * ||x||),
@@ -508,33 +560,37 @@ def _backward_error(A: DiscreteLaplacian, sigma: float, b: np.ndarray, x: np.nda
     the products K x_j per column).
 
     Column-major like the answers: one product with A.K per contiguous
-    column of x, stacked as the rows of the transposed residual, the rest in
-    place.  scipy sums each row of a CSR product with one vector in the same
-    order as with a block, so the residual is bitwise the block product's,
-    without the block product's copy of x and its slower multi-vector loop.
-    The stack is a copy, so the products themselves are returned untouched:
-    K x_j is bitwise what ``A.K @ x[:, j]`` gives anywhere else.  The norms
-    are taken per term as the contract states them, so the error is bitwise
-    the plain formula's.
+    column of x, divided by the weights into that column of a column-major
+    residual, the rest in place.  scipy sums each row of a CSR product with
+    one vector in the same order as with a block, so the residual is
+    bitwise the block product's, without the block product's copy of x and
+    its slower multi-vector loop.  The products themselves are returned
+    untouched: K x_j is bitwise what ``A.K @ x[:, j]`` gives anywhere else.
+    Each weighted sum of squares is one product with w over the columns;
+    the square roots and the quotient are then taken per column in Python
+    floats, the same correctly rounded operations in the same order as the
+    plain formula, so the error is bitwise the plain formula's.  A NaN
+    quotient, from norms that overflowed, is returned as NaN.
     """
     w = A.grid.weights
-    kx = [A.K @ c for c in x.T]
-    res = np.array(kx).T
-    res /= w[:, None]
+    res = np.empty(x.shape, order="F")
+    kx = []
+    for c, r in zip(x.T, res.T):
+        kc = A.K @ c
+        np.divide(kc, w, out=r)
+        kx.append(kc)
     res += sigma * x
     np.subtract(b, res, out=res)
-    denom = _wnorm(w, b)
-    denom += (sigma + A._op_scale) * _wnorm(w, x)
-    norm_res = _wnorm(w, res)
-    if denom.all():         # no empty column: the common case, without masking
-        return (norm_res / denom).max(), res, kx
-    live = denom != 0
-    return ((norm_res[live] / denom[live]).max() if live.any() else 0.0), res, kx
-
-
-def _wnorm(w: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Weighted L2 norm of each column of z."""
-    return np.sqrt(w @ np.square(z))
+    scale = sigma + A._op_scale
+    rel = 0.0
+    # each column's weighted sum of squares, the square of its weighted L2 norm
+    for sb, sx, sr in zip(*((w @ np.square(z)).tolist() for z in (b, x, res))):
+        denom = math.sqrt(sb) + scale * math.sqrt(sx)
+        if denom:           # an empty column (rhs and x both 0) has no error; NaN is kept
+            q = math.sqrt(sr) / denom
+            if q > rel or q != q:
+                rel = q
+    return rel, res, kx
 
 
 def integrate(grid: Grid, x: np.ndarray) -> float:

@@ -179,14 +179,17 @@ class Equilibrium:
             raise NonPositiveSolutionError(self.pair, self.residual_norm)
 
 
-def _reaction(spec: ProblemSpec, pair: FieldPair, forcing) -> tuple[np.ndarray, np.ndarray]:
+def _reaction(spec: ProblemSpec, pair: FieldPair, forcing, out=(None, None)
+              ) -> tuple[np.ndarray, np.ndarray]:
     """(|v|^(p-1) v + lam f, |u|^(q-1) u + lam g) at ``pair``; ``forcing`` is forcing_arrays'.
 
     The right-hand side of the steady system and the explicit terms of a
-    parabolic step.
+    parabolic step, which passes the two columns of its right-hand side as
+    ``out`` to receive them.
     """
     fu, gv = forcing
-    return signed_power(pair.v, spec.p) + fu, signed_power(pair.u, spec.q) + gv
+    return (np.add(signed_power(pair.v, spec.p), fu, out=out[0]),
+            np.add(signed_power(pair.u, spec.q), gv, out=out[1]))
 
 
 def _steady_residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair):

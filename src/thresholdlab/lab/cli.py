@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,21 +33,32 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    """Every subparser from the one flag table; abbreviations are rejected."""
+def _build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
+    """Every subparser, with its flags from the one flag table; abbreviations are rejected.
+
+    Given ``argv``, only the subparser that argv names gets its flags.
+    argparse hands the rest of argv to the subparser named by its first
+    token that is not an option, which is its first token in COMMANDS, and
+    reads no other subparser's flags; so help, parses and errors are those
+    of the full parser, which is built when argv is None.  Every subparser
+    is built either way, as top-level help and invalid-choice errors list
+    them all.
+    """
+    named = COMMANDS if argv is None else [next((a for a in argv if a in COMMANDS), None)]
     parser = _Parser(prog="thresholdlab", allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         sub = subs.add_parser(command, allow_abbrev=False)
-        for name, (commands, keywords) in FLAGS.items():
-            if command in commands:
-                sub.add_argument(f"--{name}", **keywords)
+        if command in named:
+            for name, (commands, keywords) in FLAGS.items():
+                if command in commands:
+                    sub.add_argument(f"--{name}", **keywords)
     return parser
 
 
 def _parse(argv: list):
     """Parse argv; --config lines become ``--key=value`` flags that argv's own override."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     args = parser.parse_args(argv)
     if args.config:     # a Path, None, or [] from `--config=--` (refused below)
         try:

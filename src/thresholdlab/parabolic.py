@@ -243,7 +243,8 @@ def certificates(spec: ProblemSpec, A: DiscreteLaplacian) -> Certificates:
     weight = A.grid.weights * phi
     r = min(spec.p, spec.q)
     return Certificates(
-        cone=FieldPair(CONE_THETA * a * phi, CONE_THETA * b * phi, A.grid),
+        cone=FieldPair.from_columns(np.array([CONE_THETA * a * phi, CONE_THETA * b * phi]).T,
+                                    A.grid),
         mu=mu,
         omega=weight / np.sum(weight),
         kaplan_lambda=float(np.max(ratio)),
@@ -257,32 +258,38 @@ def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float, *
          products: Optional[list] = None) -> FieldPair:
     """One semi-implicit step of length dt; the forcing is evaluated on A's grid.
 
-    The right-hand side is built column-major, the layout every shifted-solve
-    route and its backward-error check work in, so none of them copies it;
-    the new u and v are the answer's contiguous columns.  A ``products``
-    list is passed on to solve_shifted and comes back holding [K u, K v] of
-    the new state, the products its 1e-12 check formed; the full diagnostic
-    row reads its energy's cross term from them.
+    The right-hand side is built in place in one column-major array, the
+    layout every shifted-solve route and its backward-error check work in,
+    so none of them copies it: the reaction is written into its columns and
+    the rest is three operations on the block.  The new state is built on
+    the answer's two contiguous columns (see FieldPair.from_columns).  A
+    ``products`` list is passed on to solve_shifted and comes back holding
+    [K u, K v] of the new state, the products its 1e-12 check formed; the
+    full diagnostic row reads its energy's cross term from them.
     """
-    ru, rv = _reaction(spec, state, forcing_arrays(spec, A.grid))
-    rhs = np.array([state.u + dt * ru, state.v + dt * rv]).T
-    # (I + dt A) x = b  <=>  (1/dt I + A) x = b/dt
-    new = solve_shifted(A, 1.0 / dt, rhs / dt, products=products)
-    return FieldPair(new[:, 0], new[:, 1], A.grid)
+    rhs = np.empty((A.grid.size, 2), order="F")
+    _reaction(spec, state, forcing_arrays(spec, A.grid), out=rhs.T)
+    # (I + dt A) x = u + dt r  <=>  (1/dt I + A) x = (u + dt r)/dt
+    rhs *= dt
+    rhs += state.columns()
+    rhs /= dt
+    new = solve_shifted(A, 1.0 / dt, rhs, products=products)
+    return FieldPair.from_columns(new, A.grid)
 
 
 def _march(spec, A, states, config, keep_products=False):
     """Step every state under one shared dt sequence; yield (t, dt, new, sups, products).
 
-    ``sups`` holds each new state's (||u||_inf, ||v||_inf), taken once per
-    step: the next step size, the caller's rows and its classification all
-    read them.  With ``keep_products``, ``products`` holds each new state's
-    [K u, K v], formed by its step's solve, in lists made fresh every step;
-    a full row reads its energy from them, passed explicitly rather than
-    kept on the FieldPair, where a copy or an in-place edit would leave them
-    stale.  Without it, as for lean rows and ordered pairs, which read no
-    energy, each entry is None and the solves hand out nothing.  The step is
-    the smallest reaction-limited step over the states, capped at dt0.
+    ``sups`` holds each new state's [||u||_inf, ||v||_inf], taken once per
+    step on the step's (m, 2) answer: the next step size, the caller's rows
+    and its classification all read them.  With ``keep_products``,
+    ``products`` holds each new state's [K u, K v], formed by its step's
+    solve, in lists made fresh every step; a full row reads its energy from
+    them, passed explicitly rather than kept on the FieldPair, where a copy
+    or an in-place edit would leave them stale.  Without it, as for lean
+    rows and ordered pairs, which read no energy, each entry is None and the
+    solves hand out nothing.  The step is the smallest reaction-limited step
+    over the states, capped at dt0.
     Non-finite data, whether a reaction of the initial states, rejected by
     the solver or produced by the step, raises NumericalFailureError.  The
     caller decides when to stop.
@@ -302,7 +309,7 @@ def _march(spec, A, states, config, keep_products=False):
             new = [step(spec, A, s, dt, products=kx) for s, kx in zip(states, products)]
         except ValueError as exc:          # non-finite data rejected by the solver
             raise NumericalFailureError(t + dt) from exc
-        sups = [(s.sup_u, s.sup_v) for s in new]
+        sups = [np.abs(s.columns()).max(axis=0).tolist() for s in new]
         # a sup-norm is finite only if every value is: NaN and inf both propagate
         if not all(math.isfinite(su) and math.isfinite(sv) for su, sv in sups):
             raise NumericalFailureError(t + dt)
@@ -320,8 +327,7 @@ def _classify(spec, config, s0, prev_sup, state, sup, change, t, dt, certs=None
     if spec.lam == 0.0 and sup <= max(EPS_DECAY * s0, np.finfo(float).tiny):
         return Outcome.decay(t)
     if spec.lam == 0.0 and certs is not None:
-        cone = certs.cone
-        if (state.u <= cone.u).all() and (state.v <= cone.v).all():
+        if (state.columns() <= certs.cone.columns()).all():
             return Outcome.decay(t, "cone")
         rest = certs.kaplan_time(state)
         if rest is not None:
@@ -338,10 +344,6 @@ def _check_nonnegative(*states: FieldPair) -> None:
     """The drivers' one admission check of initial data, before any row or step."""
     if any(np.min(s.u) < 0 or np.min(s.v) < 0 for s in states):
         raise ValueError("initial data must be nonnegative")
-
-
-def _max_abs(du, dv) -> float:
-    return max(float(np.max(np.abs(du))), float(np.max(np.abs(dv))))
 
 
 def evolve(
@@ -398,14 +400,15 @@ def evolve(
         if outcome is None:
             march = _march(spec, A, [state], config, keep_products=diagnostics)
             for t, dt, (new,), ((sup_u, sup_v),), (kx,) in march:
-                du = new.u - state.u
-                dv = new.v - state.v
-                increase = max(du.max(), dv.max())
-                decrease = min(du.min(), dv.min())
+                # per column of the (m, 2) blocks: a column's extremum is
+                # bitwise the one its own array gives, signed zeros included
+                block = new.columns()
+                change = block - state.columns()
+                increase = max(change.max(axis=0).tolist())
+                decrease = min(change.min(axis=0).tolist())
                 record.max_step_increase = max(record.max_step_increase, increase)
                 record.max_step_decrease = min(record.max_step_decrease, decrease)
-                record.squeeze_low = min(record.squeeze_low, float(new.u.min()),
-                                         float(new.v.min()))
+                record.squeeze_low = min(record.squeeze_low, *block.min(axis=0).tolist())
                 if squeeze_upper is not None:
                     record.squeeze_high = max(
                         record.squeeze_high,
@@ -473,12 +476,12 @@ def evolve_ordered(
         for t, dt, new, sups, _ in _march(spec, A, states, config):
             a, b = new
             new_sup = [max(m) for m in sups]
-            gap = max(float(np.max(a.u - b.u)), float(np.max(a.v - b.v)))
+            gap = max((a.columns() - b.columns()).max(axis=0).tolist())
             max_gap = max(max_gap, gap)
             ok = ok and gap <= TOL_ORDER * max(1.0, new_sup[1])
             for i, (old, cur) in enumerate(zip(states, new)):
                 if outcomes[i] is None:
-                    change = _max_abs(cur.u - old.u, cur.v - old.v)
+                    change = max(np.abs(cur.columns() - old.columns()).max(axis=0).tolist())
                     outcomes[i] = _classify(spec, config, s0[i], sup[i], cur, new_sup[i],
                                             change, t, dt)
             states, sup = new, new_sup

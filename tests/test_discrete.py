@@ -456,6 +456,54 @@ def test_singular_robin_operator_raises_by_name():
         solve_shifted(A, 0.0, np.ones(grid.size))
 
 
+@st.composite
+def sigma_runs(draw):
+    """A sequence of sigmas drawn from a small pool that holds 0, so that it
+    repeats sigmas and returns to earlier ones."""
+    pool = [0.0, *draw(st.lists(st.floats(1e-3, 1e10), min_size=1, max_size=3))]
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                                           max_size=12))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_RADIAL)), cols=st.integers(1, 2), fortran=st.booleans(),
+       sigmas=sigma_runs(), seed=st.integers(0, 2**32 - 1))
+def test_kept_factors_follow_any_sigma_sequence(name, cols, fortran, sigmas, seed):
+    # the radial route keeps pttrf's factors for the last sigma only: along
+    # any sequence of sigmas, with repeats and returns, every answer is
+    # bitwise solveh_banded's on the shifted band and bitwise the answer of
+    # an operator built fresh for that one solve, in either layout
+    grid = build_grid(*_RADIAL[name], 64)
+    A = build_laplacian(grid)
+    w = grid.weights
+    rng = np.random.default_rng(seed)
+    layout = np.asfortranarray if fortran else np.ascontiguousarray
+    for sigma in sigmas:
+        b = layout(rng.uniform(0.0, 1.0, (grid.size, cols)))
+        ab = np.zeros((2, grid.size))
+        ab[0] = A.K.diagonal() + sigma * w
+        ab[1, :-1] = A.K.diagonal(-1)
+        expected = solveh_banded(ab, w[:, None] * b, lower=True)
+        assert A._solve(sigma, b).tobytes() == expected.tobytes()
+        x = solve_shifted(A, sigma, b)
+        assert x.tobytes() == solve_shifted(build_laplacian(grid), sigma, b).tobytes()
+
+
+def test_failed_factorisation_is_never_kept():
+    # the singular operator's factorisation fails on every call at sigma = 0,
+    # also right after a solve at another sigma, whose factors stay usable
+    grid = build_grid(DISK, BoundarySpec.robin(1e-300), 64)
+    A = build_laplacian(grid)
+    b = np.ones(grid.size)
+    for _ in range(2):
+        with pytest.raises(LinearSolveError, match="operator singular to float precision"):
+            solve_shifted(A, 0.0, b)
+    x = solve_shifted(A, 1.0, b)
+    with pytest.raises(LinearSolveError, match="operator singular to float precision"):
+        solve_shifted(A, 0.0, b)
+    assert solve_shifted(A, 1.0, b).tobytes() == x.tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     lx=st.floats(0.2, 5.0),
@@ -608,3 +656,23 @@ class TestFieldPair:
         assert pair.sup == 0.0
         scaled = FieldPair(np.ones(grid.size), 2 * np.ones(grid.size), grid).scaled(0.5)
         assert scaled.sup_u == 0.5 and scaled.sup_v == 1.0
+
+    def test_columns_are_the_block_while_u_and_v_are_its_columns(self, rng):
+        # a pair built on a block hands that block out, in-place edits
+        # included; once u is replaced, for a pair of two arrays and for a
+        # copy, columns is a fresh column-major copy of [u v]
+        grid, _ = disk_operator(64)
+        block = np.asfortranarray(rng.random((grid.size, 2)))
+        pair = FieldPair.from_columns(block, grid)
+        assert pair.columns() is block
+        pair.v[3] = -1.0
+        assert block[3, 1] == -1.0 and pair.columns() is block
+        copied = pair.copy()
+        assert copied.columns().flags.f_contiguous
+        assert copied.columns().tobytes() == block.tobytes()
+        assert not np.shares_memory(copied.columns(), block)
+        pair.u = pair.u + 1.0
+        for current in (pair, FieldPair(pair.u, pair.v, grid)):
+            columns = current.columns()
+            assert columns is not block and columns.flags.f_contiguous
+            assert columns.tobytes() == np.array([current.u, current.v]).T.tobytes()

@@ -571,6 +571,32 @@ class TestFlagTable:
                          for command in commands}
         assert len(slots) == 101
 
+    @pytest.mark.parametrize("argv", [
+        ["-h"], *([command, "-h"] for command in COMMANDS),
+        [], ["bogus"], ["-1", "steady"], ["--p", "3", "evolve"], ["--", "evolve", "--p", "2"],
+        ["evolve", "steady", "--alpha", "1"], ["evolve", "--res", "64"],
+        ["threshold", "--alpha", "0.5"], ["steady", "--geometry", "hexagon"],
+        ["steady", "--nonsense-flag", "3"], ["verify", "--resolution", "48"],
+        ["threshold", "--alphas", "0.5,x"], ["evolve", "--dt0"], ["steady", "--p=--"],
+        ["lambda-star", "--lambda", "1", "--rel-tol", "0.1", "--resolution", "64"],
+    ])
+    def test_parser_of_argv_acts_as_the_full_parser(self, argv, capsys):
+        # the parser _parse builds gives flags only to the subcommand argv
+        # names; its help texts, usage errors and parses are byte for byte
+        # those of the parser with every flag on every subcommand
+        def outcome(parser):
+            try:
+                return "parsed", vars(parser.parse_args(argv))
+            except ConfigError as exc:
+                return "error", str(exc)
+            except SystemExit as exc:
+                return "exit", exc.code, capsys.readouterr().out
+
+        named = outcome(_build_parser(argv))
+        assert named == outcome(_build_parser())
+        if argv[-1:] == ["-h"] and argv[0] != "-h":
+            assert "--resolution" in named[2]
+
 
 class TestCliErrorPaths:
     @pytest.mark.parametrize("argv, named", [

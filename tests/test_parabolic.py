@@ -442,6 +442,43 @@ def test_full_rows_form_two_stiffness_products_per_step(problem, monkeypatch):
         assert products == [1] * (2 * (len(record) - 1) + initial_row)
 
 
+@pytest.mark.parametrize("certified", [True, False], ids=["threshold-probe", "uncertified"])
+@pytest.mark.parametrize("alpha", [0.9, 1.1])
+def test_lean_probe_factorises_once_per_sigma(alpha, certified, monkeypatch):
+    # lean probes on the 64-node disk: the radial solve keeps the LDL^T
+    # factors of its last sigma, so LAPACK's pttrf runs once per distinct
+    # sigma = 1/dt, not once per step.  The threshold experiment's probes,
+    # with certificates, step at dt0 throughout and factorise once; the
+    # uncertified blow-up's step shrinks with its sup-norm to the floor and
+    # never returns to an earlier one
+    spec = disk_spec()
+    A = build_laplacian(build_grid(spec.domain, spec.boundary, 64))
+    eq = solve_newton(spec, A)
+    certs = certificates(spec, A) if certified else None
+    solve = A._solve
+    pttrf = solve.args[0]
+    factorised, sigmas = [], []
+
+    def spy(*args, **kwargs):
+        factorised.append(1)
+        return pttrf(*args, **kwargs)
+
+    spied = partial(solve.func, spy, *solve.args[1:])
+
+    def recording(sigma, b):
+        sigmas.append(sigma)
+        return spied(sigma, b)
+
+    monkeypatch.setattr(A, "_solve", recording)
+    outcome, record = evolve(spec, A, eq.pair.scaled(alpha), certs=certs, diagnostics=False)
+    steps = len(record) - 1
+    assert outcome.kind == ("decay" if alpha < 1 else "blowup")
+    assert len(sigmas) == steps > 50
+    assert len(factorised) == len(set(sigmas))
+    if certified:
+        assert len(factorised) == 1
+
+
 class TestEvolveOrdered:
     def test_zero_below_anything(self, eq3_128, spec3):
         A, eq = eq3_128
@@ -609,6 +646,23 @@ def test_decay_cone_rule_fires_only_with_a_cone(eq3_128, spec3):
     assert len(record) < len(plain_record)
     final = record.final_state
     assert np.all(final.u <= certs.cone.u) and np.all(final.v <= certs.cone.v)
+
+
+def test_decay_cone_rule_reads_both_components(eq3_128, spec3):
+    # a state is in the cone when u and v both are: either component above
+    # its half of the cone keeps the rule silent, whether the pair is built
+    # from two arrays or on the columns of one block
+    A, _ = eq3_128
+    certs = certificates(spec3, A)
+    cone = certs.cone
+    config = IntegratorConfig()
+    for build in (lambda u, v: FieldPair(u, v, A.grid),
+                  lambda u, v: FieldPair.from_columns(np.array([u, v]).T, A.grid)):
+        for (a, b), fires in (((0.5, 0.5), True), ((0.5, 2.0), False), ((2.0, 0.5), False)):
+            state = build(a * cone.u, b * cone.v)
+            outcome = parabolic._classify(spec3, config, 1.0, 1.0, state, state.sup, 1.0, 0.1,
+                                          1e-3, certs)
+            assert outcome == (Outcome.decay(0.1, "cone") if fires else None)
 
 
 def _kaplan_mass(certs, state):
