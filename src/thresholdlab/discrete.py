@@ -37,11 +37,14 @@ kept column-major from end to end: a column-major rhs reaches LAPACK and
 the rectangle's product stack with no copy, every answer comes back
 column-major, and the backward-error check multiplies K into one
 contiguous column at a time.  Other layouts give the same bits, after a
-copy.  Those products K x_j of the accepted answer leave solve_shifted
-through its ``products`` list when a caller asks: a parabolic step hands
-on K u and K v, and the full diagnostic row takes the cross term
-<A u, v>_w of the energy from them through quadratic_form, with no second
-product.
+copy.  A FieldPair is one such (m, 2) array, the columns u and v, and only
+this module stacks or splits the two: a parabolic step, the monotone
+iteration and Newton's line search each solve or update a pair's block
+and wrap the result with no copy.  The products K x_j of the accepted
+answer leave solve_shifted through its ``products`` list when a caller
+asks: a parabolic step hands on K u and K v, and the full diagnostic row
+takes the cross term <A u, v>_w of the energy from them through
+quadratic_form, with no second product.
 """
 
 from __future__ import annotations
@@ -121,55 +124,51 @@ class Grid:
         return float(np.sum(self.weights))
 
 
-@dataclass
 class FieldPair:
     """Nodal values of the two solution components on a grid.
 
-    A pair built by :meth:`from_columns` has u and v as the two columns of
-    one (m, 2) array, as a shifted solve answers a parabolic step, and
-    :meth:`columns` hands that array out, so the stepping loop takes
-    extrema and comparisons of both components in one call each.
+    The pair is one column-major (m, 2) array ``block``; u and v are its
+    columns, contiguous views of it.  ``block``, ``u``, ``v`` and ``grid``
+    are bound once and cannot be rebound, but values may be edited in place.
+    ``FieldPair(u, v, grid)`` copies u and v into a fresh block, and
+    :meth:`wrap` takes a block, such as a shifted solve's answer, as it is.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    grid: Grid
-    # (block, u, v) as from_columns built them; None for a pair built from two arrays
-    _columns = None
+    __slots__ = ("block", "u", "v", "grid")
 
-    def __post_init__(self):
-        m = self.grid.size
-        if len(self.u) != m or len(self.v) != m:
+    def __new__(cls, u, v, grid: Grid):
+        m = grid.size
+        if len(u) != m or len(v) != m:
             raise ValueError("field length does not match grid degrees of freedom")
+        block = np.empty((m, 2), order="F")
+        block[:, 0], block[:, 1] = u, v
+        return cls.wrap(block, grid)
+
+    @classmethod
+    def wrap(cls, block: np.ndarray, grid: Grid) -> "FieldPair":
+        """The pair on ``block``, a column-major (m, 2) array, with no copy."""
+        pair = object.__new__(cls)
+        _SET_BLOCK(pair, block)
+        _SET_U(pair, block[:, 0])
+        _SET_V(pair, block[:, 1])
+        _SET_GRID(pair, grid)
+        return pair
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FieldPair.{name} cannot be rebound: u and v are views of the block")
 
     @classmethod
     def zeros(cls, grid: Grid) -> "FieldPair":
-        return cls(np.zeros(grid.size), np.zeros(grid.size), grid)
-
-    @classmethod
-    def from_columns(cls, block: np.ndarray, grid: Grid) -> "FieldPair":
-        """The pair whose u and v are the columns of the (m, 2) ``block``, views of it."""
-        pair = cls(block[:, 0], block[:, 1], grid)
-        pair._columns = (block, pair.u, pair.v)
-        return pair
-
-    def columns(self) -> np.ndarray:
-        """[u v] as one (m, 2) array.
-
-        For a pair built by :meth:`from_columns` whose u and v have not been
-        replaced since, it is that block itself, so it sees in-place edits of
-        u and v; otherwise a fresh column-major copy.
-        """
-        kept = self._columns
-        if kept is not None and kept[1] is self.u and kept[2] is self.v:
-            return kept[0]
-        return np.array([self.u, self.v]).T
+        return cls.wrap(np.zeros((grid.size, 2), order="F"), grid)
 
     def copy(self) -> "FieldPair":
-        return FieldPair(self.u.copy(), self.v.copy(), self.grid)
+        return FieldPair.wrap(self.block.copy(order="F"), self.grid)
 
     def scaled(self, alpha: float) -> "FieldPair":
-        return FieldPair(alpha * self.u, alpha * self.v, self.grid)
+        return FieldPair.wrap(alpha * self.block, self.grid)
+
+    def __sub__(self, other: "FieldPair") -> "FieldPair":
+        return FieldPair.wrap(self.block - other.block, self.grid)
 
     @property
     def sup(self) -> float:
@@ -182,6 +181,11 @@ class FieldPair:
     @property
     def sup_v(self) -> float:
         return float(np.abs(self.v).max()) if len(self.v) else 0.0
+
+
+# the slots' own setters: wrap binds through them, as FieldPair.__setattr__ refuses
+_SET_BLOCK, _SET_U, _SET_V, _SET_GRID = (FieldPair.__dict__[name].__set__
+                                          for name in FieldPair.__slots__)
 
 
 @dataclass

@@ -179,22 +179,23 @@ class Equilibrium:
             raise NonPositiveSolutionError(self.pair, self.residual_norm)
 
 
-def _reaction(spec: ProblemSpec, pair: FieldPair, forcing, out=(None, None)
-              ) -> tuple[np.ndarray, np.ndarray]:
+def _reaction(spec: ProblemSpec, pair: FieldPair, forcing) -> FieldPair:
     """(|v|^(p-1) v + lam f, |u|^(q-1) u + lam g) at ``pair``; ``forcing`` is forcing_arrays'.
 
-    The right-hand side of the steady system and the explicit terms of a
-    parabolic step, which passes the two columns of its right-hand side as
-    ``out`` to receive them.
+    The right-hand side of the steady system, and the explicit terms of a
+    parabolic step, which finishes the fresh block in place.
     """
     fu, gv = forcing
-    return (np.add(signed_power(pair.v, spec.p), fu, out=out[0]),
-            np.add(signed_power(pair.u, spec.q), gv, out=out[1]))
+    r = FieldPair.wrap(np.empty((pair.grid.size, 2), order="F"), pair.grid)
+    np.add(signed_power(pair.v, spec.p), fu, out=r.u)
+    np.add(signed_power(pair.u, spec.q), gv, out=r.v)
+    return r
 
 
 def _steady_residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair):
     """_residual_parts at (bu, bv) = _reaction(pair), the steady system."""
-    return _residual_parts(A, pair, *_reaction(spec, pair, forcing_arrays(spec, A.grid)))
+    b = _reaction(spec, pair, forcing_arrays(spec, A.grid))
+    return _residual_parts(A, pair, b.u, b.v)
 
 
 def residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> FieldPair:
@@ -221,11 +222,12 @@ def relative_residual(
 def _residual_parts(A, pair, bu, bv) -> tuple[FieldPair, float, float]:
     """Residual fields (A u - bu, A v - bv), their raw weighted-L2 norm and relative_residual."""
     grid = A.grid
-    ru = A.apply(pair.u) - bu
-    rv = A.apply(pair.v) - bv
-    raw = math.sqrt(integrate(grid, ru**2) + integrate(grid, rv**2))
+    r = FieldPair.wrap(np.empty((grid.size, 2), order="F"), grid)
+    np.subtract(A.apply(pair.u), bu, out=r.u)
+    np.subtract(A.apply(pair.v), bv, out=r.v)
+    raw = math.sqrt(integrate(grid, r.u**2) + integrate(grid, r.v**2))
     scale = 1.0 + math.sqrt(integrate(grid, bu**2) + integrate(grid, bv**2))
-    return FieldPair(ru, rv, grid), raw, raw / scale
+    return r, raw, raw / scale
 
 
 def _principal_eigenvector(A: DiscreteLaplacian, iters: int = 60) -> np.ndarray:
@@ -301,11 +303,16 @@ def _ray_square(grid: Grid, vectors, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.einsum("ik,ij,jk->k", C, G, C)
 
 
+def _distance2(grid: Grid, a: FieldPair, b: FieldPair) -> float:
+    """||a - b||_w^2, the squared weighted-L2 distance between two pairs."""
+    return integrate(grid, (a.u - b.u) ** 2 + (a.v - b.v) ** 2)
+
+
 def _deflation_factor(grid: Grid, pair: FieldPair, known: Sequence[FieldPair]) -> float:
     """Merit multiplier prod_k (1/||pair - pair_k||_w^2 + 1) repelling known solutions."""
     factor = 1.0
     for k in known:
-        d2 = integrate(grid, (pair.u - k.u) ** 2 + (pair.v - k.v) ** 2)
+        d2 = _distance2(grid, pair, k)
         if d2 == 0.0:
             return math.inf
         factor *= 1.0 / d2 + 1.0
@@ -357,11 +364,11 @@ def _newton(spec, A, pair, known) -> Equilibrium:
     for iteration in range(1, NEWTON_CAP + 1):
         if rn <= DEFAULT_STEADY_TOL:
             return _finish_newton(spec, A, pair, rn, known)
-        du, dv = _newton_step(A, p * np.abs(pair.v) ** (p - 1), q * np.abs(pair.u) ** (q - 1), r)
+        delta = _newton_step(A, p * np.abs(pair.v) ** (p - 1), q * np.abs(pair.u) ** (q - 1), r)
 
         step = 1.0
         for _ in range(NEWTON_HALVINGS):
-            trial = FieldPair(pair.u + step * du, pair.v + step * dv, grid)
+            trial = FieldPair.wrap(pair.block + step * delta, grid)
             trial_r, trial_raw, trial_rn = _steady_residual(spec, A, trial)
             trial_merit = trial_raw * _deflation_factor(grid, trial, known)
             if trial_merit < merit:
@@ -378,8 +385,8 @@ def _newton(spec, A, pair, known) -> Equilibrium:
 
 
 def _newton_step(A: DiscreteLaplacian, sv: np.ndarray, su: np.ndarray,
-                 r: FieldPair) -> tuple[np.ndarray, np.ndarray]:
-    """Newton's step (du, dv), the solution of J (du, dv) = -(r.u, r.v).
+                 r: FieldPair) -> np.ndarray:
+    """Newton's step (du, dv), the solution of J (du, dv) = -(r.u, r.v), as a pair's block.
 
     J = (A, -diag(sv); -diag(su), A) with sv = p|v|^(p-1) and su = q|u|^(q-1).
     Nothing is assembled or factorised, and the route splits as the
@@ -394,7 +401,7 @@ def _newton_step(A: DiscreteLaplacian, sv: np.ndarray, su: np.ndarray,
     grid = A.grid
     m = grid.size
     w = grid.weights
-    rhs = -np.column_stack([r.u, r.v]).ravel()       # interleaved, as the unknowns
+    rhs = -r.block.ravel()          # row by row: interleaved, as the unknowns
     if grid.geometry == "rectangle":
         from scipy.sparse.linalg import LinearOperator, gmres   # only the rectangle needs it
 
@@ -430,8 +437,7 @@ def _newton_step(A: DiscreteLaplacian, sv: np.ndarray, su: np.ndarray,
             raise SingularJacobianError(f"singular Newton Jacobian: {exc}") from exc
     if not np.all(np.isfinite(delta)):
         raise SingularJacobianError("non-finite Newton step")
-    delta = delta.reshape(m, 2)
-    return delta[:, 0], delta[:, 1]
+    return np.asfortranarray(delta.reshape(m, 2))
 
 
 def _finish_newton(spec, A, pair, rn, known) -> Equilibrium:
@@ -439,7 +445,7 @@ def _finish_newton(spec, A, pair, rn, known) -> Equilibrium:
     grid = A.grid
     eq = Equilibrium(pair, rn, spec, "newton")
     for k in known:
-        d2 = integrate(grid, (pair.u - k.u) ** 2 + (pair.v - k.v) ** 2)
+        d2 = _distance2(grid, pair, k)
         scale2 = max(integrate(grid, k.u**2 + k.v**2), 1.0)
         if d2 <= 1e-12 * scale2:
             raise ConvergedToKnownError("deflated solve returned a known solution")
@@ -491,22 +497,21 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
     grid = A.grid
     forcing = forcing_arrays(spec, grid)
     pair = FieldPair.zeros(grid)
-    bu, bv = forcing
-    rn = relative_residual(A, pair, bu, bv)
+    b = FieldPair(*forcing, grid)
+    rn = relative_residual(A, pair, b.u, b.v)
     if rn <= DEFAULT_STEADY_TOL:
         return MonotoneResult("converged", pair, rn, 0)
 
     for k in range(1, MONOTONE_CAP + 1):
-        new = solve_shifted(A, 0.0, np.array([bu, bv]).T)   # column-major, as solves take it
-        u_new, v_new = new[:, 0], new[:, 1]
+        new = FieldPair.wrap(solve_shifted(A, 0.0, b.block), grid)
         slack = 1e-12 * max(1.0, pair.sup)
-        if np.min(u_new - pair.u) < -slack or np.min(v_new - pair.v) < -slack:
+        if np.min(new.u - pair.u) < -slack or np.min(new.v - pair.v) < -slack:
             raise MonotonicityError(f"iterate decreased at step {k}")
-        pair = FieldPair(u_new, v_new, grid)
+        pair = new
         if pair.sup > M_BIG:
             return MonotoneResult("diverged", pair, math.inf, k)
-        bu, bv = _reaction(spec, pair, forcing)
-        rn = relative_residual(A, pair, bu, bv)
+        b = _reaction(spec, pair, forcing)
+        rn = relative_residual(A, pair, b.u, b.v)
         if rn <= DEFAULT_STEADY_TOL:
             return MonotoneResult("converged", pair, rn, k)
     return MonotoneResult("capped", pair, rn, MONOTONE_CAP)

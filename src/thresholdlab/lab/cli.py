@@ -118,7 +118,8 @@ def _load_initial(args, spec, grid) -> FieldPair:
 
     Its node count and every header key it shares with the run's own
     snapshot header must agree with the run; a mismatch names the keys.
-    Its values must be finite and nonnegative, as evolve requires.
+    It must hold one data row per node, and its values must be finite and
+    nonnegative, as evolve requires.
     """
     try:
         header, u, v = load_snapshot(args.initial)
@@ -133,10 +134,12 @@ def _load_initial(args, spec, grid) -> FieldPair:
     if mismatched:
         raise ConfigError(f"snapshot {args.initial} does not match the run: "
                           + ", ".join(mismatched))
-    values = np.concatenate([u, v])
-    if not (np.all(np.isfinite(values)) and values.min() >= 0):
+    if len(u) != grid.size:
+        raise ConfigError(f"snapshot {args.initial} has {len(u)} data rows for {grid.size} nodes")
+    pair = FieldPair(u, v, grid)
+    if not (np.all(np.isfinite(pair.block)) and pair.block.min() >= 0):
         raise ConfigError(f"snapshot {args.initial} holds negative or non-finite values")
-    return FieldPair(u, v, grid)
+    return pair
 
 
 def main(argv=None) -> int:

@@ -270,11 +270,9 @@ def _forced_solution_checks(report, spec2, A, tag):
     minimal = res.equilibrium(spec2)
     try:
         homog = solve_newton(spec2.with_lam(0.0), A)
-        seed_pair = FieldPair(
-            homog.pair.u + minimal.pair.u, homog.pair.v + minimal.pair.v, A.grid
-        )
+        seed_pair = FieldPair.wrap(homog.pair.block + minimal.pair.block, A.grid)
         second = solve_newton(spec2, A, initial_guess=seed_pair, deflation_against=[minimal])
-        above = _minus(second.pair, minimal.pair)
+        above = second.pair - minimal.pair
         gap = min(float(np.min(above.u)), float(np.min(above.v)))
         report.add(f"minimal-dominance [{tag}]", gap >= -1e-10 * second.pair.sup, gap,
                    "second solution dominates the minimal one")
@@ -284,7 +282,7 @@ def _forced_solution_checks(report, spec2, A, tag):
                 spec2, A, initial_guess=seed_pair.scaled(2.0),
                 deflation_against=[minimal, second],
             )
-            d = _minus(third.pair, second.pair)
+            d = third.pair - second.pair
             inter_lo = min(float(np.min(d.u)), float(np.min(d.v)))
             inter_hi = max(float(np.max(d.u)), float(np.max(d.v)))
             report.add(f"non-minimal-intersect [{tag}]", inter_lo < 0 < inter_hi,
@@ -296,15 +294,11 @@ def _forced_solution_checks(report, spec2, A, tag):
         report.add(f"minimal-dominance [{tag}]", False, str(exc))
 
 
-def _minus(pair: FieldPair, shift: FieldPair) -> FieldPair:
-    return FieldPair(pair.u - shift.u, pair.v - shift.v, pair.grid)
-
-
 def shifted_identity_check(spec, A, minimal: FieldPair, second: FieldPair,
                            tag: str) -> list[CheckResult]:
     """The shifted identity of second - minimal with itself is <= 1e-12; the
     difference must meet the difference system to 1e-8."""
-    d = _minus(second, minimal)
+    d = second - minimal
     _, _, gap = solution_pair_identity(
         A.grid, A, d, d, spec.exponents, shift=minimal, steady_tol=1e-8,
     )
@@ -427,11 +421,11 @@ def identity_gaps(spec, A, tight: FieldPair, targets,
     to each target residual; with ``shift`` (a forced problem's minimal
     solution) both enter as differences from it, in the shifted form."""
     residuals, gaps = [], []
-    ref = tight if shift is None else _minus(tight, shift)
+    ref = tight if shift is None else tight - shift
     for target in targets:
         relaxed, rn = _relaxed_pair(spec, A, tight, target)
         if shift is not None:
-            relaxed = _minus(relaxed, shift)
+            relaxed = relaxed - shift
         _, _, gap = solution_pair_identity(
             A.grid, A, relaxed, ref, spec.exponents, shift=shift,
             steady_tol=10 * max(rn, 1e-16),
@@ -483,7 +477,7 @@ def _negative_controls(report, grid, A, spec, eq, rng):
     report.add("negative-control-asymmetry", not asymmetry.passed, asymmetry.value,
                "deliberately broken operator is detected")
 
-    bumped = FieldPair(eq.pair.u + 0.1, eq.pair.v + 0.1, grid)
+    bumped = FieldPair.wrap(eq.pair.block + 0.1, grid)
     lhs, rhs, idgap = solution_pair_identity(
         grid, A, eq.pair, bumped, spec.exponents, steady_tol=math.inf
     )

@@ -217,14 +217,14 @@ class Certificates:
         flow from ``state`` blows up within the integral of
         dh / (c h^r - s - Lambda h) from H to infinity: in closed form
         ln(c H^(r-1) / (c H^(r-1) - Lambda)) / ((r-1) Lambda) when s = 0,
-        by quadrature otherwise.
+        by quadrature otherwise, under the caller's numpy error state: in
+        evolve's march, a power of H that overflows is inf and warns of nothing.
         """
         r, c, s, lam = self.r, self.c, self.s, self.kaplan_lambda
-        with np.errstate(over="ignore"):
-            H = self.omega @ (state.u + state.v)
-            if not CONE_THETA * (c * H**r - s) > lam * H:
-                return None
-            y = float(c * H ** (r - 1))
+        H = self.omega @ (state.u + state.v)
+        if not CONE_THETA * (c * H**r - s) > lam * H:
+            return None
+        y = float(c * H ** (r - 1))
         if s == 0.0:
             return -math.log1p(-lam / y) / ((r - 1) * lam)
         from scipy.integrate import quad    # p != q only; keeps scipy.integrate off the import
@@ -243,8 +243,7 @@ def certificates(spec: ProblemSpec, A: DiscreteLaplacian) -> Certificates:
     weight = A.grid.weights * phi
     r = min(spec.p, spec.q)
     return Certificates(
-        cone=FieldPair.from_columns(np.array([CONE_THETA * a * phi, CONE_THETA * b * phi]).T,
-                                    A.grid),
+        cone=FieldPair(CONE_THETA * a * phi, CONE_THETA * b * phi, A.grid),
         mu=mu,
         omega=weight / np.sum(weight),
         kaplan_lambda=float(np.max(ratio)),
@@ -258,31 +257,29 @@ def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float, *
          products: Optional[list] = None) -> FieldPair:
     """One semi-implicit step of length dt; the forcing is evaluated on A's grid.
 
-    The right-hand side is built in place in one column-major array, the
-    layout every shifted-solve route and its backward-error check work in,
-    so none of them copies it: the reaction is written into its columns and
-    the rest is three operations on the block.  The new state is built on
-    the answer's two contiguous columns (see FieldPair.from_columns).  A
-    ``products`` list is passed on to solve_shifted and comes back holding
-    [K u, K v] of the new state, the products its 1e-12 check formed; the
-    full diagnostic row reads its energy's cross term from them.
+    The right-hand side is the reaction's fresh (m, 2) block, finished by
+    three in-place operations with the state's block, and the new state
+    wraps the solve's answer: column-major blocks, the layout every
+    shifted-solve route and its backward-error check work in, so none of
+    them copies.  A ``products`` list is passed on to solve_shifted and
+    comes back holding [K u, K v] of the new state, the products its 1e-12
+    check formed; the full diagnostic row reads its energy's cross term
+    from them.
     """
-    rhs = np.empty((A.grid.size, 2), order="F")
-    _reaction(spec, state, forcing_arrays(spec, A.grid), out=rhs.T)
+    rhs = _reaction(spec, state, forcing_arrays(spec, A.grid)).block
     # (I + dt A) x = u + dt r  <=>  (1/dt I + A) x = (u + dt r)/dt
     rhs *= dt
-    rhs += state.columns()
+    rhs += state.block
     rhs /= dt
-    new = solve_shifted(A, 1.0 / dt, rhs, products=products)
-    return FieldPair.from_columns(new, A.grid)
+    return FieldPair.wrap(solve_shifted(A, 1.0 / dt, rhs, products=products), A.grid)
 
 
 def _march(spec, A, states, config, keep_products=False):
     """Step every state under one shared dt sequence; yield (t, dt, new, sups, products).
 
     ``sups`` holds each new state's [||u||_inf, ||v||_inf], taken once per
-    step on the step's (m, 2) answer: the next step size, the caller's rows
-    and its classification all read them.  With ``keep_products``,
+    step on its block, the step's answer: the next step size, the caller's
+    rows and its classification all read them.  With ``keep_products``,
     ``products`` holds each new state's [K u, K v], formed by its step's
     solve, in lists made fresh every step; a full row reads its energy from
     them, passed explicitly rather than kept on the FieldPair, where a copy
@@ -297,7 +294,7 @@ def _march(spec, A, states, config, keep_products=False):
     forcing = forcing_arrays(spec, A.grid)
     # checked at the initial states only: a guard in every step would cost every step
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = all(np.all(np.isfinite(r)) for s in states for r in _reaction(spec, s, forcing))
+        finite = all(np.isfinite(_reaction(spec, s, forcing).block).all() for s in states)
     if not finite:
         raise NumericalFailureError(0.0, "reaction")
     sups = [(s.sup_u, s.sup_v) for s in states]
@@ -309,7 +306,7 @@ def _march(spec, A, states, config, keep_products=False):
             new = [step(spec, A, s, dt, products=kx) for s, kx in zip(states, products)]
         except ValueError as exc:          # non-finite data rejected by the solver
             raise NumericalFailureError(t + dt) from exc
-        sups = [np.abs(s.columns()).max(axis=0).tolist() for s in new]
+        sups = [np.abs(s.block).max(axis=0).tolist() for s in new]
         # a sup-norm is finite only if every value is: NaN and inf both propagate
         if not all(math.isfinite(su) and math.isfinite(sv) for su, sv in sups):
             raise NumericalFailureError(t + dt)
@@ -327,7 +324,7 @@ def _classify(spec, config, s0, prev_sup, state, sup, change, t, dt, certs=None
     if spec.lam == 0.0 and sup <= max(EPS_DECAY * s0, np.finfo(float).tiny):
         return Outcome.decay(t)
     if spec.lam == 0.0 and certs is not None:
-        if (state.columns() <= certs.cone.columns()).all():
+        if (state.block <= certs.cone.block).all():
             return Outcome.decay(t, "cone")
         rest = certs.kaplan_time(state)
         if rest is not None:
@@ -402,19 +399,15 @@ def evolve(
             for t, dt, (new,), ((sup_u, sup_v),), (kx,) in march:
                 # per column of the (m, 2) blocks: a column's extremum is
                 # bitwise the one its own array gives, signed zeros included
-                block = new.columns()
-                change = block - state.columns()
+                change = new.block - state.block
                 increase = max(change.max(axis=0).tolist())
                 decrease = min(change.min(axis=0).tolist())
                 record.max_step_increase = max(record.max_step_increase, increase)
                 record.max_step_decrease = min(record.max_step_decrease, decrease)
-                record.squeeze_low = min(record.squeeze_low, *block.min(axis=0).tolist())
+                record.squeeze_low = min(record.squeeze_low, *new.block.min(axis=0).tolist())
                 if squeeze_upper is not None:
-                    record.squeeze_high = max(
-                        record.squeeze_high,
-                        float(np.max(new.u - squeeze_upper.u)),
-                        float(np.max(new.v - squeeze_upper.v)),
-                    )
+                    excess = (new.block - squeeze_upper.block).max(axis=0).tolist()
+                    record.squeeze_high = max(record.squeeze_high, *excess)
                 observe(new, t, dt, sup_u, sup_v, products=kx)
                 sup = max(sup_u, sup_v)
                 # abs is exact, so max(increase, -decrease) is the largest
@@ -476,12 +469,12 @@ def evolve_ordered(
         for t, dt, new, sups, _ in _march(spec, A, states, config):
             a, b = new
             new_sup = [max(m) for m in sups]
-            gap = max((a.columns() - b.columns()).max(axis=0).tolist())
+            gap = max((a.block - b.block).max(axis=0).tolist())
             max_gap = max(max_gap, gap)
             ok = ok and gap <= TOL_ORDER * max(1.0, new_sup[1])
             for i, (old, cur) in enumerate(zip(states, new)):
                 if outcomes[i] is None:
-                    change = max(np.abs(cur.columns() - old.columns()).max(axis=0).tolist())
+                    change = max(np.abs(cur.block - old.block).max(axis=0).tolist())
                     outcomes[i] = _classify(spec, config, s0[i], sup[i], cur, new_sup[i],
                                             change, t, dt)
             states, sup = new, new_sup

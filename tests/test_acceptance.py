@@ -39,6 +39,7 @@ from thresholdlab.lab.verify import (
 )
 
 from conftest import assert_passed, disk_operator
+from output_digests import CRITERION_10, digests
 
 
 def report(criterion: str, detail: str):
@@ -212,29 +213,14 @@ def test_criterion_9_robin_threshold(robin3):
 
 
 def test_criterion_10_determinism(tmp_path, capsys):
+    # the command set tests/output_digests.py runs against any source tree
     outputs = {}
     for tag in ("first", "second"):
         base = tmp_path / tag
-        assert main(["verify", "--resolutions", "48,96", "--seed", "5",
-                     "--out", str(base / "verify")]) == 0
-        assert main(["evolve", "--alpha", "1.5", "--resolution", "64", "--format", "csv",
-                     "--seed", "5", "--out", str(base / "evolve")]) == 0
-        assert main(["threshold", "--resolution", "64", "--width", "0.25", "--seed", "5",
-                     "--out", str(base / "threshold")]) == 0
-        assert main(["lambda-star", "--p", "2", "--q", "2", "--lambda", "1",
-                     "--resolution", "64", "--lambda-lo", "1", "--lambda-hi", "30",
-                     "--rel-tol", "0.2", "--seed", "5", "--out", str(base / "ls")]) == 0
-        assert main(["robin", "--bc", "robin:1.0", "--resolution", "64", "--seed", "5",
-                     "--out", str(base / "robin")]) == 0
-        outputs[tag] = {
-            "verify": (base / "verify" / "verify.json").read_bytes(),
-            "evolve_csv": (base / "evolve" / "trajectory.csv").read_bytes(),
-            "evolve_json": (base / "evolve" / "result.json").read_bytes(),
-            "threshold": (base / "threshold" / "result.json").read_bytes(),
-            "ls": (base / "ls" / "result.json").read_bytes(),
-            "robin": (base / "robin" / "result.json").read_bytes(),
-        }
-    for key in outputs["first"]:
-        assert outputs["first"][key] == outputs["second"][key], f"{key} not byte-identical"
+        for name, argv in CRITERION_10:
+            assert main([*argv, "--out", str(base / name)]) == 0, name
+        outputs[tag] = digests(base)
+    assert len(outputs["first"]) == 7
+    assert outputs["first"] == outputs["second"], "outputs not byte-identical"
     with capsys.disabled():
-        report("10", "verify + evolve CSV + threshold/lambda-star/robin JSON byte-identical")
+        report("10", "verify + evolve CSV + threshold/lambda-star/robin outputs byte-identical")

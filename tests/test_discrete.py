@@ -1,10 +1,12 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import solveh_banded
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from thresholdlab import (
@@ -27,7 +29,7 @@ from thresholdlab.discrete import (
 )
 from thresholdlab.lab.verify import duality_check
 
-from conftest import assert_passed
+from conftest import assert_passed, disk_spec
 
 DIRICHLET = BoundarySpec.dirichlet()
 DISK = RadialBall(2, 1.0)
@@ -657,22 +659,92 @@ class TestFieldPair:
         scaled = FieldPair(np.ones(grid.size), 2 * np.ones(grid.size), grid).scaled(0.5)
         assert scaled.sup_u == 0.5 and scaled.sup_v == 1.0
 
-    def test_columns_are_the_block_while_u_and_v_are_its_columns(self, rng):
-        # a pair built on a block hands that block out, in-place edits
-        # included; once u is replaced, for a pair of two arrays and for a
-        # copy, columns is a fresh column-major copy of [u v]
-        grid, _ = disk_operator(64)
-        block = np.asfortranarray(rng.random((grid.size, 2)))
-        pair = FieldPair.from_columns(block, grid)
-        assert pair.columns() is block
-        pair.v[3] = -1.0
-        assert block[3, 1] == -1.0 and pair.columns() is block
-        copied = pair.copy()
-        assert copied.columns().flags.f_contiguous
-        assert copied.columns().tobytes() == block.tobytes()
-        assert not np.shares_memory(copied.columns(), block)
-        pair.u = pair.u + 1.0
-        for current in (pair, FieldPair(pair.u, pair.v, grid)):
-            columns = current.columns()
-            assert columns is not block and columns.flags.f_contiguous
-            assert columns.tobytes() == np.array([current.u, current.v]).T.tobytes()
+
+_NODES = 32
+_disk32 = functools.lru_cache(maxsize=None)(lambda: disk_operator(_NODES))
+
+
+@functools.lru_cache(maxsize=None)
+def _steady_pairs():
+    """The solvers' pairs on the 32-node disk: Newton's and the monotone
+    iteration's equilibria, a residual, the shooting profile and the decay cone."""
+    from thresholdlab import ExponentPair, residual, shooting_oracle, solve_monotone, solve_newton
+    from thresholdlab.parabolic import certificates
+
+    grid, A = _disk32()
+    spec, forced = disk_spec(3.0, 3.0), disk_spec(2.0, 2.0, lam=0.5)
+    newton = solve_newton(spec, A).pair
+    return {
+        "newton": newton,
+        "residual": residual(spec, A, newton.scaled(0.5)),
+        "monotone": solve_monotone(forced, A).equilibrium(forced).pair,
+        "shooting": shooting_oracle(ExponentPair(3.0, 3.0), 2, DIRICHLET).to_pair(grid),
+        "cone": certificates(spec, A).cone,
+    }
+
+
+def _stepped_pair(grid, A):
+    """A parabolic step's new state, and the answer of the solve it made."""
+    from unittest import mock
+
+    from thresholdlab import parabolic
+
+    answers = []
+
+    def solve(*args, **kwargs):
+        answers.append(solve_shifted(*args, **kwargs))
+        return answers[-1]
+
+    with mock.patch.object(parabolic, "solve_shifted", solve):
+        new = parabolic.step(disk_spec(3.0, 3.0), A, _steady_pairs()["newton"].scaled(0.5), 1e-3)
+    return new, answers
+
+
+_FIELD = hnp.arrays(np.float64, _NODES, elements=st.floats(-1e6, 1e6, width=64))
+_PRODUCERS = ["constructor", "zeros", "scaled", "copy", "difference", "step",
+              "newton", "monotone", "residual", "shooting", "cone"]
+
+
+@pytest.mark.parametrize("name", _PRODUCERS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(u=_FIELD, v=_FIELD)
+@example(u=np.array([0.0, -0.0] * (_NODES // 2)),
+         v=np.array([-0.0, 1e-300, -1e300, 0.0] * (_NODES // 4)))
+def test_every_pair_is_one_column_major_block(name, u, v):
+    """Every pair is one F-ordered (m, 2) block whose columns are u and v.
+
+    The constructor copies u and v bitwise, signed zeros included, into a
+    block of its own; a step's new state is the solve's answer itself; and
+    no pair's u, v, block or grid can be rebound.
+    """
+    grid, A = _disk32()
+    m = grid.size
+    given_pair = FieldPair(u, v, grid)
+    expected = {
+        "constructor": (given_pair, (u, v)),
+        "zeros": (FieldPair.zeros(grid), (np.zeros(m), np.zeros(m))),
+        "scaled": (given_pair.scaled(-0.5), (-0.5 * u, -0.5 * v)),
+        "copy": (given_pair.copy(), (u, v)),
+        "difference": (given_pair - given_pair.scaled(2.0), (u - 2.0 * u, v - 2.0 * v)),
+    }
+    if name in expected:
+        pair, (eu, ev) = expected[name]
+        assert pair.u.tobytes() == eu.tobytes() and pair.v.tobytes() == ev.tobytes()
+    elif name == "step":
+        pair, answers = _stepped_pair(grid, A)
+        assert len(answers) == 1 and pair.block is answers[0]
+    else:
+        pair = _steady_pairs()[name]
+    block = pair.block
+    assert block.shape == (m, 2) and block.dtype == np.float64 and block.flags.f_contiguous
+    for column, values in enumerate((pair.u, pair.v)):
+        assert values.flags.c_contiguous and np.shares_memory(values, block)
+        assert values.ctypes.data == block[:, column].ctypes.data
+    assert pair.grid is grid
+    if name in ("constructor", "copy"):
+        assert not np.shares_memory(block, u) and not np.shares_memory(block, v)
+    if name == "copy":
+        assert not np.shares_memory(block, given_pair.block)
+    for attribute in ("u", "v", "block", "grid"):
+        with pytest.raises(AttributeError):
+            setattr(pair, attribute, getattr(pair, attribute))

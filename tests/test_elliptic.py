@@ -907,7 +907,7 @@ def test_banded_newton_step_is_the_dense_solve(p, q, name):
     from thresholdlab.elliptic import _newton_step
 
     A, sv, su, r, J = _newton_system(p, q, name)
-    du, dv = _newton_step(A, sv, su, r)
+    du, dv = _newton_step(A, sv, su, r).T
     ref = np.linalg.solve(J, -np.concatenate([r.u, r.v]))
     step = np.concatenate([du, dv])
     assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -920,7 +920,7 @@ def test_krylov_newton_step_meets_its_tolerance(p, q):
     from thresholdlab.elliptic import _newton_step
 
     A, sv, su, r, J = _newton_system(p, q, "square")
-    du, dv = _newton_step(A, sv, su, r)
+    du, dv = _newton_step(A, sv, su, r).T
     rhs = np.concatenate([r.u, r.v])
     assert np.linalg.norm(J @ np.concatenate([du, dv]) + rhs) <= KRYLOV_TOL * np.linalg.norm(rhs)
 

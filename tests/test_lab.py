@@ -482,6 +482,24 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "result.json").exists()
 
+    @pytest.mark.parametrize("rows", [4, 18])
+    def test_snapshot_with_a_wrong_row_count_is_refused(self, rows, tmp_path, capsys):
+        # the "# nodes 16" header still matches the run: only the data rows do not
+        assert main(["steady", "--resolution", "16", "--out", str(tmp_path)]) == 0
+        snap = tmp_path / "steady.snap"
+        lines = snap.read_text().splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        data = [line for line in lines if not line.startswith("#")]
+        assert "# nodes 16" in header and len(data) == 16
+        snap.write_text("\n".join(header + (data * 2)[:rows]) + "\n")
+        code = main(["evolve", "--resolution", "16", "--initial", str(snap),
+                     "--t-max", "0.01", "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage error" in err and f"snapshot {snap} has {rows} data rows for 16 nodes" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "result.json").exists()
+
     def test_snapshot_of_another_radius_is_refused(self, tmp_path, capsys):
         assert main(["steady", "--radius", "2", "--resolution", "16",
                      "--out", str(tmp_path)]) == 0

@@ -650,19 +650,16 @@ def test_decay_cone_rule_fires_only_with_a_cone(eq3_128, spec3):
 
 def test_decay_cone_rule_reads_both_components(eq3_128, spec3):
     # a state is in the cone when u and v both are: either component above
-    # its half of the cone keeps the rule silent, whether the pair is built
-    # from two arrays or on the columns of one block
+    # its half of the cone keeps the rule silent
     A, _ = eq3_128
     certs = certificates(spec3, A)
     cone = certs.cone
     config = IntegratorConfig()
-    for build in (lambda u, v: FieldPair(u, v, A.grid),
-                  lambda u, v: FieldPair.from_columns(np.array([u, v]).T, A.grid)):
-        for (a, b), fires in (((0.5, 0.5), True), ((0.5, 2.0), False), ((2.0, 0.5), False)):
-            state = build(a * cone.u, b * cone.v)
-            outcome = parabolic._classify(spec3, config, 1.0, 1.0, state, state.sup, 1.0, 0.1,
-                                          1e-3, certs)
-            assert outcome == (Outcome.decay(0.1, "cone") if fires else None)
+    for (a, b), fires in (((0.5, 0.5), True), ((0.5, 2.0), False), ((2.0, 0.5), False)):
+        state = FieldPair(a * cone.u, b * cone.v, A.grid)
+        outcome = parabolic._classify(spec3, config, 1.0, 1.0, state, state.sup, 1.0, 0.1,
+                                      1e-3, certs)
+        assert outcome == (Outcome.decay(0.1, "cone") if fires else None)
 
 
 def _kaplan_mass(certs, state):
