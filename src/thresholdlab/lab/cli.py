@@ -229,7 +229,8 @@ def _dispatch(args) -> int:
         result = threshold_experiment(
             spec, A, eq, config, alphas=args.alphas, bisect_width=args.width, seed=args.seed
         )
-        summary = f"alpha bracket: {result.derived.get('alpha_bracket')}"
+        summary = (f"alpha bracket: {result.derived.get('alpha_bracket')} "
+                   f"from {len(result.runs)} runs")
     elif args.command == "lambda-star":
         result = lambda_star_experiment(
             spec, A, (args.lambda_lo, args.lambda_hi), args.rel_tol, config, seed=args.seed

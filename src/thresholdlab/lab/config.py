@@ -73,7 +73,10 @@ FLAGS = {
     "alpha": (("evolve",), dict(type=positive, default=None)),
     "format": (("evolve",), dict(choices=("csv", "json"), default="json")),
     "alphas": (("threshold", "robin"), dict(type=_list_of(positive), default=(0.5, 1.5))),
-    "width": (("threshold",), dict(type=positive, default=0.02)),
+    "width": (("threshold",), dict(type=positive, default=0.02,
+                                   help="bracket width: predict alpha = 1, certify with "
+                                        "probes at 1 -/+ width/2, bisect only on "
+                                        "contradiction")),
     "lambda-lo": (("lambda-star",), dict(type=finite, default=0.001)),
     "lambda-hi": (("lambda-star",), dict(type=finite, default=1000.0)),
     "rel-tol": (("lambda-star",), dict(type=positive, default=0.05)),

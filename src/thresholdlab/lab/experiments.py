@@ -1,11 +1,15 @@
-"""Experiment drivers: threshold bisection, extremal forcing scale, Robin runs.
+"""Experiments: the threshold bracket, the extremal forcing scale, Robin runs.
 
 Each driver returns an ExperimentResult carrying every run it performed,
 the derived brackets, and enough provenance (problem digest, resolution,
 stepping parameters, seed, tool version) to reproduce the result from its
 JSON serialisation alone.
 
-The threshold bisection classifies a probe by the certificates of
+The threshold experiment predicts, certifies, and bisects only on
+contradiction: it predicts the threshold of data alpha*(U, V) at
+alpha = 1, places two certifying probes around it, and bisects only what
+a probe that contradicts the prediction leaves of the bracket.  It
+classifies a probe by the certificates of
 :func:`thresholdlab.parabolic.certificates`: it decays as soon as it enters
 the decay cone and blows up as soon as its mass passes Kaplan's bound.  The
 lambda* and Robin experiments run their decays down to EPS_DECAY and their
@@ -88,6 +92,24 @@ def _run_entry(label: str, value: float, outcome: Outcome) -> dict:
     return entry
 
 
+def _certifying_probes(alpha_hat: float, width: float, lo: float, hi: float
+                       ) -> tuple[float, float]:
+    """alpha_hat -/+ width/2 clipped into [lo, hi], the float distance between them at most width.
+
+    An end clipped onto lo or hi is a run already made, not a probe.  The
+    float difference of the two points can exceed ``width`` by rounding
+    (1.01 - 0.99 is 0.020000000000000018), so an end that is a probe, the
+    upper one first, steps inward one float at a time until it does not.
+    """
+    a, b = max(alpha_hat - width / 2, lo), min(alpha_hat + width / 2, hi)
+    while b - a > width:
+        if a > lo and b == hi:
+            a = math.nextafter(a, b)
+        else:
+            b = math.nextafter(b, a)
+    return a, b
+
+
 def threshold_experiment(
     spec: ProblemSpec,
     A: DiscreteLaplacian,
@@ -97,16 +119,24 @@ def threshold_experiment(
     bisect_width: float = 0.02,
     seed: int | None = None,
 ) -> ExperimentResult:
-    """Bisect the scaling threshold of an equilibrium under the flow.
+    """Bracket the scaling threshold of an equilibrium under the flow: predict, certify, bisect.
 
-    Runs initial data alpha*(U, V) for each requested alpha, then shrinks
-    the bracket between the largest decaying and smallest blowing-up value
-    until it is narrower than ``bisect_width``.  Probes use the golden-ratio
-    split rather than the exact midpoint: the arithmetic midpoint of a
-    symmetric bracket lands exactly on the metastable discrete equilibrium
-    (alpha = 1), which cannot classify.  A run that still fails to classify
-    stops the shrinking and is reported, widening the bracket rather than
-    failing.
+    Runs initial data alpha*(U, V) for each requested alpha; the bracket
+    starts between the largest decaying and smallest blowing-up value.
+    (U, V) is a fixed point of every discrete step, since A X = R(X) holds
+    to the residual Equilibrium enforces, so the threshold is predicted at
+    alpha = 1 (``alpha_predicted``).  A bracket wider than ``bisect_width``
+    gets two certifying probes from :func:`_certifying_probes`, low one
+    first; if both classify as predicted, they are the bracket.  A probe
+    that contradicts the prediction moves the other end past the second
+    probe, and what is left is bisected until it is no wider than
+    ``bisect_width``.  Bisection probes use the golden-ratio split rather
+    than the exact midpoint: the arithmetic midpoint of a symmetric bracket
+    lands exactly on the metastable discrete equilibrium (alpha = 1), which
+    cannot classify.  No alpha is run twice: a probe at an alpha already
+    run reads that run's outcome.  A probe that fails to classify stops the
+    experiment and is reported as ``undecided_at``, widening the bracket
+    rather than failing.
 
     Every run gets the certificates, built once.  A probe that enters the
     decay cone is certified to decay there, and its entry records
@@ -127,8 +157,9 @@ def threshold_experiment(
     )
 
     certs = certificates(spec, A)
+    alpha_hat = 1.0
     result.derived.update(cone_mu=certs.mu, cone_theta=CONE_THETA,
-                          kaplan_lambda=certs.kaplan_lambda)
+                          kaplan_lambda=certs.kaplan_lambda, alpha_predicted=alpha_hat)
     outcomes: dict[float, str] = {}
 
     def run(alpha: float) -> str:
@@ -150,20 +181,29 @@ def threshold_experiment(
         return result
     lo, hi = max(decays), min(blows)
     undecided_at = None
+
+    def probe(alpha: float) -> None:
+        """Move the bracket end that ``alpha``'s outcome backs, or stop at an unclassified one."""
+        nonlocal lo, hi, undecided_at
+        kind = outcomes[alpha] if alpha in outcomes else run(alpha)
+        if kind == "decay":
+            lo = alpha
+        elif kind == "blowup":
+            hi = alpha
+        else:
+            undecided_at = alpha
+
+    if hi - lo > bisect_width:
+        for alpha in _certifying_probes(alpha_hat, bisect_width, lo, hi):
+            # an end already run, or a probe a contradiction left outside, is skipped
+            if undecided_at is None and lo < alpha < hi:
+                probe(alpha)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     from_low = True
-    while (hi - lo) > bisect_width:
+    while undecided_at is None and (hi - lo) > bisect_width:
         frac = golden if from_low else 1.0 - golden
         from_low = not from_low
-        mid = lo + frac * (hi - lo)
-        kind = run(mid)
-        if kind == "decay":
-            lo = mid
-        elif kind == "blowup":
-            hi = mid
-        else:
-            undecided_at = mid
-            break
+        probe(lo + frac * (hi - lo))
     result.derived["alpha_bracket"] = [lo, hi]
     if undecided_at is not None:
         result.derived["undecided_at"] = undecided_at

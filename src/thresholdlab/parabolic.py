@@ -254,11 +254,13 @@ def certificates(spec: ProblemSpec, A: DiscreteLaplacian) -> Certificates:
 
 
 def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float, *,
-         products: Optional[list] = None) -> FieldPair:
+         products: Optional[list] = None, forcing: Optional[tuple] = None) -> FieldPair:
     """One semi-implicit step of length dt; the forcing is evaluated on A's grid.
 
-    The right-hand side is the reaction's fresh (m, 2) block, finished by
-    three in-place operations with the state's block, and the new state
+    A caller that steps many times passes ``forcing``, its
+    forcing_arrays(spec, A.grid), made once; by default the step evaluates
+    it.  The right-hand side is the reaction's fresh (m, 2) block, finished
+    by three in-place operations with the state's block, and the new state
     wraps the solve's answer: column-major blocks, the layout every
     shifted-solve route and its backward-error check work in, so none of
     them copies.  A ``products`` list is passed on to solve_shifted and
@@ -266,7 +268,9 @@ def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float, *
     check formed; the full diagnostic row reads its energy's cross term
     from them.
     """
-    rhs = _reaction(spec, state, forcing_arrays(spec, A.grid)).block
+    if forcing is None:
+        forcing = forcing_arrays(spec, A.grid)
+    rhs = _reaction(spec, state, forcing).block
     # (I + dt A) x = u + dt r  <=>  (1/dt I + A) x = (u + dt r)/dt
     rhs *= dt
     rhs += state.block
@@ -303,7 +307,8 @@ def _march(spec, A, states, config, keep_products=False):
         dt = min(*(adapt_dt(s, spec.exponents, m) for s, m in zip(states, sups)), config.dt0)
         products = [[] if keep_products else None for _ in states]
         try:
-            new = [step(spec, A, s, dt, products=kx) for s, kx in zip(states, products)]
+            new = [step(spec, A, s, dt, products=kx, forcing=forcing)
+                   for s, kx in zip(states, products)]
         except ValueError as exc:          # non-finite data rejected by the solver
             raise NumericalFailureError(t + dt) from exc
         sups = [np.abs(s.block).max(axis=0).tolist() for s in new]

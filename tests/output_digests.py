@@ -14,10 +14,11 @@ same lines exactly when their outputs are byte-identical:
 
 The default set is criterion 10's, CRITERION_10, which
 test_criterion_10_determinism also runs twice in-process.  ``--wide``
-adds WIDE: the threshold bisection on the 512-node disk, evolve CSV runs
-on the 48 x 48 square, steady snapshots on the disk, the 3-ball and the
-square, and verify at 128, 256 and 512 nodes.  The process exits 1 if
-any command exits nonzero.
+adds WIDE: the threshold bracket on the 512-node disk (predict, certify,
+bisect only on contradiction), evolve CSV runs on the 48 x 48 square,
+steady snapshots on the disk, the 3-ball and the square, and verify at
+128, 256 and 512 nodes.  The process exits 1 if any command exits
+nonzero.
 """
 
 from __future__ import annotations

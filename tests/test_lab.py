@@ -31,6 +31,7 @@ from thresholdlab.lab import (
 )
 from thresholdlab.lab.cli import _build_parser, _parse, main
 from thresholdlab.lab.config import COMMANDS, FLAGS, canonical_lines, finite, positive
+import thresholdlab.lab.experiments as experiments
 from thresholdlab.lab.experiments import threshold_experiment
 from thresholdlab.lab.io import (
     load_snapshot,
@@ -289,6 +290,67 @@ class TestThresholdExperiment:
         assert certified.derived["cone_theta"] == CONE_THETA
         assert certified.derived["kaplan_lambda"] >= certified.derived["cone_mu"] > 0
 
+    def test_default_alphas_close_on_two_certifying_probes(self, eq3_128, spec3):
+        A, eq = eq3_128
+        alphas = (0.5, 1.5)
+        result = threshold_experiment(spec3, A, eq, IntegratorConfig(), alphas=alphas)
+        assert len(result.runs) == len(alphas) + 2
+        low, high = result.runs[-2:]
+        assert (low["outcome"], high["outcome"]) == ("decay", "blowup")
+        assert result.derived["alpha_bracket"] == [low["value"], high["value"]]
+        assert result.derived["alpha_predicted"] == 1.0
+
+    @pytest.mark.parametrize("width", [0.02, 0.1, 0.25])
+    def test_float_width_within_bisect_width(self, eq3_128, spec3, width):
+        # 1.01 - 0.99 and 1.05 - 0.95 both exceed their width by rounding
+        A, eq = eq3_128
+        result = threshold_experiment(spec3, A, eq, IntegratorConfig(), bisect_width=width)
+        lo, hi = result.derived["alpha_bracket"]
+        assert lo < 1.0 < hi
+        assert hi - lo <= width
+        assert len(result.runs) == 4
+
+    def test_contradicting_probe_falls_back_to_bisection(self, eq3_128, spec3, monkeypatch):
+        # a family whose threshold lies at 0.9: the low probe at 0.99 blows up
+        A, eq = eq3_128
+        monkeypatch.setattr(experiments, "evolve",
+                            _scripted_evolve(eq, lambda a: "decay" if a < 0.9 else "blowup"))
+        result = threshold_experiment(spec3, A, eq, IntegratorConfig())
+        lo, hi = result.derived["alpha_bracket"]
+        outcomes = {(run["value"], run["outcome"]) for run in result.runs}
+        assert (lo, "decay") in outcomes and (hi, "blowup") in outcomes
+        assert lo < 0.9 < hi and hi - lo <= 0.02
+        assert result.runs[2]["value"] == 0.99 and result.runs[2]["outcome"] == "blowup"
+        assert len(result.runs) > 4
+        assert "undecided_at" not in result.derived
+
+    @pytest.mark.parametrize("alphas", [(0.5, 1.5), (0.5, 0.99, 1.5)])
+    def test_unclassified_certifying_probe_is_reported(self, eq3_128, spec3, monkeypatch,
+                                                       alphas):
+        # with 0.99 requested, the probe there reads that run's outcome, not a new run
+        A, eq = eq3_128
+        kind_of = lambda a: "undecided" if 0.98 < a < 1.0 else ("decay" if a < 1.0 else "blowup")
+        monkeypatch.setattr(experiments, "evolve", _scripted_evolve(eq, kind_of))
+        result = threshold_experiment(spec3, A, eq, IntegratorConfig(), alphas=alphas)
+        assert result.derived["undecided_at"] == 0.99
+        assert result.derived["alpha_bracket"] == [0.5, 1.5]
+        assert sorted(run["value"] for run in result.runs) == [0.5, 0.99, 1.5]
+
+    def test_requested_bracket_narrower_than_width_adds_no_probe(self, eq3_128, spec3):
+        A, eq = eq3_128
+        result = threshold_experiment(spec3, A, eq, IntegratorConfig(), alphas=(0.995, 1.005))
+        assert [(run["value"], run["outcome"]) for run in result.runs] == [
+            (0.995, "decay"), (1.005, "blowup")]
+        assert result.derived["alpha_bracket"] == [0.995, 1.005]
+
+    def test_requested_alpha_next_to_prediction_is_not_run_again(self, eq3_128, spec3):
+        A, eq = eq3_128
+        result = threshold_experiment(spec3, A, eq, IntegratorConfig(), alphas=(0.995, 1.5))
+        values = [run["value"] for run in result.runs]
+        assert len(values) == len(set(values)) == 3
+        lo, hi = result.derived["alpha_bracket"]
+        assert lo == 0.995 and hi == values[-1] and hi - lo <= 0.02
+
     def test_critical_alpha_recorded_without_breaking_bisection(self, eq3_128, spec3):
         # alpha = 1 parks at the metastable discrete equilibrium, classifying
         # neither way; the experiment keeps it in the run log and bisects on
@@ -301,6 +363,18 @@ class TestThresholdExperiment:
         assert kinds[1.0] in ("steady", "undecided")
         lo, hi = result.derived["alpha_bracket"]
         assert lo < 1.0 < hi
+
+
+def _scripted_evolve(eq, kind_of):
+    """An evolve that classifies alpha*(U, V) by ``kind_of(alpha)`` without stepping."""
+    def evolve(spec, A, initial, config, **kwargs):
+        kind = kind_of(float(initial.u[0] / eq.pair.u[0]))
+        if kind == "decay":
+            return Outcome.decay(0.1, "cone"), None
+        if kind == "blowup":
+            return Outcome.blow_up(0.1, 1e3, "kaplan", 0.2), None
+        return Outcome.undecided(config.t_max), None
+    return evolve
 
 
 class TestCli:
@@ -437,6 +511,18 @@ class TestCli:
         config = tmp_path / "run.cfg"
         config.write_text("zebra = 1\n")
         assert main(["evolve", "--config", str(config)]) == 1
+
+    def test_threshold_disk_brackets_in_four_runs(self, tmp_path, capsys):
+        # perfbench's threshold-disk configuration: the prediction closes the
+        # bracket with two certifying probes, and no bisection probe follows
+        assert main(["threshold", "--geometry", "radial", "--dim", "2", "--p", "3",
+                     "--q", "3", "--resolution", "512", "--width", "0.02",
+                     "--alphas", "0.515,1.42", "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "result.json").read_text())
+        lo, hi = result["derived"]["alpha_bracket"]
+        assert len(result["runs"]) == 4
+        assert lo < 1.0 < hi and hi - lo <= 0.02
+        assert capsys.readouterr().out.rstrip().endswith("from 4 runs")
 
     def test_rect_digest_same_for_evolve_and_threshold(self, tmp_path, capsys):
         shared = ["--geometry", "rect", "--resolution", "16"]

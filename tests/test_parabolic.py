@@ -33,7 +33,7 @@ from thresholdlab.analysis import (
     product_integral,
 )
 from thresholdlab.discrete import LinearSolveError, integrate
-from thresholdlab.elliptic import AmplitudeOverflowError
+from thresholdlab.elliptic import AmplitudeOverflowError, forcing_arrays
 from thresholdlab.parabolic import (
     CONE_THETA,
     DT_MAX,
@@ -418,6 +418,29 @@ def test_full_row_energy_is_the_energy_of_its_state(problem, refined, monkeypatc
         assert len(solves) == 2 * (len(record) - 1)
     expected = [energy(A.grid, A, state, spec.exponents) for state in states]
     assert np.asarray(record.energy).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("problem", ["disk", "square", "forced"])
+def test_march_evaluates_the_forcing_once_and_steps_bitwise_as_step(problem, monkeypatch):
+    # the march hands its forcing arrays to every step; a step that
+    # evaluates them itself gives the same state, bit for bit
+    spec, A, initial = _row_problem(problem)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return forcing_arrays(*args)
+
+    monkeypatch.setattr(parabolic, "forcing_arrays", counted)
+    march = parabolic._march(spec, A, [initial], IntegratorConfig())
+    state = initial
+    for n, (_, dt, (new,), _, _) in enumerate(march, 1):
+        assert step(spec, A, state, dt).block.tobytes() == new.block.tobytes()
+        state = new
+        if n == 5:
+            break
+    # one by the march, one by each of the five reference steps
+    assert len(calls) == 1 + 5
 
 
 @pytest.mark.parametrize("problem", ["disk", "square"])
