@@ -1,6 +1,7 @@
 """Command line interface.
 
-Subcommands: steady, evolve, threshold, lambda-star, robin, verify.
+Subcommands: steady, evolve, threshold, lambda-star, verify.  The Robin
+threshold is ``threshold --bc robin:<beta>``.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 undecided
 classification, 4 verify-suite failure.
 """
@@ -20,8 +21,7 @@ from ..parabolic import IntegratorConfig, NumericalFailureError, evolve
 from ..problem import validate
 from .config import (COMMANDS, FLAGS, STEPPING, ConfigError, build_problem, canonical_lines,
                      parse_config, spec_digest)
-from .experiments import (_provenance, lambda_star_experiment, robin_experiment,
-                          threshold_experiment)
+from .experiments import _provenance, lambda_star_experiment, threshold_experiment
 from .io import load_snapshot, save_snapshot, write_result_json, write_trajectory_csv
 from .verify import verify_suite
 
@@ -92,7 +92,6 @@ def _problem_from_args(args):
     holds, need = {
         "threshold": (spec.lam == 0, "the unforced problem (--lambda 0)"),
         "lambda-star": (spec.lam > 0, "a forcing profile to scale (--lambda > 0)"),
-        "robin": (spec.boundary.kind == "robin", "--bc robin:<beta>"),
     }.get(args.command, (True, ""))
     if not holds:
         raise ConfigError(f"{args.command} needs {need}")
@@ -231,17 +230,14 @@ def _dispatch(args) -> int:
         )
         summary = (f"alpha bracket: {result.derived.get('alpha_bracket')} "
                    f"from {len(result.runs)} runs")
-    elif args.command == "lambda-star":
+    else:
         result = lambda_star_experiment(
             spec, A, (args.lambda_lo, args.lambda_hi), args.rel_tol, config, seed=args.seed
         )
         summary = f"lambda bracket: {result.derived['lambda_bracket']}"
-    else:
-        result = robin_experiment(spec, A, config, alphas=args.alphas, seed=args.seed)
-        summary = f"robin runs: {[(r['value'], r['outcome']) for r in result.runs]}"
     write_result_json(result.to_payload(), out / "result.json")
     print(summary)
-    return UNDECIDED if result.skipped else 0
+    return UNDECIDED if result.skipped or "undecided_at" in result.derived else 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -23,8 +23,8 @@ from ..problem import (
 )
 
 #: The subcommands, and those that step the parabolic flow.
-COMMANDS = ("steady", "evolve", "threshold", "lambda-star", "robin", "verify")
-STEPPING = ("evolve", "threshold", "lambda-star", "robin")
+COMMANDS = ("steady", "evolve", "threshold", "lambda-star", "verify")
+STEPPING = ("evolve", "threshold", "lambda-star")
 
 
 def finite(text: str) -> float:
@@ -72,7 +72,7 @@ FLAGS = {
     "initial": (("evolve",), dict(type=Path, default=None, help="snapshot file")),
     "alpha": (("evolve",), dict(type=positive, default=None)),
     "format": (("evolve",), dict(choices=("csv", "json"), default="json")),
-    "alphas": (("threshold", "robin"), dict(type=_list_of(positive), default=(0.5, 1.5))),
+    "alphas": (("threshold",), dict(type=_list_of(positive), default=(0.5, 1.5))),
     "width": (("threshold",), dict(type=positive, default=0.02,
                                    help="bracket width: predict alpha = 1, certify with "
                                         "probes at 1 -/+ width/2, bisect only on "

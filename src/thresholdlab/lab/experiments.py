@@ -1,4 +1,4 @@
-"""Experiments: the threshold bracket, the extremal forcing scale, Robin runs.
+"""Experiments: the threshold bracket, the extremal forcing scale.
 
 Each driver returns an ExperimentResult carrying every run it performed,
 the derived brackets, and enough provenance (problem digest, resolution,
@@ -11,9 +11,9 @@ alpha = 1, places two certifying probes around it, and bisects only what
 a probe that contradicts the prediction leaves of the bracket.  It
 classifies a probe by the certificates of
 :func:`thresholdlab.parabolic.certificates`: it decays as soon as it enters
-the decay cone and blows up as soon as its mass passes Kaplan's bound.  The
-lambda* and Robin experiments run their decays down to EPS_DECAY and their
-blow-ups up to M_BLOW.
+the decay cone and blows up as soon as its mass passes Kaplan's bound, on
+a Dirichlet or a Robin boundary alike.  The lambda* experiment runs its
+decays down to EPS_DECAY and its blow-ups up to M_BLOW.
 
 The drivers read only each run's outcome, so they evolve with
 ``diagnostics=False``: no step pays for phi or E.
@@ -35,7 +35,6 @@ from ..elliptic import (
     LambdaStarResult,
     lambda_star,
     solve_monotone,
-    solve_newton,
 )
 from ..parabolic import CONE_THETA, IntegratorConfig, Outcome, certificates, evolve
 from ..problem import ProblemSpec
@@ -45,7 +44,6 @@ __all__ = [
     "ExperimentResult",
     "threshold_experiment",
     "lambda_star_experiment",
-    "robin_experiment",
 ]
 
 
@@ -267,35 +265,3 @@ def lambda_star_experiment(
     )
     return result
 
-
-def robin_experiment(
-    spec: ProblemSpec,
-    A: DiscreteLaplacian,
-    config: IntegratorConfig = IntegratorConfig(),
-    alphas: Sequence[float] = (0.5, 1.5),
-    seed: int | None = None,
-) -> ExperimentResult:
-    """Threshold runs against the Robin equilibrium.
-
-    The equilibrium comes from the one seed route every command takes, an
-    unseeded :func:`solve_newton`; if it finds none, its EllipticError
-    propagates, as it does for ``steady`` and ``threshold`` (exit 2 from
-    the CLI).  ``derived`` records the equilibrium's relative residual
-    ``equilibrium_residual`` and its ``sup_u``.
-    """
-    if spec.boundary.kind != "robin":
-        raise ValueError("robin_experiment requires a Robin boundary")
-    resolution = A.grid.resolution
-    result = ExperimentResult(
-        kind="robin",
-        digest=spec_digest(spec, resolution),
-        provenance=_provenance(resolution, config, seed),
-    )
-    equilibrium = solve_newton(spec, A)
-    result.derived["equilibrium_residual"] = equilibrium.residual_norm
-    result.derived["sup_u"] = equilibrium.pair.sup_u
-
-    for alpha in alphas:
-        outcome, _ = evolve(spec, A, equilibrium.pair.scaled(alpha), config, diagnostics=False)
-        result.runs.append(_run_entry("alpha", alpha, outcome))
-    return result

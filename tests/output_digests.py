@@ -38,7 +38,7 @@ CRITERION_10 = [
     ("threshold", ["threshold", "--resolution", "64", "--width", "0.25", "--seed", "5"]),
     ("ls", ["lambda-star", "--p", "2", "--q", "2", "--lambda", "1", "--resolution", "64",
             "--lambda-lo", "1", "--lambda-hi", "30", "--rel-tol", "0.2", "--seed", "5"]),
-    ("robin", ["robin", "--bc", "robin:1.0", "--resolution", "64", "--seed", "5"]),
+    ("threshold-robin", ["threshold", "--bc", "robin:1.0", "--resolution", "64", "--seed", "5"]),
 ]
 
 WIDE = [

@@ -223,4 +223,5 @@ def test_criterion_10_determinism(tmp_path, capsys):
     assert len(outputs["first"]) == 7
     assert outputs["first"] == outputs["second"], "outputs not byte-identical"
     with capsys.disabled():
-        report("10", "verify + evolve CSV + threshold/lambda-star/robin outputs byte-identical")
+        report("10", "verify + evolve CSV + threshold (Dirichlet, Robin)/lambda-star outputs "
+                     "byte-identical")

@@ -38,18 +38,13 @@ def test_package_import_loads_no_deferred_subpackage():
     assert _loaded_after("import thresholdlab, thresholdlab.lab") == set()
 
 
-def test_radial_threshold_run_loads_neither_integrate_nor_fft(tmp_path):
-    code = ("from thresholdlab.lab.cli import main\n"
-            f"assert main(['threshold', '--resolution', '16', '--out', {str(tmp_path)!r}]) == 0")
+@pytest.mark.parametrize("bc", [[], ["--bc", "robin:1"]], ids=["dirichlet", "robin"])
+def test_radial_threshold_run_loads_neither_integrate_nor_fft(bc, tmp_path):
+    # p = q, so Kaplan's bound needs no quadrature on either boundary
+    argv = ["threshold", *bc, "--resolution", "16", "--out", str(tmp_path)]
+    code = f"from thresholdlab.lab.cli import main\nassert main({argv!r}) == 0"
     loaded = _loaded_after(code)
     assert "scipy.integrate" not in loaded and "scipy.fft" not in loaded
-
-
-def test_radial_robin_run_with_p_equal_q_loads_no_integrate(tmp_path):
-    code = ("from thresholdlab.lab.cli import main\n"
-            f"assert main(['robin', '--bc', 'robin:1', '--resolution', '16', "
-            f"'--out', {str(tmp_path)!r}]) == 0")
-    assert "scipy.integrate" not in _loaded_after(code)
 
 
 def test_rectangle_evolve_loads_neither_fft_nor_special(tmp_path):

@@ -241,14 +241,16 @@ class TestThresholdExperiment:
         with pytest.raises(ValueError):
             threshold_experiment(disk_spec(3.0, 3.0, lam=1.0), A, eq, IntegratorConfig())
 
-    @pytest.mark.parametrize("problem", ["disk-3-3", "disk-3-2", "rect-3-3"])
+    @pytest.mark.parametrize("problem", ["disk-3-3", "disk-3-2", "rect-3-3", "robin-disk-3-2"])
     def test_cone_certificate_keeps_every_outcome_and_the_bracket(self, problem, monkeypatch):
         """Replaying every probe with both certificates off gives the same kinds and bracket.
 
         Each certified run stops earlier, and Kaplan's bound on a blow-up
         time is no earlier than the time at which the plain run stopped.
         Replaying every probe with full diagnostic rows instead of the lean
-        rows the driver asks for gives the same result.json.
+        rows the driver asks for gives the same result.json.  The Robin disk
+        keeps what both certificates need: a symmetric operator and a
+        positive principal eigenvector.
         """
         import thresholdlab.lab.experiments as experiments
         from thresholdlab import ProblemSpec, Rectangle, build_grid, build_laplacian, solve_newton
@@ -257,6 +259,9 @@ class TestThresholdExperiment:
         if problem == "rect-3-3":
             spec = ProblemSpec(ExponentPair(3.0, 3.0), Rectangle(1.0, 1.0))
             A = build_laplacian(build_grid(spec.domain, spec.boundary, 24))
+        elif problem == "robin-disk-3-2":
+            spec = disk_spec(3.0, 2.0, beta=1.0)
+            A = disk_operator(128, beta=1.0)
         else:
             spec = disk_spec(3.0, 3.0 if problem == "disk-3-3" else 2.0)
             A = disk_operator(128)
@@ -461,14 +466,29 @@ class TestCli:
 
     def test_robin_runs_where_the_shooting_solve_misses(self, tmp_path, capsys):
         # the 3-ball at beta = 10, p = q = 1.5: the shooting defect misses
-        # BC_TOL, but robin's equilibrium is the grid Newton solve's
-        code = main(["robin", "--dim", "3", "--bc", "robin:10", "--p", "1.5", "--q", "1.5",
+        # BC_TOL, but threshold's equilibrium is the grid Newton solve's
+        code = main(["threshold", "--dim", "3", "--bc", "robin:10", "--p", "1.5", "--q", "1.5",
                      "--resolution", "64", "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "result.json").read_text())
-        assert "skipped" not in payload and payload["derived"]["equilibrium_residual"] <= 1e-10
-        assert [(r["value"], r["outcome"]) for r in payload["runs"]] == [
+        assert "skipped" not in payload and "undecided_at" not in payload["derived"]
+        assert [(r["value"], r["outcome"]) for r in payload["runs"]][:2] == [
             (0.5, "decay"), (1.5, "blowup")]
+        lo, hi = payload["derived"]["alpha_bracket"]
+        assert lo < 1.0 < hi and hi - lo <= 0.02 and len(payload["runs"]) == 4
+
+    def test_threshold_with_unclassified_probe_exits_undecided(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the bracket is written, widened to the last classified runs
+        spec = disk_spec(3.0, 3.0)
+        eq = solve_newton(spec, disk_operator(64))
+        kind_of = lambda a: "undecided" if 0.98 < a < 1.0 else ("decay" if a < 1.0 else "blowup")
+        monkeypatch.setattr(experiments, "evolve", _scripted_evolve(eq, kind_of))
+        code = main(["threshold", "--resolution", "64", "--out", str(tmp_path)])
+        assert code == 3
+        derived = json.loads((tmp_path / "result.json").read_text())["derived"]
+        assert derived["undecided_at"] == 0.99
+        assert derived["alpha_bracket"] == [0.5, 1.5]
 
     def test_evolve_undecided_exit_code(self, tmp_path, capsys):
         code = main([
@@ -639,7 +659,7 @@ class TestFlagTable:
     @pytest.mark.parametrize("argv", [
         ["evolve", "--res", "64"],
         ["threshold", "--alpha", "0.5"],
-        ["robin", "--bc", "robin:1", "--width", "0.1"],
+        ["lambda-star", "--lambda", "1", "--width", "0.1"],
         ["steady", "--dt0", "0.002"],
         ["steady", "--seed", "1"],
         ["verify", "--resolution", "48"],
@@ -673,7 +693,7 @@ class TestFlagTable:
                  for opt in action.option_strings if action.dest != "help"}
         assert slots == {(command, f"--{key}") for key, (commands, _) in FLAGS.items()
                          for command in commands}
-        assert len(slots) == 101
+        assert len(slots) == 84
 
     @pytest.mark.parametrize("argv", [
         ["-h"], *([command, "-h"] for command in COMMANDS),
@@ -683,6 +703,7 @@ class TestFlagTable:
         ["steady", "--nonsense-flag", "3"], ["verify", "--resolution", "48"],
         ["threshold", "--alphas", "0.5,x"], ["evolve", "--dt0"], ["steady", "--p=--"],
         ["lambda-star", "--lambda", "1", "--rel-tol", "0.1", "--resolution", "64"],
+        ["robin", "--bc", "robin:1"],   # not a subcommand: refused, as by the full parser
     ])
     def test_parser_of_argv_acts_as_the_full_parser(self, argv, capsys):
         # the parser _parse builds gives flags only to the subcommand argv
@@ -708,7 +729,7 @@ class TestCliErrorPaths:
         (["evolve", "--t-max", "0"], "--t-max"),
         (["evolve", "--config", "missing.cfg"], "missing.cfg"),
         (["threshold", "--lambda", "1"], "unforced"),
-        (["robin"], "robin:<beta>"),
+        (["robin", "--bc", "robin:1"], "invalid choice"),     # the Robin study is threshold's
         (["lambda-star", "--lambda", "1", "--lambda-lo", "5", "--lambda-hi", "1"], "bracket"),
         (["lambda-star"], "--lambda > 0"),
         (["threshold", "--alphas", "0.5,x"], "--alphas"),
@@ -727,7 +748,6 @@ class TestCliErrorPaths:
         (["steady", "--geometry", "rect", "--lx", "1e-300", "--resolution", "8"],
          "rectangle 1e-300"),
         (["threshold", "--alphas=-0.5,1.5"], "--alphas"),
-        (["robin", "--bc", "robin:1", "--alphas=-0.5,1.5"], "--alphas"),
         (["evolve", "--initial", "steady.snap", "--alpha", "0.5"], "--initial or --alpha"),
     ])
     def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
@@ -793,7 +813,7 @@ class TestCliErrorPaths:
 
     def test_robin_without_equilibrium_is_numerical_failure(self, tmp_path, capsys):
         # as for steady with the same flags: Newton's failure is exit 2, not undecided
-        code = main(["robin", "--dim", "3", "--bc", "robin:1", "--p", "6", "--q", "6",
+        code = main(["threshold", "--dim", "3", "--bc", "robin:1", "--p", "6", "--q", "6",
                      "--resolution", "64", "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -840,7 +860,6 @@ _WRONG_PROBLEM = {
     "evolve": [["--geometry", "rect", "--bc", "robin:1"]],
     "threshold": [["--lambda", "0.5"], ["--lambda", "2", "--forcing", "bump"]],
     "lambda-star": [[], ["--lambda", "0"]],
-    "robin": [[], ["--geometry", "rect", "--bc", "robin:1"]],
     "verify": [["--lambda", "1"], ["--bc", "robin:1"], ["--geometry", "rect"]],
 }
 
