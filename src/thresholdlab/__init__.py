@@ -2,7 +2,7 @@
 
 Computes positive steady states of
 
-    -Lap(u) = v^p + lam*f,   -Lap(v) = u^q + lam*g
+    -Lap(u) = v^p + lam*f,   -Lap(v) = u^q + lam*f
 
 on balls and rectangles (Dirichlet or Robin boundaries), evolves the
 corresponding parabolic flow, and verifies the threshold picture: initial
@@ -17,7 +17,6 @@ from .problem import (
     ExponentPair,
     ForcingSpec,
     ProblemSpec,
-    Profile,
     RadialBall,
     Rectangle,
     ValidationReport,

@@ -2,7 +2,9 @@
 
 The steady system on the grid reads
 
-    A u = |v|^(p-1) v + lam*f,    A v = |u|^(q-1) u + lam*g.
+    A u = |v|^(p-1) v + lam*f,    A v = |u|^(q-1) u + lam*f,
+
+with f the problem's one unit source (ForcingSpec).
 
 The sign-preserving power extends x^s off the nonnegative cone while keeping
 the nonlinearity monotone, so the discrete comparison principle survives;
@@ -142,16 +144,12 @@ def signed_power(x: np.ndarray, s: float) -> np.ndarray:
     return np.sign(x) * np.abs(x) ** s
 
 
-def forcing_arrays(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal values of (lam*f, lam*g)."""
+def forcing_arrays(spec: ProblemSpec, grid: Grid) -> np.ndarray:
+    """Nodal values of lam*f, the forcing of both equations."""
     lam = spec.forcing.lam
     if lam == 0.0:
-        z = np.zeros(grid.size)
-        return z, z
-    return (
-        lam * spec.forcing.f.evaluate(grid.center_dist),
-        lam * spec.forcing.g.evaluate(grid.center_dist),
-    )
+        return np.zeros(grid.size)
+    return lam * spec.forcing.source(grid.center_dist)
 
 
 @dataclass
@@ -180,15 +178,14 @@ class Equilibrium:
 
 
 def _reaction(spec: ProblemSpec, pair: FieldPair, forcing) -> FieldPair:
-    """(|v|^(p-1) v + lam f, |u|^(q-1) u + lam g) at ``pair``; ``forcing`` is forcing_arrays'.
+    """(|v|^(p-1) v + lam f, |u|^(q-1) u + lam f) at ``pair``; ``forcing`` is forcing_arrays'.
 
     The right-hand side of the steady system, and the explicit terms of a
     parabolic step, which finishes the fresh block in place.
     """
-    fu, gv = forcing
     r = FieldPair.wrap(np.empty((pair.grid.size, 2), order="F"), pair.grid)
-    np.add(signed_power(pair.v, spec.p), fu, out=r.u)
-    np.add(signed_power(pair.u, spec.q), gv, out=r.v)
+    np.add(signed_power(pair.v, spec.p), forcing, out=r.u)
+    np.add(signed_power(pair.u, spec.q), forcing, out=r.v)
     return r
 
 
@@ -199,7 +196,7 @@ def _steady_residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair):
 
 
 def residual(spec: ProblemSpec, A: DiscreteLaplacian, pair: FieldPair) -> FieldPair:
-    """Residual fields (A u - |v|^(p-1)v - lam f, A v - |u|^(q-1)u - lam g)."""
+    """Residual fields (A u - |v|^(p-1)v - lam f, A v - |u|^(q-1)u - lam f)."""
     return _steady_residual(spec, A, pair)[0]
 
 
@@ -273,19 +270,19 @@ def _amplitude_prescan(spec, A, shape: np.ndarray, lam1: float) -> FieldPair:
     The shape is positive, so along the ray the residual components are
     fixed combinations of three vectors each,
     R_u = (t c_u) A shape - (t c_v)^p shape^p - lam f and
-    R_v = (t c_v) A shape - (t c_u)^q shape^q - lam g,
+    R_v = (t c_v) A shape - (t c_u)^q shape^q - lam f,
     and ||R||^2 is a quadratic form in their coefficients: one weighted Gram
     matrix per component, built once, prices every scan point in O(1).
     Scan points whose norm is not finite are skipped.
     """
     grid = A.grid
     c_u, c_v = _amplitudes(spec, lam1)
-    fu, gv = forcing_arrays(spec, grid)
+    f = forcing_arrays(spec, grid)
     a_shape = A.apply(shape)
     ts = np.geomspace(1e-2, 1e2, 120)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = (_ray_square(grid, (a_shape, shape**spec.p, fu), ts * c_u, (ts * c_v) ** spec.p)
-              + _ray_square(grid, (a_shape, shape**spec.q, gv), ts * c_v, (ts * c_u) ** spec.q))
+        sq = (_ray_square(grid, (a_shape, shape**spec.p, f), ts * c_u, (ts * c_v) ** spec.p)
+              + _ray_square(grid, (a_shape, shape**spec.q, f), ts * c_v, (ts * c_u) ** spec.q))
         merit = np.sqrt(np.maximum(sq, 0.0)) / ts   # round-off can leave sq just below 0
     merit[~np.isfinite(merit)] = np.inf
     best = np.argmin(merit)
@@ -482,7 +479,7 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
     """Monotone fixed-point iteration climbing from (0,0).
 
     Update: the Picard map A u_new = |v|^(p-1)v + lam f, A v_new =
-    |u|^(q-1)u + lam g.  Each equation's reaction depends only on the other
+    |u|^(q-1)u + lam f.  Each equation's reaction depends only on the other
     component, and A^-1 >= 0 (A is an M-matrix), so the map is already
     order preserving with no shift: the iterates are nondecreasing and, with
     lam > 0, climb to the minimal solution (Sattinger 1972).  Near that
@@ -497,7 +494,7 @@ def solve_monotone(spec: ProblemSpec, A: DiscreteLaplacian) -> MonotoneResult:
     grid = A.grid
     forcing = forcing_arrays(spec, grid)
     pair = FieldPair.zeros(grid)
-    b = FieldPair(*forcing, grid)
+    b = FieldPair(forcing, forcing, grid)
     rn = relative_residual(A, pair, b.u, b.v)
     if rn <= DEFAULT_STEADY_TOL:
         return MonotoneResult("converged", pair, rn, 0)

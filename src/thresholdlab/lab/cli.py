@@ -92,6 +92,9 @@ def _problem_from_args(args):
     holds, need = {
         "threshold": (spec.lam == 0, "the unforced problem (--lambda 0)"),
         "lambda-star": (spec.lam > 0, "a forcing profile to scale (--lambda > 0)"),
+        # --method is steady's flag alone
+        "steady": (vars(args).get("method") == "newton" or spec.lam > 0,
+                   "a forcing (--lambda > 0) for --method monotone, which climbs from (0, 0)"),
     }.get(args.command, (True, ""))
     if not holds:
         raise ConfigError(f"{args.command} needs {need}")
@@ -102,8 +105,12 @@ def _problem_from_args(args):
 
 
 def _outdir(args) -> Path:
+    """The --out directory, made before any solve; one that cannot be made is a usage error."""
     out = args.out or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out}: {exc.strerror}") from exc
     return out
 
 
@@ -156,12 +163,12 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     spec = _problem_from_args(args)
     if args.command == "verify":
+        out = _outdir(args)
         try:
             report = verify_suite(resolutions=args.resolutions, seed=args.seed, spec=spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         print(report.text(), end="")
-        out = _outdir(args)
         write_result_json(report.to_payload(), out / "verify.json")
         (out / "verify.txt").write_text(report.text(), encoding="utf-8")
         return 0 if report.passed else VERIFY_FAILURE

@@ -17,7 +17,6 @@ from ..problem import (
     ExponentPair,
     ForcingSpec,
     ProblemSpec,
-    Profile,
     RadialBall,
     Rectangle,
 )
@@ -138,19 +137,17 @@ def build_problem(
     else:
         raise ConfigError(f"bad geometry {geometry!r} (radial | rect)")
     boundary = parse_boundary(bc)
-    if lam == 0:
-        fs = ForcingSpec.none()
-    elif forcing == "constant":
-        fs = ForcingSpec.constant(lam)
-    elif forcing == "bump":
-        fs = ForcingSpec(lam, Profile("bump", 1.0), Profile("bump", 1.0))
-    else:
-        raise ConfigError(f"bad forcing {forcing!r} (constant | bump)")
+    # unforced, the source names no term of the system
+    fs = ForcingSpec.none() if lam == 0 else ForcingSpec(lam, forcing)
     return ProblemSpec(ExponentPair(p, q), domain, boundary, fs)
 
 
 def canonical_lines(spec: ProblemSpec, resolution) -> list[str]:
-    """Config-style serialisation of a problem instance (stable ordering)."""
+    """Config-style serialisation of a problem instance (stable ordering).
+
+    The lines name every field of the spec, the forcing kind when lambda > 0,
+    so build_problem reads them back into the spec itself.
+    """
     lines = [f"p = {spec.p!r}", f"q = {spec.q!r}"]
     dom = spec.domain
     if isinstance(dom, RadialBall):
@@ -163,7 +160,7 @@ def canonical_lines(spec: ProblemSpec, resolution) -> list[str]:
         lines.append("bc = dirichlet")
     lines.append(f"lambda = {spec.lam!r}")
     if spec.lam > 0:
-        lines.append(f"forcing = {spec.forcing.f.kind}")
+        lines.append(f"forcing = {spec.forcing.kind}")
     if isinstance(resolution, tuple) and len(set(resolution)) == 1:
         resolution = resolution[0]      # as the CLI's --resolution gives it
     if isinstance(resolution, tuple):

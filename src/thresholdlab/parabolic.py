@@ -254,7 +254,7 @@ def certificates(spec: ProblemSpec, A: DiscreteLaplacian) -> Certificates:
 
 
 def step(spec: ProblemSpec, A: DiscreteLaplacian, state: FieldPair, dt: float, *,
-         products: Optional[list] = None, forcing: Optional[tuple] = None) -> FieldPair:
+         products: Optional[list] = None, forcing: Optional[np.ndarray] = None) -> FieldPair:
     """One semi-implicit step of length dt; the forcing is evaluated on A's grid.
 
     A caller that steps many times passes ``forcing``, its

@@ -2,10 +2,12 @@
 
 A problem instance describes the coupled reaction-diffusion system
 
-    u_t - Lap(u) = v^p + lam*f(x),   v_t - Lap(v) = u^q + lam*g(x)
+    u_t - Lap(u) = v^p + lam*f(x),   v_t - Lap(v) = u^q + lam*f(x)
 
 on a bounded domain with homogeneous Dirichlet or Robin boundary data,
-together with its steady-state counterpart.  Instances are immutable and
+together with its steady-state counterpart.  The paper's system is the
+unforced one, lam = 0; the source f, one named unit profile shared by both
+equations, serves the extremal-scale study.  Instances are immutable and
 shared read-only by the discretisation, solver and experiment layers.
 """
 
@@ -21,7 +23,6 @@ __all__ = [
     "RadialBall",
     "Rectangle",
     "BoundarySpec",
-    "Profile",
     "ForcingSpec",
     "ProblemSpec",
     "ValidationReport",
@@ -117,56 +118,37 @@ class BoundarySpec:
 
 
 @dataclass(frozen=True)
-class Profile:
-    """Named analytic forcing profile, reproducible from its parameters alone.
+class ForcingSpec:
+    """Scale lam >= 0 of one named unit source, added as lam*f to both equations.
 
-    kinds:
-        constant: value everywhere
-        bump:     value * exp(-(d/width)^2), d = distance to the domain centre
+    kinds, at distance d from the domain centre:
+        constant: f = 1
+        bump:     f = exp(-(d/0.5)^2)
     """
 
-    kind: str = "constant"
-    value: float = 0.0
-    width: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "bump"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("profile value must be nonnegative")
-        if self.kind == "bump" and self.width <= 0:
-            raise ValueError("bump width must be positive")
-
-    def evaluate(self, center_dist: np.ndarray) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full_like(center_dist, self.value, dtype=float)
-        return self.value * np.exp(-((center_dist / self.width) ** 2))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0.0
-
-
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Forcing scale lam >= 0 and the two nonnegative source profiles."""
-
     lam: float = 0.0
-    f: Profile = field(default_factory=Profile)
-    g: Profile = field(default_factory=Profile)
+    kind: str = "constant"
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("forcing scale lambda must be >= 0")
+        if self.kind not in ("constant", "bump"):
+            raise ValueError(f"unknown forcing kind {self.kind!r}")
 
     @classmethod
     def none(cls) -> "ForcingSpec":
-        return cls(0.0, Profile(), Profile())
+        return cls(0.0)
 
     @classmethod
     def constant(cls, lam: float) -> "ForcingSpec":
-        """Scale ``lam`` of the unit constant sources f = g = 1."""
-        return cls(lam, Profile("constant", 1.0), Profile("constant", 1.0))
+        """Scale ``lam`` of the unit constant source f = 1."""
+        return cls(lam)
+
+    def source(self, center_dist: np.ndarray) -> np.ndarray:
+        """The unit source f at each distance in ``center_dist``."""
+        if self.kind == "constant":
+            return np.ones_like(center_dist, dtype=float)
+        return np.exp(-((center_dist / 0.5) ** 2))
 
     def with_lam(self, lam: float) -> "ForcingSpec":
         return replace(self, lam=lam)
@@ -232,9 +214,6 @@ def validate(spec: ProblemSpec) -> ValidationReport:
         report.violations.append("q>1")
     if math.isinf(p) or math.isinf(q):
         report.violations.append("finite-exponents")
-    forcing = spec.forcing
-    if forcing.lam > 0 and forcing.f.is_zero and forcing.g.is_zero:
-        report.violations.append("forcing-not-identically-zero")
     if report.violations:
         return report
 

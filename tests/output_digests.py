@@ -16,9 +16,11 @@ The default set is criterion 10's, CRITERION_10, which
 test_criterion_10_determinism also runs twice in-process.  ``--wide``
 adds WIDE: the threshold bracket on the 512-node disk (predict, certify,
 bisect only on contradiction), evolve CSV runs on the 48 x 48 square,
-steady snapshots on the disk, the 3-ball and the square, and verify at
-128, 256 and 512 nodes.  The process exits 1 if any command exits
-nonzero.
+steady snapshots on the disk, the 3-ball and the square, verify at
+128, 256 and 512 nodes, and the forced problem with either unit source:
+monotone steady states on the disk, constant and bump, a Newton steady
+state on the square and lambda* on the disk, both with the bump.  The
+process exits 1 if any command exits nonzero.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ WIDE = [
     ("steady-ball", ["steady", "--dim", "3", "--p", "2", "--q", "4", "--resolution", "512"]),
     ("steady-square", ["steady", "--geometry", "rect", "--resolution", "48"]),
     ("verify-wide", ["verify", "--resolutions", "128,256,512", "--seed", "0"]),
+    ("steady-monotone-constant", ["steady", "--p", "2", "--q", "2", "--lambda", "1",
+                                  "--forcing", "constant", "--method", "monotone",
+                                  "--resolution", "256"]),
+    ("steady-monotone-bump", ["steady", "--p", "2", "--q", "2", "--lambda", "1",
+                              "--forcing", "bump", "--method", "monotone",
+                              "--resolution", "256"]),
+    ("steady-square-bump", ["steady", "--geometry", "rect", "--p", "2", "--q", "2",
+                            "--lambda", "1", "--forcing", "bump", "--resolution", "48"]),
+    ("ls-bump", ["lambda-star", "--p", "2", "--q", "2", "--lambda", "1", "--forcing", "bump",
+                 "--resolution", "64", "--lambda-lo", "1", "--lambda-hi", "60",
+                 "--rel-tol", "0.2"]),
 ]
 
 _RUN = "import sys; from thresholdlab.lab.cli import main; sys.exit(main(sys.argv[1:]))"

@@ -850,12 +850,12 @@ class TestNewtonSeed:
 def _shifted_monotone(spec, A):
     """Reference: the iteration shifted by sigma = the largest reaction slope so far."""
     p, q = spec.p, spec.q
-    fu, gv = forcing_arrays(spec, A.grid)
+    f = forcing_arrays(spec, A.grid)
     u = v = np.zeros(A.grid.size)
     for k in range(1, MONOTONE_CAP + 1):
         sigma = max(p * v.max() ** (p - 1), q * u.max() ** (q - 1))
-        rhs = np.column_stack([sigma * u + signed_power(v, p) + fu,
-                               sigma * v + signed_power(u, q) + gv])
+        rhs = np.column_stack([sigma * u + signed_power(v, p) + f,
+                               sigma * v + signed_power(u, q) + f])
         u, v = solve_shifted(A, sigma, rhs).T
         if residual_norm(spec, A, FieldPair(u, v, A.grid)) <= DEFAULT_STEADY_TOL:
             return FieldPair(u, v, A.grid), k

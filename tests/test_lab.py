@@ -29,7 +29,7 @@ from thresholdlab.lab import (
     parse_config,
     spec_digest,
 )
-from thresholdlab.lab.cli import _build_parser, _parse, main
+from thresholdlab.lab.cli import _build_parser, _parse, _problem_from_args, main
 from thresholdlab.lab.config import COMMANDS, FLAGS, canonical_lines, finite, positive
 import thresholdlab.lab.experiments as experiments
 from thresholdlab.lab.experiments import threshold_experiment
@@ -128,6 +128,30 @@ class TestConfig:
         assert d1 == spec_digest(spec, 128)
         assert d1 != spec_digest(spec, 256)
         assert d1 != spec_digest(disk_spec(3.0, 2.0), 128)
+
+    def test_canonical_lines_round_trip_the_spec(self, tmp_path):
+        # the lines name every field a run can set, so specs that differ differ in digest
+        specs = [
+            build_problem(p=3, q=3, geometry="radial", dim=2, bc="dirichlet", lam=0.0),
+            build_problem(p=2.5, q=2, geometry="radial", dim=3, bc="robin:2.5", lam=0.0,
+                          radius=2.0),
+            build_problem(p=3, q=3, geometry="rect", dim=2, bc="dirichlet", lam=0.0,
+                          lx=2.0, ly=0.5),
+            build_problem(p=2, q=2, geometry="radial", dim=2, bc="dirichlet", lam=1.0,
+                          forcing="constant"),
+            build_problem(p=2, q=2, geometry="radial", dim=2, bc="dirichlet", lam=1.0,
+                          forcing="bump"),
+        ]
+        config = tmp_path / "spec.cfg"
+        for spec in specs:
+            config.write_text("\n".join(canonical_lines(spec, 32)) + "\n")
+            args = _parse(["steady", "--config", str(config)])
+            assert _problem_from_args(args) == spec
+            assert args.resolution == 32
+        assert len({spec_digest(spec, 32) for spec in specs}) == len(specs)
+        # unforced, the source kind is no part of the problem
+        assert build_problem(p=3, q=3, geometry="radial", dim=2, bc="dirichlet", lam=0.0,
+                             forcing="bump") == specs[0]
 
 
 class TestSerialisation:
@@ -749,6 +773,8 @@ class TestCliErrorPaths:
          "rectangle 1e-300"),
         (["threshold", "--alphas=-0.5,1.5"], "--alphas"),
         (["evolve", "--initial", "steady.snap", "--alpha", "0.5"], "--initial or --alpha"),
+        # from (0, 0) the unforced monotone iteration finds only (0, 0)
+        (["steady", "--method", "monotone"], "--lambda > 0"),
     ])
     def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
         import thresholdlab.lab.cli as cli
@@ -767,6 +793,28 @@ class TestCliErrorPaths:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not any((tmp_path / "run").rglob("*"))
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("argv", [["steady"], ["evolve"], ["threshold"],
+                                      ["lambda-star", "--lambda", "1"], ["verify"]],
+                             ids=lambda argv: argv[0])
+    def test_out_that_cannot_be_a_directory_is_usage_error(self, argv, out, tmp_path, capsys,
+                                                          monkeypatch):
+        # --out naming a file, or a path under one, is refused before any solve
+        import thresholdlab.lab.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before --out was checked")
+
+        for name in ("solve_newton", "solve_monotone", "evolve", "verify_suite",
+                     "threshold_experiment", "lambda_star_experiment"):
+            monkeypatch.setattr(cli, name, no_solve)
+        (tmp_path / "taken").write_text("kept")
+        assert main([*argv, "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and str(tmp_path / out) in err
+        assert "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "kept"
 
     def test_high_dimension_in_float_range_solves(self, tmp_path, capsys):
         assert main(["steady", "--dim", "100", "--resolution", "16",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from thresholdlab import (
     ExponentPair,
     ForcingSpec,
     ProblemSpec,
-    Profile,
     RadialBall,
     Rectangle,
     blowup_exponent,
+    build_grid,
     validate,
 )
+from thresholdlab.elliptic import forcing_arrays
 from thresholdlab.problem import SUBCRITICALITY
 
 
@@ -40,16 +42,6 @@ class TestValidate:
     def test_both_exponents_named(self):
         report = validate(make_spec(0.5, 1.0))
         assert set(report.violations) == {"p>1", "q>1"}
-
-    def test_forced_problem_needs_nonzero_sources(self):
-        spec = ProblemSpec(
-            ExponentPair(2, 2),
-            RadialBall(2, 1.0),
-            forcing=ForcingSpec(1.0, Profile("constant", 0.0), Profile("constant", 0.0)),
-        )
-        report = validate(spec)
-        assert not report.accepted
-        assert "forcing-not-identically-zero" in report.violations
 
     def test_pure_function(self):
         spec = make_spec(5, 5, dim=3)
@@ -116,15 +108,13 @@ class TestConstruction:
             BoundarySpec("robin")
         assert BoundarySpec.robin(1.5).beta == 1.5
 
-    def test_profile_nonnegative(self):
-        with pytest.raises(ValueError):
-            Profile("constant", -1.0)
-
     def test_profile_evaluation(self):
         d = np.array([0.0, 0.5, 1.0])
-        np.testing.assert_allclose(Profile("constant", 2.0).evaluate(d), 2.0)
-        bump = Profile("bump", 1.0, width=0.5).evaluate(d)
+        np.testing.assert_array_equal(ForcingSpec(2.0, "constant").source(d), 1.0)
+        bump = ForcingSpec(2.0, "bump").source(d)
         np.testing.assert_allclose(bump, np.exp(-((d / 0.5) ** 2)))
+        with pytest.raises(ValueError, match="unknown forcing kind"):
+            ForcingSpec(1.0, "ramp")
 
     def test_forcing_scale_nonnegative(self):
         with pytest.raises(ValueError):
@@ -133,4 +123,7 @@ class TestConstruction:
     def test_zero_lambda_reproduces_homogeneous(self):
         spec = make_spec(3, 3, lam=0.0)
         assert spec.lam == 0.0
-        assert spec.forcing.f.is_zero and spec.forcing.g.is_zero
+        grid = build_grid(spec.domain, spec.boundary, 16)
+        for kind in ("constant", "bump"):
+            unforced = replace(spec, forcing=ForcingSpec(0.0, kind))
+            assert not forcing_arrays(unforced, grid).any()
