@@ -1,7 +1,7 @@
 """Command line interface.
 
-Subcommands: steady, evolve, threshold, lambda-star, verify.  The Robin
-threshold is ``threshold --bc robin:<beta>``.
+Subcommands: steady, evolve, threshold, lambda-star, verify, each taking only
+the flags that change its result.  The Robin threshold is ``threshold --bc robin:<beta>``.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 undecided
 classification, 4 verify-suite failure.
 """
@@ -74,30 +74,26 @@ def _parse(argv: list):
 
 
 def _problem_from_args(args):
-    """Build and validate the problem before any solve.
+    """Build and validate the problem, from the problem flags the subcommand has, before any solve.
 
-    A rejected problem is a usage error naming the violated constraints;
-    warnings go to stderr only, so they never reach the result files.
+    lambda_star sets lambda for each probe, so lambda-star's template is at
+    lambda = 1.  A rejected problem is a usage error naming the violated
+    constraints; warnings go to stderr only, so they never reach the result files.
     """
+    given = {key: value for key, value in vars(args).items()
+             if key in ("p", "q", "dim", "geometry", "radius", "lx", "ly", "bc", "lam", "forcing")}
+    if args.command == "lambda-star":
+        given["lam"] = 1.0
     try:
-        spec = build_problem(
-            p=args.p, q=args.q, geometry=args.geometry, dim=args.dim, bc=args.bc,
-            lam=args.lam, radius=args.radius, lx=args.lx, ly=args.ly, forcing=args.forcing,
-        )
+        spec = build_problem(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = validate(spec)
     if not report.accepted:
         raise ConfigError("problem violates " + ", ".join(report.violations))
-    holds, need = {
-        "threshold": (spec.lam == 0, "the unforced problem (--lambda 0)"),
-        "lambda-star": (spec.lam > 0, "a forcing profile to scale (--lambda > 0)"),
-        # --method is steady's flag alone
-        "steady": (vars(args).get("method") == "newton" or spec.lam > 0,
-                   "a forcing (--lambda > 0) for --method monotone, which climbs from (0, 0)"),
-    }.get(args.command, (True, ""))
-    if not holds:
-        raise ConfigError(f"{args.command} needs {need}")
+    if vars(args).get("method") == "monotone" and spec.lam == 0:
+        raise ConfigError("steady needs a forcing (--lambda > 0) for --method monotone, "
+                          "which climbs from (0, 0)")
     for warning in report.warnings:
         print(f"warning: {warning}: 1/(p+1) + 1/(q+1) <= (N-2)/N, "
               "equilibria may not exist", file=sys.stderr)
@@ -218,7 +214,7 @@ def _dispatch(args) -> int:
             "outcome": outcome.kind,
             "t_end": outcome.t_end,
             "digest": spec_digest(spec, args.resolution),
-            "provenance": _provenance(args.resolution, config, args.seed),
+            "provenance": _provenance(args.resolution, config),
         }
         if outcome.kind == "blowup":
             payload["t_blowup_est"] = outcome.t_est
@@ -232,15 +228,13 @@ def _dispatch(args) -> int:
 
     if args.command == "threshold":
         eq = solve_newton(spec, A)
-        result = threshold_experiment(
-            spec, A, eq, config, alphas=args.alphas, bisect_width=args.width, seed=args.seed
-        )
+        result = threshold_experiment(spec, A, eq, config, alphas=args.alphas,
+                                      bisect_width=args.width)
         summary = (f"alpha bracket: {result.derived.get('alpha_bracket')} "
                    f"from {len(result.runs)} runs")
     else:
-        result = lambda_star_experiment(
-            spec, A, (args.lambda_lo, args.lambda_hi), args.rel_tol, config, seed=args.seed
-        )
+        result = lambda_star_experiment(spec, A, (args.lambda_lo, args.lambda_hi),
+                                        args.rel_tol, config)
         summary = f"lambda bracket: {result.derived['lambda_bracket']}"
     write_result_json(result.to_payload(), out / "result.json")
     print(summary)

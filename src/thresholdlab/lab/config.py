@@ -48,23 +48,24 @@ def _list_of(item):
     return parse
 
 
-#: The one definition of every CLI flag.  Each flag name is also its
-#: config-file key: name -> (subcommands that read it, argparse keywords).
+#: The one definition of every CLI flag.  Each flag name is also its config-file
+#: key: name -> (the subcommands whose result it changes, argparse keywords).
 FLAGS = {
     "p": (COMMANDS, dict(type=float, default=3.0)),
     "q": (COMMANDS, dict(type=float, default=3.0)),
     "dim": (COMMANDS, dict(type=int, default=2)),
-    "geometry": (COMMANDS, dict(choices=("radial", "rect"), default="radial")),
+    "geometry": (COMMANDS[:-1], dict(choices=("radial", "rect"), default="radial")),
     "radius": (COMMANDS, dict(type=finite, default=1.0)),
-    "lx": (COMMANDS, dict(type=finite, default=1.0)),
-    "ly": (COMMANDS, dict(type=finite, default=1.0)),
-    "bc": (COMMANDS, dict(default="dirichlet", help="dirichlet | robin:<beta>")),
-    "lambda": (COMMANDS, dict(dest="lam", type=finite, default=0.0)),
-    "forcing": (COMMANDS, dict(choices=("constant", "bump"), default="constant")),
+    "lx": (COMMANDS[:-1], dict(type=finite, default=1.0)),
+    "ly": (COMMANDS[:-1], dict(type=finite, default=1.0)),
+    "bc": (COMMANDS[:-1], dict(default="dirichlet", help="dirichlet | robin:<beta>")),
+    "lambda": (("steady", "evolve"), dict(dest="lam", type=finite, default=0.0)),
+    "forcing": (("steady", "evolve", "lambda-star"),
+                dict(choices=("constant", "bump"), default="constant")),
     "config": (COMMANDS, dict(type=Path, default=None, help="key = value file")),
     "out": (COMMANDS, dict(type=Path, default=None)),
     "resolution": (COMMANDS[:-1], dict(type=int, default=256)),
-    "seed": (STEPPING + ("verify",), dict(type=int, default=0)),
+    "seed": (("verify",), dict(type=int, default=0)),
     "dt0": (STEPPING, dict(type=finite, default=1e-3)),
     "t-max": (STEPPING, dict(type=positive, default=50.0)),
     "method": (("steady",), dict(choices=("newton", "monotone"), default="newton")),
@@ -121,10 +122,10 @@ def parse_boundary(text: str) -> BoundarySpec:
 def build_problem(
     p: float,
     q: float,
-    geometry: str,
-    dim: int,
-    bc: str,
-    lam: float,
+    geometry: str = "radial",
+    dim: int = 2,
+    bc: str = "dirichlet",
+    lam: float = 0.0,
     radius: float = 1.0,
     lx: float = 1.0,
     ly: float = 1.0,

@@ -2,8 +2,8 @@
 
 Each driver returns an ExperimentResult carrying every run it performed,
 the derived brackets, and enough provenance (problem digest, resolution,
-stepping parameters, seed, tool version) to reproduce the result from its
-JSON serialisation alone.
+stepping parameters, tool version) to reproduce the result from its JSON
+serialisation alone.
 
 The threshold experiment predicts, certifies, and bisects only on
 contradiction: it predicts the threshold of data alpha*(U, V) at
@@ -67,12 +67,11 @@ class ExperimentResult:
         }
 
 
-def _provenance(resolution, config: IntegratorConfig, seed: int | None) -> dict:
+def _provenance(resolution, config: IntegratorConfig) -> dict:
     return {
         "resolution": list(resolution) if isinstance(resolution, tuple) else resolution,
         "dt0": config.dt0,
         "t_max": config.t_max,
-        "seed": seed,
         "version": __version__,
     }
 
@@ -115,7 +114,6 @@ def threshold_experiment(
     config: IntegratorConfig = IntegratorConfig(),
     alphas: Sequence[float] = (0.5, 1.5),
     bisect_width: float = 0.02,
-    seed: int | None = None,
 ) -> ExperimentResult:
     """Bracket the scaling threshold of an equilibrium under the flow: predict, certify, bisect.
 
@@ -151,7 +149,7 @@ def threshold_experiment(
     result = ExperimentResult(
         kind="threshold",
         digest=spec_digest(spec, resolution),
-        provenance=_provenance(resolution, config, seed),
+        provenance=_provenance(resolution, config),
     )
 
     certs = certificates(spec, A)
@@ -214,21 +212,20 @@ def lambda_star_experiment(
     bracket: tuple[float, float],
     rel_tol: float = 0.05,
     config: IntegratorConfig = IntegratorConfig(),
-    seed: int | None = None,
 ) -> ExperimentResult:
     """Locate the extremal forcing scale and verify the dynamics on both sides.
 
     Below the bracket (at half its lower end) the flow from (0,0) must
     converge to the minimal steady solution; above (at twice its upper end)
-    it must blow up.
+    it must blow up.  The digest, the template's at lambda = 1, names the forcing kind.
     """
     resolution = A.grid.resolution
     ls: LambdaStarResult = lambda_star(spec_template, A, bracket, rel_tol)
     lo, hi = ls.bracket
     result = ExperimentResult(
         kind="lambda-star",
-        digest=spec_digest(spec_template.with_lam(0.0), resolution),
-        provenance=_provenance(resolution, config, seed),
+        digest=spec_digest(spec_template.with_lam(1.0), resolution),
+        provenance=_provenance(resolution, config),
         derived={
             "lambda_bracket": [lo, hi],
             "lambda_hat": ls.lambda_hat,

@@ -35,12 +35,11 @@ from pathlib import Path
 # (name, argv without --out): each writes under <out>/<name>
 CRITERION_10 = [
     ("verify", ["verify", "--resolutions", "48,96", "--seed", "5"]),
-    ("evolve", ["evolve", "--alpha", "1.5", "--resolution", "64", "--format", "csv",
-                "--seed", "5"]),
-    ("threshold", ["threshold", "--resolution", "64", "--width", "0.25", "--seed", "5"]),
-    ("ls", ["lambda-star", "--p", "2", "--q", "2", "--lambda", "1", "--resolution", "64",
-            "--lambda-lo", "1", "--lambda-hi", "30", "--rel-tol", "0.2", "--seed", "5"]),
-    ("threshold-robin", ["threshold", "--bc", "robin:1.0", "--resolution", "64", "--seed", "5"]),
+    ("evolve", ["evolve", "--alpha", "1.5", "--resolution", "64", "--format", "csv"]),
+    ("threshold", ["threshold", "--resolution", "64", "--width", "0.25"]),
+    ("ls", ["lambda-star", "--p", "2", "--q", "2", "--resolution", "64",
+            "--lambda-lo", "1", "--lambda-hi", "30", "--rel-tol", "0.2"]),
+    ("threshold-robin", ["threshold", "--bc", "robin:1.0", "--resolution", "64"]),
 ]
 
 WIDE = [
@@ -63,7 +62,7 @@ WIDE = [
                               "--resolution", "256"]),
     ("steady-square-bump", ["steady", "--geometry", "rect", "--p", "2", "--q", "2",
                             "--lambda", "1", "--forcing", "bump", "--resolution", "48"]),
-    ("ls-bump", ["lambda-star", "--p", "2", "--q", "2", "--lambda", "1", "--forcing", "bump",
+    ("ls-bump", ["lambda-star", "--p", "2", "--q", "2", "--forcing", "bump",
                  "--resolution", "64", "--lambda-lo", "1", "--lambda-hi", "60",
                  "--rel-tol", "0.2"]),
 ]

@@ -53,9 +53,9 @@ from conftest import disk_operator, disk_spec
 
 #: A value for each config key, none of them its flag's default.
 FLAG_SAMPLES = {
-    "p": "2.5", "q": "2", "dim": "3", "geometry": "rect", "radius": "2", "lx": "2",
+    "p": "2.5", "q": "2", "dim": "3", "geometry": "rect", "radius": "0.5", "lx": "2",
     "ly": "0.5", "bc": "robin:1", "lambda": "0.5", "forcing": "bump", "out": "runs/x",
-    "resolution": "32", "seed": "4", "dt0": "0.002", "t-max": "3", "method": "monotone",
+    "resolution": "32", "seed": "4", "dt0": "0.002", "t-max": "0.2", "method": "monotone",
     "initial": "state.snap", "alpha": "0.7", "format": "csv", "alphas": "0.4,1.6",
     "width": "0.1", "lambda-lo": "0.5", "lambda-hi": "9", "rel-tol": "0.1",
     "resolutions": "48,96",
@@ -529,7 +529,7 @@ class TestCli:
                      "--dt0", "5e-4", "--out", str(tmp_path)])
         assert code == 3
         provenance = json.loads((tmp_path / "result.json").read_text())["provenance"]
-        assert provenance == {"resolution": 16, "dt0": 5e-4, "t_max": 0.5, "seed": 0,
+        assert provenance == {"resolution": 16, "dt0": 5e-4, "t_max": 0.5,
                               "version": __version__}
 
     def test_config_file_roundtrip(self, tmp_path, capsys):
@@ -669,6 +669,33 @@ class TestCli:
         assert payload["outcome"] in ("steady", "undecided")  # metastable start
 
 
+#: Each subcommand's base run; a run with one flag's sample value must
+#: change its result.
+_BASE_RUNS = {
+    "steady": ["--resolution", "16"],
+    "evolve": ["--resolution", "16", "--alpha", "0.5"],
+    "threshold": ["--resolution", "16"],
+    "lambda-star": ["--resolution", "16", "--lambda-lo", "0.1", "--lambda-hi", "300",
+                    "--rel-tol", "0.3"],
+    "verify": [],
+}
+#: The flags a sample value needs beside it, on the subcommands that take them.
+_NEEDS = {"method": {"lambda": "0.5"}, "forcing": {"lambda": "0.5"},
+          "lx": {"geometry": "rect"}, "ly": {"geometry": "rect"}}
+
+
+def _outputs(out):
+    """Every file the run wrote under ``out``, result.json parsed and without its provenance."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "result.json":
+            files[path.name] = json.loads(path.read_text())
+            files[path.name].pop("provenance", None)
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
 class TestFlagTable:
     def test_command_line_beats_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -683,10 +710,15 @@ class TestFlagTable:
     @pytest.mark.parametrize("argv", [
         ["evolve", "--res", "64"],
         ["threshold", "--alpha", "0.5"],
-        ["lambda-star", "--lambda", "1", "--width", "0.1"],
+        ["lambda-star", "--width", "0.1"],
         ["steady", "--dt0", "0.002"],
         ["steady", "--seed", "1"],
         ["verify", "--resolution", "48"],
+        # a flag that changes no result of the subcommand is not one of its flags
+        ["evolve", "--seed", "1"],
+        ["threshold", "--forcing", "bump"],
+        ["verify", "--lx", "2"],
+        ["lambda-star", "--lambda", "1"],
     ])
     def test_abbreviated_or_dropped_flag_is_usage_error(self, argv, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path)]) == 1
@@ -717,7 +749,7 @@ class TestFlagTable:
                  for opt in action.option_strings if action.dest != "help"}
         assert slots == {(command, f"--{key}") for key, (commands, _) in FLAGS.items()
                          for command in commands}
-        assert len(slots) == 84
+        assert len(slots) == 72
 
     @pytest.mark.parametrize("argv", [
         ["-h"], *([command, "-h"] for command in COMMANDS),
@@ -726,7 +758,7 @@ class TestFlagTable:
         ["threshold", "--alpha", "0.5"], ["steady", "--geometry", "hexagon"],
         ["steady", "--nonsense-flag", "3"], ["verify", "--resolution", "48"],
         ["threshold", "--alphas", "0.5,x"], ["evolve", "--dt0"], ["steady", "--p=--"],
-        ["lambda-star", "--lambda", "1", "--rel-tol", "0.1", "--resolution", "64"],
+        ["lambda-star", "--rel-tol", "0.1", "--resolution", "64"],
         ["robin", "--bc", "robin:1"],   # not a subcommand: refused, as by the full parser
     ])
     def test_parser_of_argv_acts_as_the_full_parser(self, argv, capsys):
@@ -746,16 +778,82 @@ class TestFlagTable:
         if argv[-1:] == ["-h"] and argv[0] != "-h":
             assert "--resolution" in named[2]
 
+    def test_every_flag_changes_the_result(self, tmp_path, monkeypatch, capsys):
+        # each (subcommand, flag) slot of the table, with its sample value and
+        # the flags that value needs, against the same run without the flag;
+        # verify's slots by the arguments its suite receives, which runs up
+        # to its first solve, so its own input checks still refuse
+        import thresholdlab.lab.cli as cli
+        import thresholdlab.lab.verify as verify
+
+        class SolvesBegin(Exception):
+            pass
+
+        received = []
+
+        def suite(**kwargs):
+            try:
+                verify.verify_suite(**kwargs)
+            except SolvesBegin:
+                received.append(kwargs)
+            return verify.VerifyReport()
+
+        def solves_begin(*args, **kwargs):
+            raise SolvesBegin
+
+        monkeypatch.setattr(verify, "shooting_oracle", solves_begin)
+        monkeypatch.setattr(cli, "verify_suite", suite)
+        monkeypatch.chdir(tmp_path)
+        assert main(["steady", "--resolution", "16", "--out", "snap"]) == 0
+        (tmp_path / "snap" / "steady.snap").rename(FLAG_SAMPLES["initial"])
+        results = {}
+
+        def result(argv):
+            """The run's result, or None if it wrote none.  Exit 3 writes one:
+            a shorter horizon changes a result only by leaving a run undecided."""
+            if tuple(argv) not in results:
+                out = tmp_path / f"run{len(results)}"
+                code = main([*argv, "--out", str(out)])
+                results[tuple(argv)] = None if code not in (0, 3) else (
+                    received.pop() if argv[0] == "verify" else _outputs(out))
+            return results[tuple(argv)]
+
+        failing = []
+        for key, (commands, _) in FLAGS.items():
+            if key in ("config", "out"):
+                continue
+            for command in commands:
+                # evolve takes --initial or --alpha, not both
+                base = _BASE_RUNS[command][:2] if key == "initial" else _BASE_RUNS[command]
+                needs = [f"--{k}={v}" for k, v in _NEEDS.get(key, {}).items()
+                         if command in FLAGS[k][0]]
+                argv = [command, *base, *needs]
+                assert result(argv) is not None, (argv, capsys.readouterr().err)
+                if result([*argv, f"--{key}={FLAG_SAMPLES[key]}"]) in (None, result(argv)):
+                    failing.append((command, f"--{key}"))
+        assert failing == []
+
+    def test_lambda_star_digest_names_the_forcing(self, tmp_path, capsys):
+        digests = set()
+        for kind in ("constant", "bump"):
+            assert main(["lambda-star", "--p", "2", "--q", "2", "--resolution", "16",
+                         "--lambda-lo", "1", "--lambda-hi", "60", "--rel-tol", "0.3",
+                         "--forcing", kind, "--out", str(tmp_path / kind)]) == 0
+            digest = json.loads((tmp_path / kind / "result.json").read_text())["digest"]
+            assert digest == spec_digest(build_problem(p=2.0, q=2.0, lam=1.0, forcing=kind), 16)
+            digests.add(digest)
+        assert len(digests) == 2
+
 
 class TestCliErrorPaths:
     @pytest.mark.parametrize("argv, named", [
         (["evolve", "--dt0", "0.1"], "dt0"),
         (["evolve", "--t-max", "0"], "--t-max"),
         (["evolve", "--config", "missing.cfg"], "missing.cfg"),
-        (["threshold", "--lambda", "1"], "unforced"),
+        (["threshold", "--lambda", "1"], "unrecognized arguments"),
         (["robin", "--bc", "robin:1"], "invalid choice"),     # the Robin study is threshold's
-        (["lambda-star", "--lambda", "1", "--lambda-lo", "5", "--lambda-hi", "1"], "bracket"),
-        (["lambda-star"], "--lambda > 0"),
+        (["lambda-star", "--lambda-lo", "5", "--lambda-hi", "1"], "bracket"),
+        (["steady", "--method", "monotone", "--lambda", "0"], "--lambda > 0"),
         (["threshold", "--alphas", "0.5,x"], "--alphas"),
         (["verify", "--resolutions", "48,abc"], "--resolutions"),
         (["verify", "--resolutions", "48,2"], "resolution 2"),
@@ -796,7 +894,7 @@ class TestCliErrorPaths:
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     @pytest.mark.parametrize("argv", [["steady"], ["evolve"], ["threshold"],
-                                      ["lambda-star", "--lambda", "1"], ["verify"]],
+                                      ["lambda-star"], ["verify"]],
                              ids=lambda argv: argv[0])
     def test_out_that_cannot_be_a_directory_is_usage_error(self, argv, out, tmp_path, capsys,
                                                           monkeypatch):
@@ -869,7 +967,7 @@ class TestCliErrorPaths:
         assert not (tmp_path / "result.json").exists()
 
     def test_bracket_failing_after_probes_is_usage_error(self, tmp_path, capsys):
-        code = main(["lambda-star", "--lambda", "1", "--resolution", "32", "--lambda-lo", "100",
+        code = main(["lambda-star", "--resolution", "32", "--lambda-lo", "100",
                      "--lambda-hi", "1000", "--out", str(tmp_path)])
         assert code == 1
         assert "not solvable at lam=100" in capsys.readouterr().err
@@ -899,15 +997,15 @@ _OUT_OF_RANGE = {
     "width": (_NONPOSITIVE, []),
     "rel-tol": (_NONPOSITIVE, []),
     "alphas": (st.sampled_from(["0.5,", ",1.5", "0.5,nan", "-0.5,1.5"]), []),
-    "lambda-lo": (st.floats(max_value=0.0).map(repr), ["--lambda", "1"]),
-    "lambda-hi": (st.floats(max_value=1e-3).map(repr), ["--lambda", "1"]),
+    "lambda-lo": (st.floats(max_value=0.0).map(repr), []),
+    "lambda-hi": (st.floats(max_value=1e-3).map(repr), []),
 }
 #: Problems a subcommand cannot run.
 _WRONG_PROBLEM = {
     "steady": [["--geometry", "rect", "--bc", "robin:1"]],
     "evolve": [["--geometry", "rect", "--bc", "robin:1"]],
     "threshold": [["--lambda", "0.5"], ["--lambda", "2", "--forcing", "bump"]],
-    "lambda-star": [[], ["--lambda", "0"]],
+    "lambda-star": [["--lambda", "0"]],
     "verify": [["--lambda", "1"], ["--bc", "robin:1"], ["--geometry", "rect"]],
 }
 
@@ -1047,7 +1145,7 @@ class TestDeterminism:
             out = tmp_path / sub
             main([
                 "evolve", "--alpha", "1.5", "--resolution", "64",
-                "--format", "csv", "--out", str(out), "--seed", "11",
+                "--format", "csv", "--out", str(out),
             ])
             texts.append((out / "trajectory.csv").read_bytes())
         assert texts[0] == texts[1]
@@ -1058,7 +1156,7 @@ class TestDeterminism:
             out = tmp_path / sub
             main([
                 "threshold", "--resolution", "64", "--width", "0.25",
-                "--out", str(out), "--seed", "3",
+                "--out", str(out),
             ])
             texts.append((out / "result.json").read_bytes())
         assert texts[0] == texts[1]
