@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: steady, evolve, threshold, lambda-star, verify, each taking only
-the flags that change its result.  The Robin threshold is ``threshold --bc robin:<beta>``.
+the flags that change its result, and a problem flag only where the problem
+reads it.  The Robin threshold is ``threshold --bc robin:<beta>``.
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 undecided
 classification, 4 verify-suite failure.
 """
@@ -48,7 +49,7 @@ def _build_parser(argv: Optional[Sequence[str]] = None) -> _Parser:
     parser = _Parser(prog="thresholdlab", allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        sub = subs.add_parser(command, allow_abbrev=False)
+        sub = subs.add_parser(command, allow_abbrev=False, argument_default=argparse.SUPPRESS)
         if command in named:
             for name, (commands, keywords) in FLAGS.items():
                 if command in commands:
@@ -74,23 +75,29 @@ def _parse(argv: list):
 
 
 def _problem_from_args(args):
-    """Build and validate the problem, from the problem flags the subcommand has, before any solve.
+    """Build and validate the problem from the problem flags given, before any solve.
 
-    lambda_star sets lambda for each probe, so lambda-star's template is at
-    lambda = 1.  A rejected problem is a usage error naming the violated
-    constraints; warnings go to stderr only, so they never reach the result files.
+    build_problem's defaults fill the flags not given, and lambda-star's
+    template is at lambda = 1, as lambda_star sets lambda for each probe.  A
+    rejected problem, or a given flag that the problem's canonical lines do
+    not name, is a usage error naming them; warnings go to stderr only, so
+    they never reach the result files.
     """
     given = {key: value for key, value in vars(args).items()
              if key in ("p", "q", "dim", "geometry", "radius", "lx", "ly", "bc", "lam", "forcing")}
-    if args.command == "lambda-star":
-        given["lam"] = 1.0
+    template = {"lam": 1.0} if args.command == "lambda-star" else {}
     try:
-        spec = build_problem(**given)
+        spec = build_problem(**given, **template)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = validate(spec)
     if not report.accepted:
         raise ConfigError("problem violates " + ", ".join(report.violations))
+    read = _problem_header(spec, None)
+    unread = [f"--{name}" for name, (_, keywords) in FLAGS.items()
+              if keywords.get("dest", name) in given and name not in read]
+    if unread:
+        raise ConfigError(f"the problem does not read {', '.join(unread)}")
     if vars(args).get("method") == "monotone" and spec.lam == 0:
         raise ConfigError("steady needs a forcing (--lambda > 0) for --method monotone, "
                           "which climbs from (0, 0)")
@@ -238,7 +245,8 @@ def _dispatch(args) -> int:
         summary = f"lambda bracket: {result.derived['lambda_bracket']}"
     write_result_json(result.to_payload(), out / "result.json")
     print(summary)
-    return UNDECIDED if result.skipped or "undecided_at" in result.derived else 0
+    undecided = result.skipped or any(run["outcome"] == "undecided" for run in result.runs)
+    return UNDECIDED if undecided else 0
 
 if __name__ == "__main__":
     sys.exit(main())

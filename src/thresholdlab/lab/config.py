@@ -50,18 +50,19 @@ def _list_of(item):
 
 #: The one definition of every CLI flag.  Each flag name is also its config-file
 #: key: name -> (the subcommands whose result it changes, argparse keywords).
+#: The problem flags, p to forcing, have no default: a run leaves out those it
+#: is not given, and build_problem's signature holds their defaults.
 FLAGS = {
-    "p": (COMMANDS, dict(type=float, default=3.0)),
-    "q": (COMMANDS, dict(type=float, default=3.0)),
-    "dim": (COMMANDS, dict(type=int, default=2)),
-    "geometry": (COMMANDS[:-1], dict(choices=("radial", "rect"), default="radial")),
-    "radius": (COMMANDS, dict(type=finite, default=1.0)),
-    "lx": (COMMANDS[:-1], dict(type=finite, default=1.0)),
-    "ly": (COMMANDS[:-1], dict(type=finite, default=1.0)),
-    "bc": (COMMANDS[:-1], dict(default="dirichlet", help="dirichlet | robin:<beta>")),
-    "lambda": (("steady", "evolve"), dict(dest="lam", type=finite, default=0.0)),
-    "forcing": (("steady", "evolve", "lambda-star"),
-                dict(choices=("constant", "bump"), default="constant")),
+    "p": (COMMANDS, dict(type=float)),
+    "q": (COMMANDS, dict(type=float)),
+    "dim": (COMMANDS, dict(type=int)),
+    "geometry": (COMMANDS[:-1], dict(choices=("radial", "rect"))),
+    "radius": (COMMANDS, dict(type=finite)),
+    "lx": (COMMANDS[:-1], dict(type=finite)),
+    "ly": (COMMANDS[:-1], dict(type=finite)),
+    "bc": (COMMANDS[:-1], dict(help="dirichlet | robin:<beta>")),
+    "lambda": (("steady", "evolve"), dict(dest="lam", type=finite)),
+    "forcing": (("steady", "evolve", "lambda-star"), dict(choices=("constant", "bump"))),
     "config": (COMMANDS, dict(type=Path, default=None, help="key = value file")),
     "out": (COMMANDS, dict(type=Path, default=None)),
     "resolution": (COMMANDS[:-1], dict(type=int, default=256)),
@@ -120,8 +121,8 @@ def parse_boundary(text: str) -> BoundarySpec:
 
 
 def build_problem(
-    p: float,
-    q: float,
+    p: float = 3.0,
+    q: float = 3.0,
     geometry: str = "radial",
     dim: int = 2,
     bc: str = "dirichlet",

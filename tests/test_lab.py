@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -514,6 +516,16 @@ class TestCli:
         assert derived["undecided_at"] == 0.99
         assert derived["alpha_bracket"] == [0.5, 1.5]
 
+    def test_lambda_star_with_undecided_run_exits_undecided(self, tmp_path, capsys):
+        # the low run reaches --t-max unclassified: the bracket is written, and exit is 3
+        code = main(["lambda-star", "--resolution", "16", "--lambda-lo", "0.01",
+                     "--lambda-hi", "100", "--rel-tol", "0.3", "--t-max", "3",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        payload = json.loads((tmp_path / "result.json").read_text())
+        assert [run["outcome"] for run in payload["runs"]] == ["undecided", "blowup"]
+        assert payload["derived"]["dynamics_consistent"] is False
+
     def test_evolve_undecided_exit_code(self, tmp_path, capsys):
         code = main([
             "evolve", "--alpha", "0.9", "--resolution", "32",
@@ -640,7 +652,7 @@ class TestCli:
 
     @pytest.mark.parametrize("written, read", [
         (["--bc", "robin:1"], ["--bc", "robin:1.0"]),
-        (["--geometry", "rect", "--dim", "3"], ["--geometry", "rect"]),
+        (["--geometry", "rect", "--lx", "1"], ["--geometry", "rect"]),
     ])
     def test_snapshot_of_the_same_problem_is_accepted(self, written, read, tmp_path, capsys):
         assert main(["steady", *written, "--resolution", "16", "--out", str(tmp_path)]) == 0
@@ -740,6 +752,47 @@ class TestFlagTable:
         err = capsys.readouterr().err
         assert "unrecognized arguments: --alpha=0.5" in err
         assert not (tmp_path / "run").exists()
+
+    def test_config_key_the_problem_does_not_read(self, tmp_path, capsys, monkeypatch):
+        # a config line becomes a flag ahead of argv, so the problem's rule refuses it too
+        import thresholdlab.lab.cli as cli
+
+        monkeypatch.setattr(cli, "solve_newton", lambda *a, **k: pytest.fail("solved"))
+        config = tmp_path / "study.cfg"
+        config.write_text("lx = 2\n")
+        assert main(["steady", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the problem does not read --lx")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("explicit, implicit", [
+        (["--geometry", "radial", "--dim", "2", "--radius", "1"], []),
+        (["--geometry", "rect", "--lx", "1", "--ly", "1"], ["--geometry", "rect"]),
+    ])
+    def test_explicit_problem_defaults_change_nothing(self, explicit, implicit, tmp_path,
+                                                      capsys):
+        # build_problem's signature is the one home of the problem defaults
+        for name, flags in (("explicit", explicit), ("implicit", implicit)):
+            assert main(["steady", *flags, "--resolution", "16",
+                         "--out", str(tmp_path / name)]) == 0
+        for name in ("result.json", "steady.snap"):
+            assert (tmp_path / "explicit" / name).read_bytes() == \
+                (tmp_path / "implicit" / name).read_bytes()
+
+    def test_readme_flag_table_names_every_slot(self):
+        # README's flag table and FLAGS give each flag the same subcommands
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| flags | subcommands |\n| --- | --- |\n", 1)[1].split("\n\n")[0]
+        slots = set()
+        for row in table.splitlines():
+            flags, commands = row.strip("| ").split(" | ")
+            named = re.findall(r"`([a-z-]+)`", commands)
+            if commands.startswith("all"):
+                named = [command for command in COMMANDS if command not in named]
+            slots |= {(command, flag) for command in named
+                      for flag in re.findall(r"--[a-z0-9-]+", flags)}
+        assert slots == {(command, f"--{key}") for key, (commands, _) in FLAGS.items()
+                         for command in commands}
 
     def test_flag_slots(self):
         # each flag sits only on the subcommands that read it
@@ -873,6 +926,12 @@ class TestCliErrorPaths:
         (["evolve", "--initial", "steady.snap", "--alpha", "0.5"], "--initial or --alpha"),
         # from (0, 0) the unforced monotone iteration finds only (0, 0)
         (["steady", "--method", "monotone"], "--lambda > 0"),
+        # a problem flag that the problem's canonical lines do not name
+        (["steady", "--lx", "-5"], "--lx"),
+        (["evolve", "--geometry", "rect", "--dim", "3"], "--dim"),
+        (["threshold", "--geometry", "rect", "--radius", "2"], "--radius"),
+        (["lambda-star", "--geometry", "rect", "--dim", "3"], "--dim"),
+        (["steady", "--forcing", "bump"], "--forcing"),
     ])
     def test_usage_error_before_any_solve(self, argv, named, tmp_path, capsys, monkeypatch):
         import thresholdlab.lab.cli as cli
@@ -1000,13 +1059,13 @@ _OUT_OF_RANGE = {
     "lambda-lo": (st.floats(max_value=0.0).map(repr), []),
     "lambda-hi": (st.floats(max_value=1e-3).map(repr), []),
 }
-#: Problems a subcommand cannot run.
+#: Problems a subcommand cannot run, and problem flags the problem does not read.
 _WRONG_PROBLEM = {
-    "steady": [["--geometry", "rect", "--bc", "robin:1"]],
-    "evolve": [["--geometry", "rect", "--bc", "robin:1"]],
-    "threshold": [["--lambda", "0.5"], ["--lambda", "2", "--forcing", "bump"]],
-    "lambda-star": [["--lambda", "0"]],
-    "verify": [["--lambda", "1"], ["--bc", "robin:1"], ["--geometry", "rect"]],
+    "steady": [["--geometry", "rect", "--bc", "robin:1"], ["--lx", "2"], ["--forcing", "bump"]],
+    "evolve": [["--geometry", "rect", "--bc", "robin:1"], ["--geometry", "rect", "--dim", "3"]],
+    "threshold": [["--geometry", "rect", "--radius", "2"]],
+    "lambda-star": [["--geometry", "rect", "--dim", "3"]],
+    "verify": [],
 }
 
 
@@ -1136,27 +1195,3 @@ class TestVerifyCli:
         code = main(["verify", "--resolutions", "48", "--out", str(tmp_path)])
         assert code == 4
         assert "FAIL" in (tmp_path / "verify.txt").read_text()
-
-
-class TestDeterminism:
-    def test_evolve_csv_bytes_identical(self, tmp_path, capsys):
-        texts = []
-        for sub in ("a", "b"):
-            out = tmp_path / sub
-            main([
-                "evolve", "--alpha", "1.5", "--resolution", "64",
-                "--format", "csv", "--out", str(out),
-            ])
-            texts.append((out / "trajectory.csv").read_bytes())
-        assert texts[0] == texts[1]
-
-    def test_threshold_json_bytes_identical(self, tmp_path, capsys):
-        texts = []
-        for sub in ("a", "b"):
-            out = tmp_path / sub
-            main([
-                "threshold", "--resolution", "64", "--width", "0.25",
-                "--out", str(out),
-            ])
-            texts.append((out / "result.json").read_bytes())
-        assert texts[0] == texts[1]
